@@ -38,7 +38,7 @@ from .formulas import (
 from .msd import solve_msd
 from .nsol import solve_nsol
 from .outcome import Guarantee, SolveOutcome
-from .postlattice import CoCloneLabel, Verdict, all_verdicts, classify, coclone_fragment, verdict
+from .postlattice import CoCloneLabel, Verdict, all_verdicts, classify, verdict
 from .relations import (
     BoolFunction,
     Clause,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Sequence
 
+from . import gf2
 from .errors import InternalConsistencyError
 from .formulas import Assignment, Formula
 from .relations import Clause, cnf_decompose
@@ -57,6 +58,17 @@ def formula_parity(formula: Formula) -> list[tuple[frozenset[int], int]]:
                 continue
             out.add((frozenset(support), bit))
     return sorted(out, key=lambda e: (len(e[0]), sorted(e[0]), e[1]))
+
+
+def affine_solve(
+    formula: Formula, assumptions: dict[int, int] | None = None
+) -> tuple[int, list[int]] | None:
+    """Particular solution and nullspace basis (gf2 vectors, bit v-1 for
+    variable v) of the formula's parity equations plus the unit
+    `assumptions`; None iff they are inconsistent."""
+    equations = [(sum(1 << (v - 1) for v in vs), bit) for vs, bit in formula_parity(formula)]
+    equations += [(1 << (v - 1), b) for v, b in (assumptions or {}).items()]
+    return gf2.solve_affine(gf2.Gf2System.from_equations(formula.var_count, tuple(equations)))
 
 
 def unit_propagate(

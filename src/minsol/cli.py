@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 parse/input error, 2 no feasible answer
 (unsatisfiable, unique model, no second model), 3 resource refusal
-(instance over cap, or approx mode without a polynomial algorithm).
-Solve results are re-verified against the formula before printing.
+(instance over cap, or approx mode without a polynomial algorithm),
+4 any other library error, such as an answer that fails re-verification
+(`InternalConsistencyError`).  Solve results are re-verified against the
+formula before printing.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import sys
 import time
 
 from .decision import another_sat, another_sat_below_n, sat_solve, tssat
+from .dispatch import checked
 from .errors import (
     Infeasible,
+    InternalConsistencyError,
     LengthMismatch,
     MinsolError,
     NoPolyAlgorithm,
@@ -27,7 +31,7 @@ from .errors import (
     UniqueModel,
     Unsatisfiable,
 )
-from .formulas import Assignment, Formula, hamming, load_formula, oracle_optimize, satisfies
+from .formulas import Assignment, Formula, load_formula, oracle_optimize
 from .msd import solve_msd
 from .nsol import solve_nsol
 from .outcome import SolveOutcome
@@ -60,15 +64,10 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def _verify(formula: Formula, out: SolveOutcome, m: Assignment | None) -> None:
-    for w in out.witnesses():
-        if not satisfies(formula, w):
-            raise MinsolError("verification failed: witness does not satisfy the formula")
-    if out.problem == "MSD":
-        realized = hamming(out.witness, out.witness2)
-    else:
-        realized = hamming(m, out.witness)
-    if realized != out.value:
-        raise MinsolError("verification failed: witness does not realize the value")
+    """Re-check the answer against the formula as loaded from its file."""
+    again = checked(out.problem, formula, m, out.witnesses(), out.guarantee, out.method)
+    if again.value != out.value:
+        raise InternalConsistencyError("verification failed: witness does not realize the value")
 
 
 def _outcome_payload(out: SolveOutcome, elapsed_ms: float) -> dict:
@@ -280,6 +279,10 @@ def run(argv: list[str] | None = None) -> int:
         _emit({"schema": 1, "error": _reason(exc), "detail": str(exc)}, as_json,
               [f"refused: {_reason(exc)}: {exc}"])
         return 3
+    except MinsolError as exc:
+        _emit({"schema": 1, "error": _reason(exc), "detail": str(exc)}, as_json,
+              [f"failed: {_reason(exc)}: {exc}"])
+        return 4
 
 
 def main() -> None:

@@ -7,10 +7,11 @@ capped enumeration and refuses loudly beyond the cap.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import gf2
-from .clauses import assignment_from, cached_clauses,formula_parity, horn_model, twosat_model
+from .clauses import affine_solve, assignment_from, cached_clauses, horn_model, twosat_model
 from .errors import NotAModel, TooLarge
 from .formulas import (
     ORACLE_VAR_CAP,
@@ -25,7 +26,10 @@ from .postlattice import verdict
 SCHAEFER_FLAGS = ("bijunctive", "horn", "dual_horn", "affine")
 
 
+@functools.lru_cache(maxsize=64)
 def _language_flags(formula: Formula) -> frozenset[str]:
+    """Flags of the formula's language, memoised for the n or n^2 probes of
+    `another_sat` and `another_sat_below_n` (one formula at a time)."""
     return formula.effective_language().flags
 
 
@@ -37,37 +41,23 @@ def _enumeration_guard(formula: Formula, cap: int) -> None:
         )
 
 
-def _affine_model(formula: Formula, assumptions: dict[int, int] | None = None) -> Assignment | None:
-    n = formula.var_count
-    equations = []
-    for support, bit in formula_parity(formula):
-        if not support and bit:
-            return None
-        row = 0
-        for v in support:
-            row |= 1 << (v - 1)
-        equations.append((row, bit))
-    for v, b in (assumptions or {}).items():
-        equations.append((1 << (v - 1), b))
-    solved = gf2.solve_affine(gf2.Gf2System.from_equations(n, tuple(equations)))
-    if solved is None:
-        return None
-    particular, _ = solved
-    return Assignment(tuple((particular >> (v - 1)) & 1 for v in range(1, n + 1)))
-
-
-def _solve_with_flags(
-    formula: Formula,
-    flags: frozenset[str],
-    assumptions: dict[int, int] | None = None,
-    cap: int = ORACLE_VAR_CAP,
+def sat_solve(
+    formula: Formula, cap: int = ORACLE_VAR_CAP, assumptions: dict[int, int] | None = None
 ) -> Assignment | None:
-    """Constructive SAT for any Schaefer flag the language carries.
+    """A model or None, via the strongest routine the class admits.
 
-    Assumptions are extra unit constraints; they keep all four classes
-    tractable.  Falls back to capped enumeration when no flag applies.
+    Assumptions are extra unit constraints the model must meet; they keep
+    the four Schaefer classes tractable, but not the 0-/1-valid shortcuts.
+    Beyond those classes it falls back to capped enumeration.
     """
     n = formula.var_count
+    if not assumptions:
+        tag = verdict(formula.effective_language(), "SAT").algorithm_tag
+        if tag == "const_zero":
+            return Assignment((0,) * n)
+        if tag == "const_one":
+            return Assignment((1,) * n)
+    flags = _language_flags(formula)
     if "horn" in flags:
         model = horn_model(n, cached_clauses(formula, "horn"), assumptions, default=0)
         return None if model is None else assignment_from(model, n)
@@ -78,37 +68,14 @@ def _solve_with_flags(
         model = twosat_model(n, cached_clauses(formula, "bijunctive"), assumptions)
         return None if model is None else assignment_from(model, n)
     if "affine" in flags:
-        return _affine_model(formula, assumptions)
+        solved = affine_solve(formula, assumptions)
+        return None if solved is None else Assignment(gf2.vector_to_bits(solved[0], n))
     _enumeration_guard(formula, cap)
-    for m in enumerate_models(formula, cap=None, var_cap=cap).assignments:
+    models = enumerate_models(formula, cap=None if assumptions else 1, var_cap=cap).assignments
+    for m in models:
         if all(m.value(v) == b for v, b in (assumptions or {}).items()):
             return m
     return None
-
-
-def sat_solve(formula: Formula, cap: int = ORACLE_VAR_CAP) -> Assignment | None:
-    """A model or None, via the strongest routine the class admits."""
-    lang = formula.effective_language()
-    v = verdict(lang, "SAT")
-    n = formula.var_count
-    if v.algorithm_tag == "const_zero":
-        return Assignment((0,) * n)
-    if v.algorithm_tag == "const_one":
-        return Assignment((1,) * n)
-    if v.algorithm_tag == "horn_prop":
-        model = horn_model(n, cached_clauses(formula, "horn"), default=0)
-        return None if model is None else assignment_from(model, n)
-    if v.algorithm_tag == "dualhorn_prop":
-        model = horn_model(n, cached_clauses(formula, "dual_horn"), default=1)
-        return None if model is None else assignment_from(model, n)
-    if v.algorithm_tag == "twosat":
-        model = twosat_model(n, cached_clauses(formula, "bijunctive"))
-        return None if model is None else assignment_from(model, n)
-    if v.algorithm_tag == "affine_gauss":
-        return _affine_model(formula)
-    _enumeration_guard(formula, cap)
-    models = enumerate_models(formula, cap=1, var_cap=cap).assignments
-    return models[0] if models else None
 
 
 def another_sat(
@@ -122,7 +89,7 @@ def another_sat(
     if flags & set(SCHAEFER_FLAGS):
         best: Assignment | None = None
         for v in range(1, formula.var_count + 1):
-            cand = _solve_with_flags(formula, flags, {v: 1 - m.value(v)}, cap)
+            cand = sat_solve(formula, cap, {v: 1 - m.value(v)})
             if cand is None:
                 continue
             if best is None or (hamming(m, cand), cand.bits) < (hamming(m, best), best.bits):
@@ -184,8 +151,7 @@ def another_sat_below_n(
     if not satisfies(formula, m):
         raise NotAModel("another_sat_below_n needs a satisfying assignment")
     n = formula.var_count
-    flags = _language_flags(formula)
-    if flags & set(SCHAEFER_FLAGS):
+    if _language_flags(formula) & set(SCHAEFER_FLAGS):
         if n == 1:
             return False
         for i in range(1, n + 1):
@@ -193,7 +159,7 @@ def another_sat_below_n(
                 if i == j:
                     continue
                 fixed = {i: 1 - m.value(i), j: m.value(j)}
-                if _solve_with_flags(formula, flags, fixed, cap) is not None:
+                if sat_solve(formula, cap, fixed) is not None:
                     return True
         return False
     _enumeration_guard(formula, cap)

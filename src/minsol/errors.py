@@ -2,7 +2,8 @@
 
 The CLI maps these onto its exit codes: parse/input problems exit 1,
 infeasibility (no solution / no second solution / unique model) exits 2,
-resource refusals (caps, no polynomial algorithm) exit 3.
+resource refusals (caps, no polynomial algorithm) exit 3, and every other
+library error (such as `InternalConsistencyError`) exits 4.
 """
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 from collections import deque
 
 from . import gf2
-from .clauses import LitClause, cached_clauses, formula_parity, twosat_model
+from .clauses import LitClause, affine_solve, cached_clauses, twosat_model
 from .decision import tssat
+from .dispatch import Route, checked, dispatch, via_dual
 from .errors import (
     InternalConsistencyError,
-    NoPolyAlgorithm,
     TooLarge,
     UniqueModel,
     Unsatisfiable,
@@ -27,43 +27,22 @@ from .formulas import (
     ORACLE_VAR_CAP,
     Assignment,
     Formula,
-    dualize_formula,
-    hamming,
     oracle_optimize,
-    satisfies,
 )
-from .outcome import Guarantee, SolveOutcome, exact, n_approx
-from .postlattice import Verdict, verdict
-from .preprocess import absorb_units
-
-
-def _outcome(
-    formula: Formula,
-    w1: Assignment,
-    w2: Assignment,
-    guarantee: Guarantee,
-    method: str,
-    vdict: Verdict | None = None,
-) -> SolveOutcome:
-    if w1 == w2:
-        raise InternalConsistencyError(f"{method} produced identical witnesses")
-    if not (satisfies(formula, w1) and satisfies(formula, w2)):
-        raise InternalConsistencyError(f"{method} produced a non-model witness")
-    if w2.bits < w1.bits:
-        w1, w2 = w2, w1
-    return SolveOutcome(MSD, hamming(w1, w2), w1, w2, guarantee, vdict, method)
+from .outcome import SolveOutcome, exact, n_approx
 
 
 class _ClosureState:
     """Clause set under unit resolution/subsumption plus added resolvents.
 
-    Tautologies (x or not-x) are seeded deliberately; unit processing
-    deletes every clause mentioning the decided variable.  Step counters
-    assert the structural bounds on closure work.
+    Starts from the formula's clauses of the given shape with its units
+    drained.  Tautologies (x or not-x) are seeded deliberately; unit
+    processing deletes every clause mentioning the decided variable.  Step
+    counters assert the structural bounds on closure work.
     """
 
-    def __init__(self, n: int) -> None:
-        self.n = n
+    def __init__(self, formula: Formula, shape: str) -> None:
+        self.n = n = formula.var_count
         self.clauses: set[LitClause] = set()
         self.units: dict[int, int] = {}
         self.unit_queue: deque[int] = deque()
@@ -71,6 +50,11 @@ class _ClosureState:
         self.unsatisfiable = False
         self.unit_steps = 0
         self.additions = 0
+        for v in range(1, n + 1):
+            self.add(frozenset({v, -v}))
+        for c in cached_clauses(formula, shape):
+            self.add(c)
+        self.drain_units()
 
     def add(self, cl: LitClause) -> bool:
         if self.unsatisfiable or cl in self.clauses:
@@ -116,13 +100,7 @@ class _ClosureState:
 
 
 def _bijunctive_closure(formula: Formula) -> _ClosureState:
-    n = formula.var_count
-    state = _ClosureState(n)
-    for v in range(1, n + 1):
-        state.add(frozenset({v, -v}))
-    for c in cached_clauses(formula, "bijunctive"):
-        state.add(c)
-    state.drain_units()
+    state = _ClosureState(formula, "bijunctive")
     while state.fresh and not state.unsatisfiable:
         cl = state.fresh.popleft()
         if cl not in state.clauses:
@@ -137,12 +115,7 @@ def _bijunctive_closure(formula: Formula) -> _ClosureState:
 
 def _horn_closure(formula: Formula) -> _ClosureState:
     n = formula.var_count
-    state = _ClosureState(n)
-    for v in range(1, n + 1):
-        state.add(frozenset({v, -v}))
-    for c in cached_clauses(formula, "horn"):
-        state.add(c)
-    state.drain_units()
+    state = _ClosureState(formula, "horn")
     max_additions = len(state.clauses) + 4 * n * n + 2 * n + 4
     changed = True
     while changed and not state.unsatisfiable:
@@ -168,11 +141,33 @@ def _horn_closure(formula: Formula) -> _ClosureState:
     return state
 
 
-def _unit_bits(state: _ClosureState, n: int) -> list[int | None]:
-    bits: list[int | None] = [None] * n
-    for v, b in state.units.items():
-        bits[v - 1] = b
-    return bits
+def _equivalence_classes(
+    items: list[int], clauses: set[LitClause]
+) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """Classes of literals that imply each other in `clauses`: the class
+    root of each item, and the members of each class in item order."""
+    parent = {x: x for x in items}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, x in enumerate(items):
+        for y in items[i + 1 :]:
+            if frozenset({-x, y}) in clauses and frozenset({-y, x}) in clauses:
+                parent[find(y)] = find(x)
+    root = {x: find(x) for x in items}
+    classes: dict[int, list[int]] = {}
+    for x in items:
+        classes.setdefault(root[x], []).append(x)
+    return root, classes
+
+
+def _unit_bits(state: _ClosureState, n: int) -> list[int]:
+    """Forced values, 0 for every variable the units leave open."""
+    return [state.units.get(v, 0) for v in range(1, n + 1)]
 
 
 def msd_bijunctive(formula: Formula) -> SolveOutcome:
@@ -185,28 +180,7 @@ def msd_bijunctive(formula: Formula) -> SolveOutcome:
         raise UniqueModel("all variables are forced")
     clauses = state.clauses
     lits = sorted({l for c in clauses for l in c}, key=lambda l: (abs(l), l < 0))
-    parent: dict[int, int] = {l: l for l in lits}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb, key=lambda l: (abs(l), l < 0))] = min(
-                ra, rb, key=lambda l: (abs(l), l < 0)
-            )
-
-    for a in lits:
-        for b in lits:
-            if a != b and frozenset({-a, b}) in clauses and frozenset({-b, a}) in clauses:
-                union(a, b)
-    classes: dict[int, list[int]] = {}
-    for l in lits:
-        classes.setdefault(find(l), []).append(l)
+    root, classes = _equivalence_classes(lits, clauses)
     pivot_root = min(
         classes, key=lambda r: (len(classes[r]), sorted((abs(l), l < 0) for l in classes[r]))
     )
@@ -222,34 +196,30 @@ def msd_bijunctive(formula: Formula) -> SolveOutcome:
             continue
         for x, y in ((a, b), (b, a)):
             # clause (x or y) is the implication (-x) -> y
-            if find(-x) != find(y):
+            if root[-x] != root[y]:
                 if -x in pivot:
-                    succs.add(find(y))
+                    succs.add(root[y])
                 if y in pivot:
-                    preds.add(find(-x))
+                    preds.add(root[-x])
     base = twosat_model(n, clauses)
     if base is None:
         raise InternalConsistencyError("closure satisfiable but 2-SAT failed")
     forced = _unit_bits(state, n)
 
     def literal_rule(l: int, pivot_value: int) -> int | None:
-        root = find(l)
-        if root == pivot_root:
+        if root[l] == pivot_root:
             return pivot_value
-        if root in preds:
+        if root[l] in preds:
             return 0
-        if root in succs:
+        if root[l] in succs:
             return 1
         return None
 
     def build(pivot_value: int) -> Assignment:
-        bits = [0] * n
-        for v in range(1, n + 1):
-            if forced[v - 1] is not None:
-                bits[v - 1] = forced[v - 1]
+        bits = list(forced)
         for v in {abs(l) for l in lits}:
-            rp = literal_rule(v, pivot_value) if v in parent else None
-            rn = literal_rule(-v, pivot_value) if -v in parent else None
+            rp = literal_rule(v, pivot_value) if v in root else None
+            rn = literal_rule(-v, pivot_value) if -v in root else None
             if rp is None and rn is None:
                 val = base[v]
             elif rn is None:
@@ -264,7 +234,7 @@ def msd_bijunctive(formula: Formula) -> SolveOutcome:
         return Assignment(tuple(bits))
 
     w1, w2 = build(0), build(1)
-    out = _outcome(formula, w1, w2, exact(), "bijunctive_classes")
+    out = checked(MSD, formula, None, [w1, w2], exact(), "bijunctive_classes")
     if out.value != len(pivot):
         raise InternalConsistencyError("pivot class size does not match the distance")
     return out
@@ -273,14 +243,7 @@ def msd_bijunctive(formula: Formula) -> SolveOutcome:
 def msd_horn(formula: Formula, dual: bool = False) -> SolveOutcome:
     """Minimal variable class without dependent variables (Horn closure)."""
     if dual:
-        inner = msd_horn(dualize_formula(formula))
-        return _outcome(
-            formula,
-            inner.witness.complement(),
-            inner.witness2.complement(),
-            exact(),
-            "horn_closure_dual",
-        )
+        return via_dual(msd_horn, formula, None)
     n = formula.var_count
     state = _horn_closure(formula)
     if state.unsatisfiable:
@@ -289,25 +252,7 @@ def msd_horn(formula: Formula, dual: bool = False) -> SolveOutcome:
         raise UniqueModel("all variables are forced")
     clauses = state.clauses
     vars_ = state.alive_vars()
-    parent = {v: v for v in vars_}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x in vars_:
-        for y in vars_:
-            if (
-                x < y
-                and frozenset({-x, y}) in clauses
-                and frozenset({-y, x}) in clauses
-            ):
-                parent[find(max(x, y))] = find(min(x, y))
-    classes: dict[int, list[int]] = {}
-    for v in vars_:
-        classes.setdefault(find(v), []).append(v)
+    root, classes = _equivalence_classes(vars_, clauses)
     dependent: set[int] = set()
     for cl in clauses:
         pos = [l for l in cl if l > 0]
@@ -321,9 +266,9 @@ def msd_horn(formula: Formula, dual: bool = False) -> SolveOutcome:
         if not ys:
             continue
         if all(frozenset({-z, y}) in clauses for y in ys) and all(
-            find(z) != find(y) for y in ys
+            root[z] != root[y] for y in ys
         ):
-            dependent.add(find(z))
+            dependent.add(root[z])
     eligible = [r for r in classes if r not in dependent]
     if not eligible:
         raise InternalConsistencyError("no class without dependent variables")
@@ -337,10 +282,7 @@ def msd_horn(formula: Formula, dual: bool = False) -> SolveOutcome:
     }
 
     def build(pivot_value: int) -> Assignment:
-        bits = [0] * n
-        for v in range(1, n + 1):
-            if forced[v - 1] is not None:
-                bits[v - 1] = forced[v - 1]
+        bits = list(forced)
         for v in vars_:
             if v in pivot:
                 bits[v - 1] = pivot_value
@@ -351,7 +293,7 @@ def msd_horn(formula: Formula, dual: bool = False) -> SolveOutcome:
         return Assignment(tuple(bits))
 
     w1, w2 = build(0), build(1)
-    out = _outcome(formula, w1, w2, exact(), "horn_closure")
+    out = checked(MSD, formula, None, [w1, w2], exact(), "horn_closure")
     if out.value != len(pivot):
         raise InternalConsistencyError("pivot class size does not match the distance")
     return out
@@ -360,17 +302,7 @@ def msd_horn(formula: Formula, dual: bool = False) -> SolveOutcome:
 def msd_affine(formula: Formula, cap: int = gf2.ENUM_CAP_BITS) -> SolveOutcome:
     """Minimum nonzero weight of the homogeneous solution space."""
     n = formula.var_count
-    equations = []
-    for support, bit in formula_parity(formula):
-        if not support:
-            if bit:
-                raise Unsatisfiable("contradictory parity atom")
-            continue
-        row = 0
-        for v in support:
-            row |= 1 << (v - 1)
-        equations.append((row, bit))
-    solved = gf2.solve_affine(gf2.Gf2System.from_equations(n, tuple(equations)))
+    solved = affine_solve(formula)
     if solved is None:
         raise Unsatisfiable("affine system inconsistent")
     particular, basis = solved
@@ -380,11 +312,9 @@ def msd_affine(formula: Formula, cap: int = gf2.ENUM_CAP_BITS) -> SolveOutcome:
     if found is None:
         raise UniqueModel("the affine solution space is a single point")
     weight, vector = found
-    w1 = Assignment(tuple((particular >> (v - 1)) & 1 for v in range(1, n + 1)))
-    w2 = Assignment(
-        tuple(((particular ^ vector) >> (v - 1)) & 1 for v in range(1, n + 1))
-    )
-    out = _outcome(formula, w1, w2, exact(), "affine_mindist")
+    w1 = Assignment(gf2.vector_to_bits(particular, n))
+    w2 = Assignment(gf2.vector_to_bits(particular ^ vector, n))
+    out = checked(MSD, formula, None, [w1, w2], exact(), "affine_mindist")
     if out.value != weight:
         raise InternalConsistencyError("affine witnesses do not realize the weight")
     return out
@@ -398,7 +328,7 @@ def msd_napprox(formula: Formula, cap: int = ORACLE_VAR_CAP) -> SolveOutcome:
     if not two.has_two:
         raise UniqueModel("formula has exactly one model")
     w1, w2 = two.witnesses
-    return _outcome(formula, w1, w2, n_approx(), "tssat_napprox")
+    return checked(MSD, formula, None, [w1, w2], n_approx(), "tssat_napprox")
 
 
 def _oracle_fallback(formula: Formula, cap: int) -> SolveOutcome:
@@ -408,31 +338,18 @@ def _oracle_fallback(formula: Formula, cap: int) -> SolveOutcome:
     )
 
 
+ROUTES = {
+    "bijunctive_classes": Route(lambda f, m, v, cap: msd_bijunctive(f), exact=True, poly=True),
+    "horn_closure": Route(lambda f, m, v, cap: msd_horn(f), exact=True, poly=True),
+    "horn_closure_dual": Route(lambda f, m, v, cap: msd_horn(f, dual=True), exact=True, poly=True),
+    "affine_mindist": Route(lambda f, m, v, cap: msd_affine(f), exact=True, poly=False),
+    "tssat_napprox": Route(lambda f, m, v, cap: msd_napprox(f, cap), exact=False, poly=True),
+    "exhaustive_fallback": Route(
+        lambda f, m, v, cap: _oracle_fallback(f, cap), exact=True, poly=False
+    ),
+}
+
+
 def solve_msd(formula: Formula, mode: str = "auto", cap: int = ORACLE_VAR_CAP) -> SolveOutcome:
     """Dispatch the minimum-solution-distance classification."""
-    if mode not in ("auto", "exact", "approx"):
-        raise ValueError(f"unknown mode {mode!r}")
-    res = absorb_units(formula).pinned()
-    vdict = verdict(res.effective_language(), "MSD")
-
-    def finish(out: SolveOutcome) -> SolveOutcome:
-        return _outcome(formula, out.witness, out.witness2, out.guarantee, out.method, vdict)
-
-    tag = vdict.algorithm_tag
-    if tag == "bijunctive_classes":
-        return finish(msd_bijunctive(res))
-    if tag in ("horn_closure", "horn_closure_dual"):
-        return finish(msd_horn(res, dual=tag.endswith("dual")))
-    if tag == "affine_mindist":
-        if mode == "approx":
-            return finish(msd_napprox(res, cap))
-        return finish(msd_affine(res))
-    if tag == "tssat_napprox":
-        if mode == "exact":
-            return finish(_oracle_fallback(res, cap))
-        return finish(msd_napprox(res, cap))
-    if mode == "approx":
-        raise NoPolyAlgorithm(
-            "the residual language admits no polynomial-time approximation"
-        )
-    return finish(_oracle_fallback(res, cap))
+    return dispatch(MSD, ROUTES, "tssat_napprox", formula, None, mode, cap)

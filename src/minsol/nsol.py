@@ -10,13 +10,14 @@ the residual, and dispatches per the nearest-solution classification.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from . import gf2
-from .clauses import cached_clauses, formula_parity, twosat_model, unit_propagate
+from .clauses import affine_solve, cached_clauses, formula_parity, twosat_model, unit_propagate
 from .decision import sat_solve
+from .dispatch import Route, checked, dispatch, via_dual
 from .errors import (
     InternalConsistencyError,
-    NoPolyAlgorithm,
     TooLarge,
     Unsatisfiable,
 )
@@ -25,31 +26,30 @@ from .formulas import (
     ORACLE_VAR_CAP,
     Assignment,
     Formula,
-    dualize_formula,
-    hamming,
     oracle_optimize,
     satisfies,
 )
 from .flow import INF, FlowNetwork
 from .lp import GE, LE, LinearConstraint, LpProblem, lp_solve
-from .outcome import Guarantee, SolveOutcome, exact, n_approx, ratio
-from .postlattice import Verdict, verdict
-from .preprocess import absorb_units
+from .outcome import SolveOutcome, exact, n_approx, ratio
 
 HALF = Fraction(1, 2)
 
 
-def _outcome(
-    formula: Formula,
-    m: Assignment,
-    witness: Assignment,
-    guarantee: Guarantee,
-    method: str,
-    vdict: Verdict | None = None,
-) -> SolveOutcome:
-    if not satisfies(formula, witness):
-        raise InternalConsistencyError(f"{method} produced a non-model witness")
-    return SolveOutcome(NSOL, hamming(m, witness), witness, None, guarantee, vdict, method)
+def _propagated(
+    formula: Formula, clauses: tuple[frozenset[int], ...]
+) -> tuple[dict[int, int], list[frozenset[int]], list[int]]:
+    """Forced values, residual clauses and the free variables, ascending."""
+    propagated = unit_propagate(clauses)
+    if propagated is None:
+        raise Unsatisfiable("unit propagation conflict")
+    assign, residual = propagated
+    return assign, residual, [v for v in range(1, formula.var_count + 1) if v not in assign]
+
+
+def _completed(n: int, assign: dict[int, int], value: Callable[[int], int]) -> Assignment:
+    """The forced values in `assign`, and `value(v)` for every free variable."""
+    return Assignment(tuple(assign[v] if v in assign else value(v) for v in range(1, n + 1)))
 
 
 # --- exact routes ---------------------------------------------------------
@@ -124,18 +124,14 @@ def nsol_2affine(formula: Formula, m: Assignment) -> SolveOutcome:
             flip = lead_par  # makes the smallest member 0
         for v, par in members:
             bits[v - 1] = par ^ flip
-    return _outcome(formula, m, Assignment(tuple(bits)), exact(), "2affine_exact")
+    return checked(NSOL, formula, m, [Assignment(tuple(bits))], exact(), "2affine_exact")
 
 
 def nsol_monotone(formula: Formula, m: Assignment) -> SolveOutcome:
     """Exact nearest solution for implication/unit systems via minimum cut."""
     formula.check_length(m)
     n = formula.var_count
-    propagated = unit_propagate(cached_clauses(formula, "monotone"))
-    if propagated is None:
-        raise Unsatisfiable("unit propagation conflict")
-    assign, residual = propagated
-    free = sorted(v for v in range(1, n + 1) if v not in assign)
+    assign, residual, free = _propagated(formula, cached_clauses(formula, "monotone"))
     index = {v: i for i, v in enumerate(free)}
     net = FlowNetwork(len(free) + 2)
     source, sink = len(free), len(free) + 1
@@ -153,42 +149,28 @@ def nsol_monotone(formula: Formula, m: Assignment) -> SolveOutcome:
         net.add_edge(index[neg[0]], index[pos[0]], INF)
     net.max_flow(source, sink)
     ones = net.source_side(source)
-    bits = [0] * n
-    for v, b in assign.items():
-        bits[v - 1] = b
-    for v in free:
-        bits[v - 1] = 1 if index[v] in ones else 0
-    return _outcome(formula, m, Assignment(tuple(bits)), exact(), "monotone_mincut")
+    witness = _completed(n, assign, lambda v: 1 if index[v] in ones else 0)
+    return checked(NSOL, formula, m, [witness], exact(), "monotone_mincut")
 
 
 def nsol_affine_exact(formula: Formula, m: Assignment, cap: int = gf2.ENUM_CAP_BITS) -> SolveOutcome:
     """Exact affine route: enumerate the solution coset around m."""
     formula.check_length(m)
     n = formula.var_count
-    equations = []
-    for support, bit in formula_parity(formula):
-        if not support:
-            if bit:
-                raise Unsatisfiable("contradictory parity atom")
-            continue
-        row = 0
-        for v in support:
-            row |= 1 << (v - 1)
-        equations.append((row, bit))
-    solved = gf2.solve_affine(gf2.Gf2System.from_equations(n, tuple(equations)))
+    solved = affine_solve(formula)
     if solved is None:
         raise Unsatisfiable("affine system inconsistent")
     particular, basis = solved
     if len(basis) > cap:
         raise TooLarge(f"solution space dimension {len(basis)} exceeds cap {cap}")
-    target = gf2.vector_from_bits([m.value(v) for v in range(1, n + 1)]) ^ particular
+    target = gf2.vector_from_bits(m.bits) ^ particular
     _, message = gf2.nearest_codeword(basis, n, target)
     span = particular
     for i, row in enumerate(basis):
         if (message >> i) & 1:
             span ^= row
-    witness = Assignment(tuple((span >> (v - 1)) & 1 for v in range(1, n + 1)))
-    return _outcome(formula, m, witness, exact(), "affine_exact")
+    witness = Assignment(gf2.vector_to_bits(span, n))
+    return checked(NSOL, formula, m, [witness], exact(), "affine_exact")
 
 
 # --- approximation routes ----------------------------------------------------
@@ -220,12 +202,8 @@ def nsol_bijunctive_2approx(formula: Formula, m: Assignment) -> SolveOutcome:
     if twosat_model(n, clauses) is None:
         raise Unsatisfiable("no model (2-SAT check)")
     if satisfies(formula, m):
-        return _outcome(formula, m, m, ratio(2), "bijunctive_2approx")
-    propagated = unit_propagate(clauses)
-    if propagated is None:  # pragma: no cover - guarded by the 2-SAT check
-        raise Unsatisfiable("unit conflict")
-    assign, residual = propagated
-    free = sorted(v for v in range(1, n + 1) if v not in assign)
+        return checked(NSOL, formula, m, [m], ratio(2), "bijunctive_2approx")
+    assign, residual, free = _propagated(formula, clauses)
     index = {v: i for i, v in enumerate(free)}
     cons = []
     for clause in residual:
@@ -255,15 +233,10 @@ def nsol_bijunctive_2approx(formula: Formula, m: Assignment) -> SolveOutcome:
     model = twosat_model(n, sub)
     if model is None:
         raise InternalConsistencyError("half-variable 2-SAT residue unsatisfiable")
-    bits = [0] * n
-    for v, b in assign.items():
-        bits[v - 1] = b
-    for v in free:
-        if v in halves:
-            bits[v - 1] = model[v]
-        else:
-            bits[v - 1] = int(point[index[v]] == 1)
-    return _outcome(formula, m, Assignment(tuple(bits)), ratio(2), "bijunctive_2approx")
+    witness = _completed(
+        n, assign, lambda v: model[v] if v in halves else int(point[index[v]] == 1)
+    )
+    return checked(NSOL, formula, m, [witness], ratio(2), "bijunctive_2approx")
 
 
 def nsol_ihsb_rounding(
@@ -271,18 +244,10 @@ def nsol_ihsb_rounding(
 ) -> SolveOutcome:
     """LP rounding at threshold 1/width for hitting-set-bounded languages."""
     if dual:
-        inner = nsol_ihsb_rounding(dualize_formula(formula), m.complement(), width)
-        witness = inner.witness.complement()
-        out = _outcome(formula, m, witness, ratio(width), "ihsb_rounding_dual")
-        return out
+        return via_dual(nsol_ihsb_rounding, formula, m, width)
     formula.check_length(m)
     n = formula.var_count
-    clauses = cached_clauses(formula, "ihsb_pos", width)
-    propagated = unit_propagate(clauses)
-    if propagated is None:
-        raise Unsatisfiable("unit conflict")
-    assign, residual = propagated
-    free = sorted(v for v in range(1, n + 1) if v not in assign)
+    assign, residual, free = _propagated(formula, cached_clauses(formula, "ihsb_pos", width))
     index = {v: i for i, v in enumerate(free)}
     cons = []
     for clause in residual:
@@ -302,23 +267,19 @@ def nsol_ihsb_rounding(
         raise Unsatisfiable("LP infeasible, formula has no model")
     _, point = solved
     threshold = Fraction(1, width)
-    bits = [0] * n
-    for v, b in assign.items():
-        bits[v - 1] = b
-    for v in free:
-        bits[v - 1] = int(point[index[v]] >= threshold)
-    return _outcome(formula, m, Assignment(tuple(bits)), ratio(width), "ihsb_rounding")
+    witness = _completed(n, assign, lambda v: int(point[index[v]] >= threshold))
+    return checked(NSOL, formula, m, [witness], ratio(width), "ihsb_rounding")
 
 
 def nsol_feasible_napprox(formula: Formula, m: Assignment, cap: int = ORACLE_VAR_CAP) -> SolveOutcome:
     """Return m when it satisfies the formula, else any model (factor n)."""
     formula.check_length(m)
     if satisfies(formula, m):
-        return _outcome(formula, m, m, exact(), "feasible_napprox")
+        return checked(NSOL, formula, m, [m], exact(), "feasible_napprox")
     model = sat_solve(formula, cap)
     if model is None:
         raise Unsatisfiable("formula has no model")
-    return _outcome(formula, m, model, n_approx(), "feasible_napprox")
+    return checked(NSOL, formula, m, [model], n_approx(), "feasible_napprox")
 
 
 def _oracle_fallback(formula: Formula, m: Assignment, cap: int) -> SolveOutcome:
@@ -327,6 +288,27 @@ def _oracle_fallback(formula: Formula, m: Assignment, cap: int) -> SolveOutcome:
 
 
 # --- dispatcher ---------------------------------------------------------------
+
+ROUTES = {
+    "2affine_exact": Route(lambda f, m, v, cap: nsol_2affine(f, m), exact=True, poly=True),
+    "monotone_mincut": Route(lambda f, m, v, cap: nsol_monotone(f, m), exact=True, poly=True),
+    "affine_exact": Route(lambda f, m, v, cap: nsol_affine_exact(f, m), exact=True, poly=False),
+    "bijunctive_2approx": Route(
+        lambda f, m, v, cap: nsol_bijunctive_2approx(f, m), exact=False, poly=True
+    ),
+    "ihsb_rounding": Route(
+        lambda f, m, v, cap: nsol_ihsb_rounding(f, m, v.param), exact=False, poly=True
+    ),
+    "ihsb_rounding_dual": Route(
+        lambda f, m, v, cap: nsol_ihsb_rounding(f, m, v.param, dual=True), exact=False, poly=True
+    ),
+    "feasible_napprox": Route(
+        lambda f, m, v, cap: nsol_feasible_napprox(f, m, cap), exact=False, poly=True
+    ),
+    "exhaustive_fallback": Route(
+        lambda f, m, v, cap: _oracle_fallback(f, m, cap), exact=True, poly=False
+    ),
+}
 
 
 def solve_nsol(
@@ -338,37 +320,4 @@ def solve_nsol(
     exact forces oracle enumeration for classes without exact routes;
     approx never exceeds polynomial time and refuses where impossible.
     """
-    if mode not in ("auto", "exact", "approx"):
-        raise ValueError(f"unknown mode {mode!r}")
-    formula.check_length(m)
-    res = absorb_units(formula).pinned()
-    vdict = verdict(res.effective_language(), "NSOL")
-
-    def finish(out: SolveOutcome) -> SolveOutcome:
-        return _outcome(formula, m, out.witness, out.guarantee, out.method, vdict)
-
-    tag = vdict.algorithm_tag
-    if tag == "2affine_exact":
-        return finish(nsol_2affine(res, m))
-    if tag == "monotone_mincut":
-        return finish(nsol_monotone(res, m))
-    if tag == "affine_exact":
-        if mode == "approx":
-            return finish(nsol_feasible_napprox(res, m, cap))
-        return finish(nsol_affine_exact(res, m))
-    if tag in ("bijunctive_2approx", "ihsb_rounding", "ihsb_rounding_dual"):
-        if mode == "exact":
-            return finish(_oracle_fallback(res, m, cap))
-        if tag == "bijunctive_2approx":
-            return finish(nsol_bijunctive_2approx(res, m))
-        return finish(nsol_ihsb_rounding(res, m, vdict.param, dual=tag.endswith("dual")))
-    if tag == "feasible_napprox":
-        if mode == "exact":
-            return finish(_oracle_fallback(res, m, cap))
-        return finish(nsol_feasible_napprox(res, m, cap))
-    # NPO territory
-    if mode == "approx":
-        raise NoPolyAlgorithm(
-            "the residual language admits no polynomial-time approximation"
-        )
-    return finish(_oracle_fallback(res, m, cap))
+    return dispatch(NSOL, ROUTES, "feasible_napprox", formula, m, mode, cap)

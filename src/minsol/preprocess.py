@@ -33,19 +33,19 @@ class ReducedFormula:
             return self.formula
         from .relations import F_REL, T_REL
 
-        atoms = list(self.formula.atoms)
-        pairs = list(self.formula.language.relations)
-        used = {n for n, _ in pairs}
+        lang = self.formula.language
+        pairs = list(lang.relations)
         names = {}
         for value, rel in ((1, T_REL), (0, F_REL)):
-            name = "t" if value else "f"
-            if name in used:  # residual names carry '#', but stay defensive
-                name = f"__pin{value}"
+            # reuse a declaration of the same relation, never shadow another
+            name, k = ("t" if value else "f"), 0
+            while lang.declared(name) not in (None, rel):
+                name, k = f"__pin{value}_{k}", k + 1
+            if lang.declared(name) is None:
+                pairs.append((name, rel))
             names[value] = name
-            pairs.append((name, rel))
-        for v in sorted(self.forced):
-            atoms.append((names[self.forced[v]], (v,)))
-        return Formula(Language(tuple(pairs)), self.formula.var_count, tuple(atoms))
+        pins = tuple((names[self.forced[v]], (v,)) for v in sorted(self.forced))
+        return Formula(Language(tuple(pairs)), self.formula.var_count, self.formula.atoms + pins)
 
 
 def absorb_units(formula: Formula) -> ReducedFormula:

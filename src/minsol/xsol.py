@@ -9,11 +9,11 @@ the second-model decision procedure.
 from __future__ import annotations
 
 from . import gf2
-from .clauses import cached_clauses, formula_parity, unit_propagate
+from .clauses import affine_solve, cached_clauses, unit_propagate
 from .decision import another_sat
+from .dispatch import Route, checked, dispatch, via_dual
 from .errors import (
     InternalConsistencyError,
-    NoPolyAlgorithm,
     NoSecondModel,
     NotAModel,
     TooLarge,
@@ -24,35 +24,18 @@ from .formulas import (
     XSOL,
     Assignment,
     Formula,
-    dualize_formula,
     hamming,
     oracle_optimize,
     satisfies,
 )
-from .outcome import Guarantee, SolveOutcome, exact, n_approx
-from .postlattice import Verdict, verdict
-from .preprocess import absorb_units
+from .outcome import SolveOutcome, exact, n_approx
+from .preprocess import ReducedFormula
 from .nsol import solve_nsol
 
 
-def _outcome(
-    formula: Formula,
-    m: Assignment,
-    witness: Assignment,
-    guarantee: Guarantee,
-    method: str,
-    vdict: Verdict | None = None,
-) -> SolveOutcome:
-    if witness == m:
-        raise InternalConsistencyError(f"{method} returned the input assignment")
-    if not satisfies(formula, witness):
-        raise InternalConsistencyError(f"{method} produced a non-model witness")
-    return SolveOutcome(XSOL, hamming(m, witness), witness, None, guarantee, vdict, method)
-
-
-def _best(candidates: list[Assignment], m: Assignment) -> Assignment | None:
+def _best(candidates: list[Assignment], m: Assignment) -> Assignment:
     if not candidates:
-        return None
+        raise NoSecondModel("the given model is the only one")
     return min(candidates, key=lambda w: (hamming(m, w), w.bits))
 
 
@@ -89,17 +72,13 @@ def xsol_bijunctive(formula: Formula, m: Assignment) -> SolveOutcome:
             flipped.add(y)
         if ok:
             candidates.append(Assignment(tuple(bits)))
-    best = _best(candidates, m)
-    if best is None:
-        raise NoSecondModel("the given model is the only one")
-    return _outcome(formula, m, best, exact(), "bijunctive_flip")
+    return checked(XSOL, formula, m, [_best(candidates, m)], exact(), "bijunctive_flip")
 
 
 def xsol_ihsb(formula: Formula, m: Assignment, width: int, dual: bool = False) -> SolveOutcome:
     """Flip one variable and close along implications, upward or downward."""
     if dual:
-        inner = xsol_ihsb(dualize_formula(formula), m.complement(), width)
-        return _outcome(formula, m, inner.witness.complement(), exact(), "ihsb_flip_dual")
+        return via_dual(xsol_ihsb, formula, m, width)
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
     n = formula.var_count
@@ -145,10 +124,7 @@ def xsol_ihsb(formula: Formula, m: Assignment, width: int, dual: bool = False) -
         cand = Assignment(tuple(bits))
         if satisfies(formula, cand):
             candidates.append(cand)
-    best = _best(candidates, m)
-    if best is None:
-        raise NoSecondModel("the given model is the only one")
-    return _outcome(formula, m, best, exact(), "ihsb_flip")
+    return checked(XSOL, formula, m, [_best(candidates, m)], exact(), "ihsb_flip")
 
 
 def xsol_affine(formula: Formula, m: Assignment, cap: int = gf2.ENUM_CAP_BITS) -> SolveOutcome:
@@ -156,40 +132,18 @@ def xsol_affine(formula: Formula, m: Assignment, cap: int = gf2.ENUM_CAP_BITS) -
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
     n = formula.var_count
-    rows = []
-    for support, bit in formula_parity(formula):
-        row = 0
-        for v in support:
-            row |= 1 << (v - 1)
-        rows.append(row)
-    basis = gf2.nullspace(rows, n)
+    _, basis = affine_solve(formula)
     if len(basis) > cap:
         raise TooLarge(f"solution space dimension {len(basis)} exceeds cap {cap}")
     found = gf2.min_weight_nonzero(basis, n)
     if found is None:
         raise NoSecondModel("the affine solution space is a single point")
     weight, vector = found
-    bits = tuple(m.value(v) ^ ((vector >> (v - 1)) & 1) for v in range(1, n + 1))
-    out = _outcome(formula, m, Assignment(bits), exact(), "affine_mindist")
+    witness = Assignment(gf2.vector_to_bits(gf2.vector_from_bits(m.bits) ^ vector, n))
+    out = checked(XSOL, formula, m, [witness], exact(), "affine_mindist")
     if out.value != weight:
         raise InternalConsistencyError("affine witness does not realize the weight")
     return out
-
-
-def _pin_one_var(formula: Formula, x: int, value: int) -> Formula:
-    """Conjoin a unit atom fixing variable x, under collision-free names."""
-    from .relations import F_REL, Language, T_REL
-
-    rel = T_REL if value else F_REL
-    base = f"__pin{value}"
-    name, k = base, 0
-    lang = formula.language
-    while lang.declared(name) is not None and lang.declared(name) != rel:
-        k += 1
-        name = f"{base}_{k}"
-    if lang.declared(name) is None:
-        lang = Language(lang.relations + ((name, rel),))
-    return Formula(lang, formula.var_count, formula.atoms + ((name, (x,)),))
 
 
 def xsol_horn_turing(
@@ -205,17 +159,14 @@ def xsol_horn_turing(
     answered exactly, so the route is exact and tagged that way.
     """
     if dual:
-        inner = xsol_horn_turing(dualize_formula(formula), m.complement(), mode, cap)
-        return _outcome(
-            formula, m, inner.witness.complement(), inner.guarantee, "horn_turing_dual"
-        )
+        return via_dual(xsol_horn_turing, formula, m, mode, cap)
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
     n = formula.var_count
     sub_mode = "exact" if n <= cap else "auto"
     results: list[SolveOutcome] = []
     for x in range(1, n + 1):
-        pinned = _pin_one_var(formula, x, 1 - m.value(x))
+        pinned = ReducedFormula(formula, {x: 1 - m.value(x)}).pinned()
         try:
             results.append(solve_nsol(pinned, m, sub_mode, cap))
         except Unsatisfiable:
@@ -224,7 +175,7 @@ def xsol_horn_turing(
         raise NoSecondModel("every single-variable pin is unsatisfiable")
     best = min(results, key=lambda o: (o.value, o.witness.bits))
     guarantee = exact() if all(o.guarantee.kind == "exact" for o in results) else n_approx()
-    return _outcome(formula, m, best.witness, guarantee, "horn_turing")
+    return checked(XSOL, formula, m, [best.witness], guarantee, "horn_turing")
 
 
 def xsol_anothersat_napprox(
@@ -233,7 +184,7 @@ def xsol_anothersat_napprox(
     other = another_sat(formula, m, cap)
     if other is None:
         raise NoSecondModel("the given model is the only one")
-    return _outcome(formula, m, other, n_approx(), "anothersat_napprox")
+    return checked(XSOL, formula, m, [other], n_approx(), "anothersat_napprox")
 
 
 def _oracle_fallback(formula: Formula, m: Assignment, cap: int) -> SolveOutcome:
@@ -241,42 +192,30 @@ def _oracle_fallback(formula: Formula, m: Assignment, cap: int) -> SolveOutcome:
     return SolveOutcome(XSOL, out.value, out.witness, None, exact(), None, "exhaustive_fallback")
 
 
+ROUTES = {
+    "bijunctive_flip": Route(lambda f, m, v, cap: xsol_bijunctive(f, m), exact=True, poly=True),
+    "ihsb_flip": Route(lambda f, m, v, cap: xsol_ihsb(f, m, v.param), exact=True, poly=True),
+    "ihsb_flip_dual": Route(
+        lambda f, m, v, cap: xsol_ihsb(f, m, v.param, dual=True), exact=True, poly=True
+    ),
+    "affine_mindist": Route(lambda f, m, v, cap: xsol_affine(f, m), exact=True, poly=False),
+    "horn_turing": Route(
+        lambda f, m, v, cap: xsol_horn_turing(f, m, cap=cap), exact=False, poly=False
+    ),
+    "horn_turing_dual": Route(
+        lambda f, m, v, cap: xsol_horn_turing(f, m, cap=cap, dual=True), exact=False, poly=False
+    ),
+    "anothersat_napprox": Route(
+        lambda f, m, v, cap: xsol_anothersat_napprox(f, m, cap), exact=False, poly=True
+    ),
+    "exhaustive_fallback": Route(
+        lambda f, m, v, cap: _oracle_fallback(f, m, cap), exact=True, poly=False
+    ),
+}
+
+
 def solve_xsol(
     formula: Formula, m: Assignment, mode: str = "auto", cap: int = ORACLE_VAR_CAP
 ) -> SolveOutcome:
     """Dispatch the next-solution classification on the unit-absorbed residual."""
-    if mode not in ("auto", "exact", "approx"):
-        raise ValueError(f"unknown mode {mode!r}")
-    formula.check_length(m)
-    if not satisfies(formula, m):
-        raise NotAModel("xsol needs a model as input")
-    res = absorb_units(formula).pinned()
-    vdict = verdict(res.effective_language(), "XSOL")
-
-    def finish(out: SolveOutcome) -> SolveOutcome:
-        return _outcome(formula, m, out.witness, out.guarantee, out.method, vdict)
-
-    tag = vdict.algorithm_tag
-    if tag == "bijunctive_flip":
-        return finish(xsol_bijunctive(res, m))
-    if tag in ("ihsb_flip", "ihsb_flip_dual"):
-        return finish(xsol_ihsb(res, m, vdict.param, dual=tag.endswith("dual")))
-    if tag == "affine_mindist":
-        if mode == "approx":
-            return finish(xsol_anothersat_napprox(res, m, cap))
-        return finish(xsol_affine(res, m))
-    if tag in ("horn_turing", "horn_turing_dual"):
-        if mode == "approx":
-            return finish(xsol_anothersat_napprox(res, m, cap))
-        if mode == "exact":
-            return finish(_oracle_fallback(res, m, cap))
-        return finish(xsol_horn_turing(res, m, mode, cap, dual=tag.endswith("dual")))
-    if tag == "anothersat_napprox":
-        if mode == "exact":
-            return finish(_oracle_fallback(res, m, cap))
-        return finish(xsol_anothersat_napprox(res, m, cap))
-    if mode == "approx":
-        raise NoPolyAlgorithm(
-            "the residual language admits no polynomial-time approximation"
-        )
-    return finish(_oracle_fallback(res, m, cap))
+    return dispatch(XSOL, ROUTES, "anothersat_napprox", formula, m, mode, cap)

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from minsol import cli
 from minsol.cli import run
+from minsol.formulas import Assignment
+from minsol.outcome import SolveOutcome
 
 
 @pytest.fixture()
@@ -82,6 +85,19 @@ class TestSolve:
     def test_missing_assignment_is_parse_error(self, workdir, capsys):
         code, out = call(capsys, "solve", "nsol", "--formula", str(workdir / "or2pair.cf"))
         assert code == 1
+
+    def test_exit_four_on_non_model_witness(self, workdir, capsys, monkeypatch):
+        # or2 1 2 rejects 00: re-verification must catch a route that returns it
+        bad = SolveOutcome("NSOL", 0, Assignment.from_string("00"), method="broken")
+        monkeypatch.setattr(cli, "solve_nsol", lambda *args: bad)
+        code, out = call(
+            capsys, "solve", "nsol", "--formula", str(workdir / "or2pair.cf"),
+            "--assignment", "00", "--json",
+        )
+        assert code == 4
+        payload = json.loads(out)  # exactly one JSON object, no traceback
+        assert payload["schema"] == 1
+        assert payload["error"] == "InternalConsistencyError"
 
     def test_mode_exact(self, workdir, capsys):
         code, out = call(

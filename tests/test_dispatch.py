@@ -1,0 +1,49 @@
+"""The route tables and the dispatchers' golden answers."""
+
+import importlib.util
+import json
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+from minsol import msd, nsol, xsol
+from minsol.postlattice import all_labels, verdict_for_label
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = importlib.util.spec_from_file_location("dispatch_golden", ROOT / "scripts" / "dispatch_golden.py")
+golden = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(golden)
+
+
+def test_records_match_golden_file():
+    expected = golden.GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
+    got = golden.render().splitlines(keepends=True)
+    assert len(got) == len(expected)
+    for want, have in zip(expected, got):
+        assert have == want
+
+
+def test_golden_file_covers_every_tag_in_every_mode():
+    modes = defaultdict(set)
+    for line in golden.GOLDEN.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        modes[record["problem"], record["tag"]].add(record["mode"])
+    tags = {
+        "NSOL": ("2affine_exact", "monotone_mincut", "affine_exact", "bijunctive_2approx",
+                 "ihsb_rounding", "ihsb_rounding_dual", "feasible_napprox", "exhaustive_fallback"),
+        "XSOL": ("bijunctive_flip", "ihsb_flip", "ihsb_flip_dual", "affine_mindist", "horn_turing",
+                 "horn_turing_dual", "anothersat_napprox", "exhaustive_fallback"),
+        "MSD": ("bijunctive_classes", "horn_closure", "horn_closure_dual", "affine_mindist",
+                "tssat_napprox", "exhaustive_fallback"),
+    }
+    for problem, names in tags.items():
+        for tag in names:
+            assert modes[problem, tag] == set(golden.MODES), (problem, tag)
+
+
+@pytest.mark.parametrize("problem, routes", [("NSOL", nsol.ROUTES), ("XSOL", xsol.ROUTES), ("MSD", msd.ROUTES)])
+def test_route_table_covers_every_verdict_tag(problem, routes):
+    # a missing or misspelt key would send a class to the wrong route
+    tags = {verdict_for_label(label, problem).algorithm_tag for label in all_labels(5)}
+    assert tags == set(routes)
