@@ -10,7 +10,15 @@ guarantee, method, verdict) or the class of the error raised.  A
 refactor of the dispatch layer must leave every record byte-identical;
 `tests/test_dispatch.py` recomputes them and compares.
 
-Usage: PYTHONPATH=src python scripts/dispatch_golden.py   # rewrites the file
+A second file holds auto-mode answers at n in {16, 32, 48}, where the
+n <= 8 instances never reach: long implication chains and large literal
+classes.  Each formula there is planted, built from random atoms that
+a few random models satisfy, so it is satisfiable without enumeration.
+It covers MSD over the bijunctive, hitting-set and Horn families and
+their duals, and XSOL over the bijunctive and hitting-set ones (Horn
+XSOL makes n pinned exhaustive NSOL calls and is left out).
+
+Usage: PYTHONPATH=src python scripts/dispatch_golden.py   # rewrites both files
 """
 
 from __future__ import annotations
@@ -25,12 +33,12 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from helpers import FAMILY_LANGUAGES, lang, random_formula, random_satisfiable  # noqa: E402
 from minsol.errors import MinsolError  # noqa: E402
-from minsol.formulas import Assignment, model_codes  # noqa: E402
+from minsol.formulas import XSOL, Assignment, make_formula, model_codes  # noqa: E402
 from minsol.msd import solve_msd  # noqa: E402
 from minsol.nsol import solve_nsol  # noqa: E402
 from minsol.postlattice import verdict  # noqa: E402
 from minsol.preprocess import absorb_units  # noqa: E402
-from minsol.relations import DUP3, IMPL, NAE3, ONE_IN_THREE, Language  # noqa: E402
+from minsol.relations import DUP3, IMPL, NAE3, ONE_IN_THREE, Language, tuple_code  # noqa: E402
 from minsol.xsol import solve_xsol  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "data" / "dispatch_golden.jsonl"
@@ -38,6 +46,14 @@ MODES = ("auto", "exact", "approx")
 INSTANCES_PER_LANGUAGE = 30
 MAX_VARS = 8
 MAX_ATOMS = 10
+
+LARGE_GOLDEN = ROOT / "tests" / "data" / "dispatch_golden_large.jsonl"
+LARGE_SIZES = (16, 32, 48)
+LARGE_INSTANCES = 6
+LARGE_FAMILIES = {
+    "MSD": ("iD1", "iD2", "iM2", "iS00_3", "iE2", "iV2"),
+    "XSOL": ("iD1", "iD2", "iM2", "iS00_3"),
+}
 
 
 def languages() -> dict[str, Language]:
@@ -104,14 +120,60 @@ def records():
                     }
 
 
-def render() -> str:
-    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records())
+def planted(language: Language, rng: random.Random, n: int):
+    """A formula over `language` with 2n, 4n or 8n atoms, each kept only if
+    two or three random planted models all satisfy it, and the first
+    planted model.  Variables that take the same values in every planted
+    model tend to fall into one literal class."""
+    models = [Assignment.from_code(rng.getrandbits(n), n) for _ in range(rng.randint(2, 3))]
+    names = language.names()
+    target = n * rng.choice((2, 4, 8))
+    atoms = []
+    while len(atoms) < target:
+        name = rng.choice(names)
+        rel = language.get(name)
+        vs = rng.sample(range(1, n + 1), rel.arity)
+        if all(rel.contains(tuple_code([m.value(v) for v in vs])) for m in models):
+            atoms.append((name, vs))
+    return make_formula(language, n, atoms), models[0]
+
+
+def large_records():
+    """Every record of the large golden file, in file order."""
+    everything = languages()
+    for problem, families in LARGE_FAMILIES.items():
+        for name in [x for f in families for x in (f, f"{f}_dual")]:
+            rng = random.Random(f"dispatch-golden-large/{problem}/{name}")
+            for n in LARGE_SIZES:
+                for k in range(LARGE_INSTANCES):
+                    formula, model = planted(everything[name], rng, n)
+                    point = model if problem == XSOL else None
+                    yield {
+                        "language": name,
+                        "instance": k,
+                        "vars": n,
+                        "atoms": len(formula.atoms),
+                        "assignment": None if point is None else str(point),
+                        "problem": problem,
+                        "mode": "auto",
+                        "tag": _tag(formula, problem),
+                        **_answer(
+                            lambda: solve_xsol(formula, model)
+                            if problem == XSOL
+                            else solve_msd(formula)
+                        ),
+                    }
+
+
+def render(rows) -> str:
+    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows)
 
 
 def main() -> None:
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN.write_text(render(), encoding="utf-8")
-    print(f"wrote {GOLDEN.relative_to(ROOT)}")
+    for path, rows in ((GOLDEN, records()), (LARGE_GOLDEN, large_records())):
+        path.write_text(render(rows), encoding="utf-8")
+        print(f"wrote {path.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":

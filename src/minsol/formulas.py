@@ -76,16 +76,6 @@ class Assignment:
     def complement(self) -> "Assignment":
         return Assignment(tuple(1 - b for b in self.bits))
 
-    def flipped(self, var: int) -> "Assignment":
-        bits = list(self.bits)
-        bits[var - 1] ^= 1
-        return Assignment(tuple(bits))
-
-    def with_value(self, var: int, value: int) -> "Assignment":
-        bits = list(self.bits)
-        bits[var - 1] = value
-        return Assignment(tuple(bits))
-
 
 def hamming(m1: Assignment, m2: Assignment) -> int:
     """Number of coordinates on which the two vectors disagree."""
@@ -215,10 +205,6 @@ def model_codes(formula: Formula, var_cap: int = ORACLE_VAR_CAP) -> np.ndarray:
     if not blocks:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(blocks)
-
-
-def count_models(formula: Formula, var_cap: int = ORACLE_VAR_CAP) -> int:
-    return int(len(model_codes(formula, var_cap)))
 
 
 def oracle_optimize(

@@ -240,10 +240,6 @@ def chain_width(label: CoCloneLabel, family: str) -> int:
     raise InternalConsistencyError(f"{label} not below any {family}^m despite chain test")
 
 
-def language_in(gamma: Language, label: CoCloneLabel) -> bool:
-    return _preserves_all(clone_base(label), gamma.members())
-
-
 def _classify_relations(relations: tuple[Relation, ...]) -> CoCloneLabel:
     max_param = min(MAX_FAMILY_PARAM, max(r.arity for r in relations) + 1)
     feasible = [

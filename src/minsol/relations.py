@@ -397,15 +397,6 @@ def dualize(r: Relation) -> Relation:
     return Relation(r.arity, mask)
 
 
-def dualize_function(f: BoolFunction) -> BoolFunction:
-    full_in = (1 << f.arity) - 1
-    table = 0
-    for code in range(1 << f.arity):
-        if not f.value(code ^ full_in):
-            table |= 1 << code
-    return BoolFunction(f.arity, table, f"dual_{f.name}" if f.name else "")
-
-
 # --- clause shapes and CNF decomposition -------------------------------------
 
 UNIT_POS = "UNIT_POS"

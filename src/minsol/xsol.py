@@ -1,15 +1,19 @@
 """Next-solution solvers: the closest other model of a given one.
 
-Exact polynomial routes for bijunctive and hitting-set-bounded
-languages, the affine route through minimum code weight, the Horn route
-as an oracle reduction to nearest-solution, and an n-approximation via
-the second-model decision procedure.
+The exact polynomial routes for bijunctive and hitting-set-bounded
+languages flip one variable at a time and probe it: unit propagation
+from the flipped value, through every binary clause (bijunctive) or
+through the implications only (hitting-set), sets the literals the flip
+forces, and the nearest candidate that is a model wins.  The affine
+route goes through minimum code weight, the Horn route is an oracle
+reduction to nearest-solution, and an n-approximation uses the
+second-model decision procedure.
 """
 
 from __future__ import annotations
 
 from . import gf2
-from .clauses import affine_solve, cached_clauses, unit_propagate
+from .clauses import LitClause, affine_solve, cached_clauses, unit_propagate
 from .decision import another_sat
 from .dispatch import Route, checked, dispatch, via_dual
 from .errors import (
@@ -33,98 +37,59 @@ from .preprocess import ReducedFormula
 from .nsol import solve_nsol
 
 
-def _best(candidates: list[Assignment], m: Assignment) -> Assignment:
-    if not candidates:
-        raise NoSecondModel("the given model is the only one")
-    return min(candidates, key=lambda w: (hamming(m, w), w.bits))
+def _flip(
+    formula: Formula, m: Assignment, forced: dict[int, int], clauses: list[LitClause], method: str
+) -> SolveOutcome:
+    """Flip each unforced variable of m and set every literal its probe
+    through `clauses` forces; answer with the nearest such candidate that
+    is a model."""
+    candidates: list[Assignment] = []
+    for x in range(1, formula.var_count + 1):
+        if x in forced:
+            continue
+        probe = unit_propagate(clauses, {x: 1 - m.value(x)})
+        if probe is None:
+            continue
+        bits = list(m.bits)
+        for v, b in probe[0].items():
+            bits[v - 1] = b
+        candidates.append(Assignment(tuple(bits)))
+    for w in sorted(candidates, key=lambda w: (hamming(m, w), w.bits)):
+        if satisfies(formula, w):
+            return checked(XSOL, formula, m, [w], exact(), method)
+    raise NoSecondModel("the given model is the only one")
 
 
 def xsol_bijunctive(formula: Formula, m: Assignment) -> SolveOutcome:
-    """Per-variable flip with forced repairs along binary constraints."""
+    """Per-variable flip, probed through the binary clauses."""
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
-    n = formula.var_count
     propagated = unit_propagate(cached_clauses(formula, "bijunctive"))
     if propagated is None:
         raise InternalConsistencyError("model exists but unit propagation failed")
-    assign, residual = propagated
-    candidates: list[Assignment] = []
-    free = [v for v in range(1, n + 1) if v not in assign]
-    for x in free:
-        bits = list(m.bits)
-        flipped = {x}
-        bits[x - 1] ^= 1
-        ok = True
-        while True:
-            falsified = None
-            for clause in residual:
-                if not any((l > 0) == bool(bits[abs(l) - 1]) for l in clause):
-                    falsified = clause
-                    break
-            if falsified is None:
-                break
-            unmarked = [abs(l) for l in falsified if abs(l) not in flipped]
-            if not unmarked:
-                ok = False
-                break
-            y = min(unmarked)
-            bits[y - 1] ^= 1
-            flipped.add(y)
-        if ok:
-            candidates.append(Assignment(tuple(bits)))
-    return checked(XSOL, formula, m, [_best(candidates, m)], exact(), "bijunctive_flip")
+    forced, residual = propagated
+    return _flip(formula, m, forced, residual, "bijunctive_flip")
 
 
 def xsol_ihsb(formula: Formula, m: Assignment, width: int, dual: bool = False) -> SolveOutcome:
-    """Flip one variable and close along implications, upward or downward."""
+    """Per-variable flip, probed through the implications only: upward from
+    a 0, downward from a 1."""
     if dual:
         return via_dual(xsol_ihsb, formula, m, width)
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
-    n = formula.var_count
     propagated = unit_propagate(cached_clauses(formula, "ihsb_pos", width))
     if propagated is None:
         raise InternalConsistencyError("model exists but unit propagation failed")
-    assign, residual = propagated
-    forward: dict[int, list[int]] = {}
-    backward: dict[int, list[int]] = {}
-    ors: list[list[int]] = []
+    forced, residual = propagated
+    implications: list[LitClause] = []
     for clause in residual:
-        pos = sorted(l for l in clause if l > 0)
-        neg = sorted(-l for l in clause if l < 0)
-        if not neg:
-            ors.append(pos)
-        elif len(neg) == 1 and len(pos) == 1:
-            forward.setdefault(neg[0], []).append(pos[0])
-            backward.setdefault(pos[0], []).append(neg[0])
-        else:
+        neg = [l for l in clause if l < 0]
+        if len(neg) == 1 and len(clause) == 2:
+            implications.append(clause)
+        elif neg:
             raise InternalConsistencyError("hitting-set residual clause out of shape")
-    candidates: list[Assignment] = []
-    free = [v for v in range(1, n + 1) if v not in assign]
-    for x in free:
-        bits = list(m.bits)
-        if m.value(x) == 0:
-            stack = [x]
-            bits[x - 1] = 1
-            while stack:
-                u = stack.pop()
-                for v in forward.get(u, ()):
-                    if bits[v - 1] == 0:
-                        bits[v - 1] = 1
-                        stack.append(v)
-        else:
-            stack = [x]
-            bits[x - 1] = 0
-            while stack:
-                u = stack.pop()
-                for v in backward.get(u, ()):
-                    if bits[v - 1] == 1:
-                        bits[v - 1] = 0
-                        stack.append(v)
-        cand = Assignment(tuple(bits))
-        if satisfies(formula, cand):
-            candidates.append(cand)
-    return checked(XSOL, formula, m, [_best(candidates, m)], exact(), "ihsb_flip")
+    return _flip(formula, m, forced, implications, "ihsb_flip")
 
 
 def xsol_affine(formula: Formula, m: Assignment, cap: int = gf2.ENUM_CAP_BITS) -> SolveOutcome:
@@ -147,19 +112,16 @@ def xsol_affine(formula: Formula, m: Assignment, cap: int = gf2.ENUM_CAP_BITS) -
 
 
 def xsol_horn_turing(
-    formula: Formula,
-    m: Assignment,
-    mode: str = "auto",
-    cap: int = ORACLE_VAR_CAP,
-    dual: bool = False,
+    formula: Formula, m: Assignment, cap: int = ORACLE_VAR_CAP, dual: bool = False
 ) -> SolveOutcome:
     """Per-variable pinning reduction to nearest-solution oracle calls.
 
-    Each call pins one variable opposite to m; at desk scale the calls are
-    answered exactly, so the route is exact and tagged that way.
+    Each call pins one variable opposite to m and runs in `exact` mode up
+    to `cap` variables, in `auto` mode beyond.  The answer is exact when
+    every pinned call answered exactly, n-approximate otherwise.
     """
     if dual:
-        return via_dual(xsol_horn_turing, formula, m, mode, cap)
+        return via_dual(xsol_horn_turing, formula, m, cap)
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
     n = formula.var_count

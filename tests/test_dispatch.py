@@ -18,10 +18,22 @@ SPEC.loader.exec_module(golden)
 
 def test_records_match_golden_file():
     expected = golden.GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
-    got = golden.render().splitlines(keepends=True)
+    got = golden.render(golden.records()).splitlines(keepends=True)
     assert len(got) == len(expected)
     for want, have in zip(expected, got):
         assert have == want
+
+
+def test_large_records_match_golden_file():
+    # planted n in {16, 32, 48}: long implication chains and large classes
+    expected = golden.LARGE_GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
+    got = golden.render(golden.large_records()).splitlines(keepends=True)
+    assert len(got) == len(expected)
+    for want, have in zip(expected, got):
+        assert have == want
+    tags = {json.loads(line)["tag"] for line in expected}
+    assert tags == {"bijunctive_classes", "horn_closure", "horn_closure_dual",
+                    "bijunctive_flip", "ihsb_flip", "ihsb_flip_dual"}
 
 
 def test_golden_file_covers_every_tag_in_every_mode():

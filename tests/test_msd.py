@@ -19,6 +19,7 @@ from minsol.relations import (
     F_REL,
     HORN3,
     IMPL,
+    NAND2,
     ONE_IN_THREE,
     OR2,
     T_REL,
@@ -53,6 +54,14 @@ class TestBijunctive:
         f = make_formula(lang(x=XOR2, impl=IMPL), 3, [("x", [1, 2])])
         assert msd_bijunctive(f).value == 1
 
+    def test_failed_literal_forces_zero(self):
+        # x -> y and x -> not y: no unit clause, yet x is forced to 0
+        atoms = [("impl", [1, 2]), ("nand2", [1, 2]), ("impl", [2, 3])]
+        f = make_formula(lang(impl=IMPL, nand2=NAND2), 3, atoms)
+        out = msd_bijunctive(f)
+        assert out.witness.value(1) == out.witness2.value(1) == 0
+        assert out.value == oracle_optimize("MSD", f).value
+
 
 class TestHorn:
     def test_single_clause(self):
@@ -68,6 +77,14 @@ class TestHorn:
         f = make_formula(lang(t=T_REL, f=F_REL, horn3=HORN3), 2, [("t", [1]), ("f", [2])])
         with pytest.raises(UniqueModel):
             msd_horn(f)
+
+    def test_failed_literal_forces_zero(self):
+        # x -> y, x -> z and (not y or not z): x is forced to 0
+        atoms = [("impl", [1, 2]), ("impl", [1, 3]), ("nand2", [2, 3])]
+        f = make_formula(lang(impl=IMPL, nand2=NAND2, f=F_REL, t=T_REL), 3, atoms)
+        out = msd_horn(f)
+        assert out.witness.value(1) == out.witness2.value(1) == 0
+        assert out.value == oracle_optimize("MSD", f).value
 
     def test_dependent_variable_excluded(self):
         # z <-> (y1 and y2): flipping z alone is impossible
