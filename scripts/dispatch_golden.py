@@ -14,15 +14,23 @@ A second file holds auto-mode answers at n in {16, 32, 48}, where the
 n <= 8 instances never reach: long implication chains and large literal
 classes.  Each formula there is planted, built from random atoms that
 a few random models satisfy, so it is satisfiable without enumeration.
-It covers MSD over the bijunctive, hitting-set and Horn families and
-their duals, and XSOL over the bijunctive and hitting-set ones (Horn
-XSOL makes n pinned exhaustive NSOL calls and is left out).
+It covers MSD and XSOL over the bijunctive, hitting-set and Horn
+families and their duals.  Horn XSOL runs exhaustively within the
+24-variable cap (n = 16) and through pinned auto-mode NSOL calls beyond
+it (n = 32, 48).
 
-Usage: PYTHONPATH=src python scripts/dispatch_golden.py   # rewrites both files
+A third file pins the classification: the label and all six verdicts of
+the stored base of every lattice node up to parameter 6 and of its dual,
+of seeded random languages up to arity 5, and of seeded languages of
+chain-shaped relations up to arity 4 (random positive or negative
+clauses of width 2-4, with or without implications and units).
+
+Usage: PYTHONPATH=src python scripts/dispatch_golden.py   # rewrites all three files
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import sys
@@ -31,14 +39,39 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from helpers import FAMILY_LANGUAGES, lang, random_formula, random_satisfiable  # noqa: E402
+from helpers import (  # noqa: E402
+    FAMILY_LANGUAGES,
+    lang,
+    random_formula,
+    random_language,
+    random_satisfiable,
+)
 from minsol.errors import MinsolError  # noqa: E402
 from minsol.formulas import XSOL, Assignment, make_formula, model_codes  # noqa: E402
 from minsol.msd import solve_msd  # noqa: E402
 from minsol.nsol import solve_nsol  # noqa: E402
-from minsol.postlattice import verdict  # noqa: E402
+from minsol.postlattice import (  # noqa: E402
+    PROBLEMS,
+    all_labels,
+    classify,
+    relation_base,
+    verdict,
+    verdict_for_label,
+)
 from minsol.preprocess import absorb_units  # noqa: E402
-from minsol.relations import DUP3, IMPL, NAE3, ONE_IN_THREE, Language, tuple_code  # noqa: E402
+from minsol.relations import (  # noqa: E402
+    DUP3,
+    F_REL,
+    IMPL,
+    NAE3,
+    ONE_IN_THREE,
+    T_REL,
+    Language,
+    Relation,
+    clause_rel,
+    dualize,
+    tuple_code,
+)
 from minsol.xsol import solve_xsol  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "data" / "dispatch_golden.jsonl"
@@ -52,8 +85,15 @@ LARGE_SIZES = (16, 32, 48)
 LARGE_INSTANCES = 6
 LARGE_FAMILIES = {
     "MSD": ("iD1", "iD2", "iM2", "iS00_3", "iE2", "iV2"),
-    "XSOL": ("iD1", "iD2", "iM2", "iS00_3"),
+    "XSOL": ("iD1", "iD2", "iM2", "iS00_3", "iE2", "iV2"),
 }
+
+CLASSIFY_GOLDEN = ROOT / "tests" / "data" / "classify_golden.jsonl"
+CLASSIFY_BASE_PARAM = 6
+RANDOM_LANGUAGES = 150
+RANDOM_MAX_ARITY = 5
+CHAIN_LANGUAGES = 40  # per sign x (implications, units)
+CHAIN_MAX_ARITY = 4
 
 
 def languages() -> dict[str, Language]:
@@ -165,13 +205,74 @@ def large_records():
                     }
 
 
+def chain_relation(rng: random.Random, implications: bool, units: bool) -> Relation:
+    """A nonempty conjunction of a positive clause over every coordinate,
+    maybe one more of width 2 up to the arity, and up to two implications
+    and one unit if allowed."""
+    while True:
+        arity = rng.randint(2, CHAIN_MAX_ARITY)
+        widths = [arity] + [rng.randint(2, arity)] * rng.randint(0, 1)
+        clauses = [(rng.sample(range(arity), w), []) for w in widths]
+        for _ in range(rng.randint(0, 2) if implications else 0):
+            a, b = rng.sample(range(arity), 2)
+            clauses.append(([b], [a]))
+        for _ in range(rng.randint(0, 1) if units else 0):
+            x = [rng.randrange(arity)]
+            clauses.append((x, []) if rng.random() < 0.5 else ([], x))
+        mask = (1 << (1 << arity)) - 1
+        for pos, neg in clauses:
+            mask &= clause_rel(arity, pos, neg).mask
+        if mask:
+            return Relation(arity, mask)
+
+
+def classify_languages():
+    """(source, language) of every classification record, in file order."""
+    for label in all_labels(CLASSIFY_BASE_PARAM):
+        base = relation_base(label)
+        yield f"base/{label}", base
+        yield f"dual/{label}", tuple(dualize(r) for r in base)
+    rng = random.Random("classify-golden/random")
+    for k in range(RANDOM_LANGUAGES):
+        yield f"random/{k}", random_language(rng, RANDOM_MAX_ARITY).members()
+    shapes = itertools.product(("pos", "neg"), (False, True), (False, True))
+    for sign, implications, units in shapes:
+        extras = f"{'+impl' if implications else ''}{'+units' if units else ''}"
+        # the same draws for both signs: the negative languages are the duals
+        rng = random.Random(f"classify-golden/chain/{extras}")
+        for k in range(CHAIN_LANGUAGES):
+            rels = [chain_relation(rng, implications, units) for _ in range(rng.randint(1, 3))]
+            extra = (IMPL,) * implications + (F_REL, T_REL) * units
+            rels += [r for r in extra if rng.random() < 0.5]
+            if sign == "neg":
+                rels = [dualize(r) for r in rels]
+            yield f"chain/{sign}{extras}/{k}", tuple(rels)
+
+
+def classify_records():
+    """Every record of the classification golden file, in file order."""
+    for source, rels in classify_languages():
+        label = classify(Language(tuple((f"r{i}", r) for i, r in enumerate(rels))))
+        yield {
+            "source": source,
+            "relations": [[r.arity, f"{r.mask:x}"] for r in rels],
+            "label": str(label),
+            **{p: [v.algorithm_tag, v.complexity, v.param]
+               for p in PROBLEMS for v in [verdict_for_label(label, p)]},
+        }
+
+
 def render(rows) -> str:
     return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows)
 
 
 def main() -> None:
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    for path, rows in ((GOLDEN, records()), (LARGE_GOLDEN, large_records())):
+    for path, rows in (
+        (GOLDEN, records()),
+        (LARGE_GOLDEN, large_records()),
+        (CLASSIFY_GOLDEN, classify_records()),
+    ):
         path.write_text(render(rows), encoding="utf-8")
         print(f"wrote {path.relative_to(ROOT)}")
 

@@ -4,9 +4,16 @@ The lattice ships as static data: each node carries a generating set for
 its polymorphism clone and a base set of relations.  A language lies in a
 node iff every clone-base function preserves every member relation, and
 the node order is decided the same way, so classification reduces to
-picking the minimum of the feasible up-set.  The parameterized hitting-set
-chains are instantiated up to (max arity + 1), which is where they
-stabilize for any fixed language.
+picking the minimum of the feasible up-set.  The clone of a hitting-set
+chain member fam^k adds a (k+1)-ary threshold, a near-unanimity function,
+to the chain's limit clone, so a relation r lies in fam^k iff the limit
+clone preserves r and r's projection width is at most k.  Only if: r is
+then the join of its k-ary projections (Baker and Pixley, Math. Z. 143,
+1975).  If: every limit clone contains x | (y & z) (dually x & (y | z)).
+Given k+1 tuples of a relation of arity <= k in the limit co-clone,
+pigeonhole yields a tuple t that is 0 wherever their threshold u is, so
+u = t | (a & b) | ... over all pairs a, b of the tuples lies in the
+relation.  The k-ary projections of r are such relations.
 """
 
 from __future__ import annotations
@@ -49,13 +56,12 @@ from .relations import (
     XOR2,
     XOR2F,
     XOR3,
-    dual_near_unanimity,
     even_rel,
     is_polymorphism,
     nand_rel,
-    near_unanimity,
     odd_rel,
     or_rel,
+    projection_width,
 )
 
 PARAM_FAMILIES = ("iS0", "iS1", "iS00", "iS01", "iS02", "iS10", "iS11", "iS12")
@@ -141,17 +147,6 @@ _PLAIN_NODES: dict[str, tuple[tuple[BoolFunction, ...], tuple[Relation, ...], st
     "BR": ((), (ONE_IN_THREE,), "BR"),
 }
 
-_FAMILY_CLONES: dict[str, Callable[[int], tuple[BoolFunction, ...]]] = {
-    "iS0": lambda m: (IMPL2F, dual_near_unanimity(m)),
-    "iS1": lambda m: (ANDNOT2, near_unanimity(m)),
-    "iS02": lambda m: (OR_ANDNOT3, dual_near_unanimity(m)),
-    "iS12": lambda m: (AND_ORNOT3, near_unanimity(m)),
-    "iS01": lambda m: (dual_near_unanimity(m), CONST1),
-    "iS11": lambda m: (near_unanimity(m), CONST0),
-    "iS00": lambda m: (OR_AND3, dual_near_unanimity(m)),
-    "iS10": lambda m: (AND_OR3, near_unanimity(m)),
-}
-
 _FAMILY_BASES: dict[str, Callable[[int], tuple[Relation, ...]]] = {
     "iS0": lambda m: (or_rel(m),),
     "iS1": lambda m: (nand_rel(m),),
@@ -174,8 +169,8 @@ _FAMILY_DUALS = {
     "iS10": "iS00",
 }
 
-# Clone generators of the unbounded hitting-set chains; used only as the
-# upper side of order tests ("below some member of the chain").
+# Clone generators of the unbounded hitting-set chains: a relation lies in
+# family^k iff these preserve it and its projection width is at most k.
 _LIMIT_CLONES: dict[str, tuple[BoolFunction, ...]] = {
     "iS0": (IMPL2F,),
     "iS1": (ANDNOT2,),
@@ -186,13 +181,6 @@ _LIMIT_CLONES: dict[str, tuple[BoolFunction, ...]] = {
     "iS00": (OR_AND3,),
     "iS10": (AND_OR3,),
 }
-
-
-@functools.lru_cache(maxsize=None)
-def clone_base(label: CoCloneLabel) -> tuple[BoolFunction, ...]:
-    if label.param is not None:
-        return _FAMILY_CLONES[label.name](label.param)
-    return _PLAIN_NODES[label.name][0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,32 +209,31 @@ def _preserves_all(functions: Iterable[BoolFunction], relations: Iterable[Relati
 
 @functools.lru_cache(maxsize=None)
 def label_leq(lower: CoCloneLabel, upper: CoCloneLabel) -> bool:
-    """Co-clone inclusion, decided through the Galois connection."""
-    return _preserves_all(clone_base(upper), relation_base(lower))
+    """Co-clone inclusion, decided through the Galois connection; below the
+    top chain member fam^MAX_FAMILY_PARAM means below some member."""
+    if upper.param is None:
+        return _preserves_all(_PLAIN_NODES[upper.name][0], relation_base(lower))
+    base = relation_base(lower)
+    return _preserves_all(_LIMIT_CLONES[upper.name], base) and chain_width(lower) <= upper.param
 
 
 @functools.lru_cache(maxsize=None)
-def below_chain(label: CoCloneLabel, family: str) -> bool:
-    """True iff the label lies below some member of the parameterized chain."""
-    return _preserves_all(_LIMIT_CLONES[family], relation_base(label))
-
-
-@functools.lru_cache(maxsize=None)
-def chain_width(label: CoCloneLabel, family: str) -> int:
-    """Least m with label <= family^m (requires below_chain)."""
-    for m in range(2, MAX_FAMILY_PARAM + 1):
-        if label_leq(label, CoCloneLabel(family, m)):
-            return m
-    raise InternalConsistencyError(f"{label} not below any {family}^m despite chain test")
+def chain_width(label: CoCloneLabel) -> int:
+    """Least k with label <= fam^k for a chain fam the label lies below: the
+    largest projection width among its base relations."""
+    return max(map(projection_width, relation_base(label)))
 
 
 def _classify_relations(relations: tuple[Relation, ...]) -> CoCloneLabel:
-    max_param = min(MAX_FAMILY_PARAM, max(r.arity for r in relations) + 1)
     feasible = [
-        lab
-        for lab in all_labels(max_param)
-        if _preserves_all(clone_base(lab), relations)
+        CoCloneLabel(name)
+        for name, (clone, _, _) in _PLAIN_NODES.items()
+        if _preserves_all(clone, relations)
     ]
+    chains = [fam for fam in PARAM_FAMILIES if _preserves_all(_LIMIT_CLONES[fam], relations)]
+    if chains:
+        width = max(map(projection_width, relations))
+        feasible += [CoCloneLabel(fam, width) for fam in chains]
     minima = [
         lab
         for lab in feasible
@@ -292,10 +279,10 @@ def _nsol_verdict(label: CoCloneLabel) -> Verdict:
     if _geq(label, "iS0", 2) or _geq(label, "iS1", 2):
         if _leq(label, "iD2"):
             return Verdict("NSOL", "APX_complete", "bijunctive_2approx")
-        if _geq(label, "iS0", 2) and below_chain(label, "iS00"):
-            return Verdict("NSOL", "APX_complete", "ihsb_rounding", chain_width(label, "iS00"))
-        if _geq(label, "iS1", 2) and below_chain(label, "iS10"):
-            return Verdict("NSOL", "APX_complete", "ihsb_rounding_dual", chain_width(label, "iS10"))
+        if _geq(label, "iS0", 2) and _leq(label, "iS00", MAX_FAMILY_PARAM):
+            return Verdict("NSOL", "APX_complete", "ihsb_rounding", chain_width(label))
+        if _geq(label, "iS1", 2) and _leq(label, "iS10", MAX_FAMILY_PARAM):
+            return Verdict("NSOL", "APX_complete", "ihsb_rounding_dual", chain_width(label))
     if _geq(label, "iL") and _leq(label, "iL2"):
         return Verdict("NSOL", "NCW_complete", "affine_exact")
     if (_geq(label, "iE") and _leq(label, "iE2")) or (_geq(label, "iV") and _leq(label, "iV2")):
@@ -310,10 +297,10 @@ def _nsol_verdict(label: CoCloneLabel) -> Verdict:
 def _xsol_verdict(label: CoCloneLabel) -> Verdict:
     if _leq(label, "iD2"):
         return Verdict("XSOL", "PO", "bijunctive_flip")
-    if below_chain(label, "iS00"):
-        return Verdict("XSOL", "PO", "ihsb_flip", chain_width(label, "iS00"))
-    if below_chain(label, "iS10"):
-        return Verdict("XSOL", "PO", "ihsb_flip_dual", chain_width(label, "iS10"))
+    if _leq(label, "iS00", MAX_FAMILY_PARAM):
+        return Verdict("XSOL", "PO", "ihsb_flip", chain_width(label))
+    if _leq(label, "iS10", MAX_FAMILY_PARAM):
+        return Verdict("XSOL", "PO", "ihsb_flip_dual", chain_width(label))
     if _geq(label, "iL") and _leq(label, "iL2"):
         return Verdict("XSOL", "MinDist_complete", "affine_mindist")
     if _geq(label, "iE") and _leq(label, "iE2"):

@@ -20,8 +20,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import InternalConsistencyError, ParseError, ShapeUnavailable
 
 MAX_RELATION_ARITY = 16
-# Truth tables up to arity 18 so the threshold functions used by the
-# co-clone classifier cover parameters up to MAX_RELATION_ARITY + 1.
+# Bound on truth-table arity; the classifier itself needs arity 3 at most.
 MAX_FUNCTION_ARITY = 18
 
 FLAG_NAMES = (
@@ -194,28 +193,6 @@ SELFDUAL_MONOTONE3 = BoolFunction.from_callable(
 )
 
 
-@functools.lru_cache(maxsize=None)
-def near_unanimity(m: int) -> BoolFunction:
-    """(m+1)-ary threshold: true iff at least m arguments are true."""
-    arity = m + 1
-    table = 0
-    for code in range(1 << arity):
-        if code.bit_count() >= m:
-            table |= 1 << code
-    return BoolFunction(arity, table, f"nu{m}")
-
-
-@functools.lru_cache(maxsize=None)
-def dual_near_unanimity(m: int) -> BoolFunction:
-    """(m+1)-ary threshold: true iff at least two arguments are true."""
-    arity = m + 1
-    table = 0
-    for code in range(1 << arity):
-        if code.bit_count() >= 2:
-            table |= 1 << code
-    return BoolFunction(arity, table, f"dual_nu{m}")
-
-
 # --- named relations --------------------------------------------------------
 
 
@@ -383,6 +360,26 @@ def _flags_cached(arity: int, mask: int) -> frozenset[str]:
     return frozenset(flags)
 
 
+def projection_width(r: Relation) -> int:
+    """Least k >= 2 such that r is the join of its k-ary projections.  A
+    coordinate set is a bit mask s, and `t & s` projects the tuple code t.
+    The width is usually the arity, so k = arity - 1 is tried first."""
+    n = r.arity
+    members = r.tuples()
+
+    def joins(k: int) -> bool:
+        left = [t for t in range(1 << n) if not r.contains(t)]
+        for coords in itertools.combinations(range(n), k):
+            s = sum(1 << i for i in coords)
+            seen = {t & s for t in members}
+            left = [t for t in left if t & s in seen]
+        return not left
+
+    if n > 2 and not joins(n - 1):
+        return n
+    return next((k for k in range(2, n) if joins(k)), 2)
+
+
 def property_flags(r: Relation) -> frozenset[str]:
     """The eight closure/validity flags of a relation."""
     return _flags_cached(r.arity, r.mask)
@@ -463,9 +460,9 @@ def _shape_admits(r: Relation, shape: str, k: int | None) -> bool:
     if shape == "parity":
         return "affine" in flags
     if shape == "ihsb_pos":
-        return is_polymorphism(OR_AND3, r) and is_polymorphism(dual_near_unanimity(k), r)
+        return is_polymorphism(OR_AND3, r) and projection_width(r) <= k
     if shape == "ihsb_neg":
-        return is_polymorphism(AND_OR3, r) and is_polymorphism(near_unanimity(k), r)
+        return is_polymorphism(AND_OR3, r) and projection_width(r) <= k
     raise ParseError(f"unknown decomposition shape {shape!r}")
 
 

@@ -6,8 +6,9 @@ from the flipped value, through every binary clause (bijunctive) or
 through the implications only (hitting-set), sets the literals the flip
 forces, and the nearest candidate that is a model wins.  The affine
 route goes through minimum code weight, the Horn route is an oracle
-reduction to nearest-solution, and an n-approximation uses the
-second-model decision procedure.
+enumeration up to the variable cap and a reduction to nearest-solution
+beyond it, and an n-approximation uses the second-model decision
+procedure.
 """
 
 from __future__ import annotations
@@ -114,23 +115,24 @@ def xsol_affine(formula: Formula, m: Assignment, cap: int = gf2.ENUM_CAP_BITS) -
 def xsol_horn_turing(
     formula: Formula, m: Assignment, cap: int = ORACLE_VAR_CAP, dual: bool = False
 ) -> SolveOutcome:
-    """Per-variable pinning reduction to nearest-solution oracle calls.
-
-    Each call pins one variable opposite to m and runs in `exact` mode up
-    to `cap` variables, in `auto` mode beyond.  The answer is exact when
-    every pinned call answered exactly, n-approximate otherwise.
+    """Exact by one enumeration of the models up to `cap` variables; beyond,
+    a per-variable pinning reduction to nearest-solution calls in `auto`
+    mode.  Each call pins one variable opposite to m; the answer is exact
+    when every pinned call answered exactly, n-approximate otherwise.
     """
     if dual:
         return via_dual(xsol_horn_turing, formula, m, cap)
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
     n = formula.var_count
-    sub_mode = "exact" if n <= cap else "auto"
+    if n <= cap:
+        out = oracle_optimize(XSOL, formula, m, var_cap=cap)
+        return checked(XSOL, formula, m, [out.witness], exact(), "horn_turing")
     results: list[SolveOutcome] = []
     for x in range(1, n + 1):
         pinned = ReducedFormula(formula, {x: 1 - m.value(x)}).pinned()
         try:
-            results.append(solve_nsol(pinned, m, sub_mode, cap))
+            results.append(solve_nsol(pinned, m, "auto", cap))
         except Unsatisfiable:
             continue
     if not results:

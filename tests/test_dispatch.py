@@ -1,4 +1,4 @@
-"""The route tables and the dispatchers' golden answers."""
+"""The route tables, the dispatchers' golden answers and the golden classification."""
 
 import importlib.util
 import json
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from minsol import msd, nsol, xsol
-from minsol.postlattice import all_labels, verdict_for_label
+from minsol.postlattice import PARAM_FAMILIES, CoCloneLabel, all_labels, verdict_for_label
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = importlib.util.spec_from_file_location("dispatch_golden", ROOT / "scripts" / "dispatch_golden.py")
@@ -33,7 +33,22 @@ def test_large_records_match_golden_file():
         assert have == want
     tags = {json.loads(line)["tag"] for line in expected}
     assert tags == {"bijunctive_classes", "horn_closure", "horn_closure_dual",
-                    "bijunctive_flip", "ihsb_flip", "ihsb_flip_dual"}
+                    "bijunctive_flip", "ihsb_flip", "ihsb_flip_dual",
+                    "horn_turing", "horn_turing_dual"}
+
+
+def test_classify_records_match_golden_file():
+    # node bases and their duals, random languages, chain-shaped relations
+    expected = golden.CLASSIFY_GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
+    got = golden.render(golden.classify_records()).splitlines(keepends=True)
+    assert len(got) == len(expected)
+    for want, have in zip(expected, got):
+        assert have == want
+    records = [json.loads(line) for line in expected]
+    labels = {CoCloneLabel.parse(r["label"]) for r in records if r["source"].startswith("chain/")}
+    for family in PARAM_FAMILIES:
+        for param in (2, 3, 4):
+            assert CoCloneLabel(family, param) in labels
 
 
 def test_golden_file_covers_every_tag_in_every_mode():

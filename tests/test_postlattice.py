@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,24 +8,35 @@ from helpers import lang, random_language
 from minsol import postlattice as pl
 from minsol.errors import ParseError
 from minsol.relations import (
+    AND_OR3,
+    AND_ORNOT3,
+    ANDNOT2,
+    CONST0,
+    CONST1,
     DUALHORN3,
     DUP3,
     EQ2,
     F_REL,
     HORN3,
     IMPL,
+    IMPL2F,
     NAE3,
     NAND2,
     ONE_IN_THREE,
     OR2,
+    OR_AND3,
+    OR_ANDNOT3,
+    BoolFunction,
     Language,
     Relation,
     T_REL,
     XOR2,
     even_rel,
     nand_rel,
+    is_polymorphism,
     odd_rel,
     or_rel,
+    projection_width,
 )
 
 # (language, co-clone) conformance rows: known generating sets for the
@@ -78,6 +90,51 @@ CONFORMANCE_ROWS = [
     (lang(even4=even_rel(4), impl=IMPL, t=T_REL), "iI1"),
     (lang(one_in_three=ONE_IN_THREE), "BR"),
 ]
+
+
+
+def near_unanimity(m: int) -> BoolFunction:
+    """(m+1)-ary threshold: true iff at least m arguments are true."""
+    return BoolFunction.from_callable(m + 1, lambda *xs: sum(xs) >= m, f"nu{m}")
+
+
+def dual_near_unanimity(m: int) -> BoolFunction:
+    """(m+1)-ary threshold: true iff at least two arguments are true."""
+    return BoolFunction.from_callable(m + 1, lambda *xs: sum(xs) >= 2, f"dual_nu{m}")
+
+
+# Clone bases of the hitting-set chain members by definition: the oracle
+# for the projection-width membership test of the library.
+FAMILY_CLONES = {
+    "iS0": lambda m: (IMPL2F, dual_near_unanimity(m)),
+    "iS1": lambda m: (ANDNOT2, near_unanimity(m)),
+    "iS02": lambda m: (OR_ANDNOT3, dual_near_unanimity(m)),
+    "iS12": lambda m: (AND_ORNOT3, near_unanimity(m)),
+    "iS01": lambda m: (dual_near_unanimity(m), CONST1),
+    "iS11": lambda m: (near_unanimity(m), CONST0),
+    "iS00": lambda m: (OR_AND3, dual_near_unanimity(m)),
+    "iS10": lambda m: (AND_OR3, near_unanimity(m)),
+}
+
+
+def clone_base(label: pl.CoCloneLabel) -> tuple[BoolFunction, ...]:
+    if label.param is None:
+        return pl._PLAIN_NODES[label.name][0]
+    return FAMILY_CLONES[label.name](label.param)
+
+
+def preserves(functions, relations) -> bool:
+    return all(is_polymorphism(f, r) for f in functions for r in relations)
+
+
+def closure(codes: set[int], op) -> set[int]:
+    """The least superset of the tuple codes closed under a ternary bitwise op."""
+    while True:
+        new = {op(a, b, c) for a, b, c in itertools.product(codes, repeat=3)} - codes
+        if not new:
+            return codes
+        codes |= new
+
 
 # expected complexity classes per problem (NSOL, XSOL, MSD) for every node
 # appearing in the conformance rows
@@ -199,6 +256,37 @@ class TestLatticeTable:
         for _ in range(300):
             a, b = rng.choice(labels), rng.choice(labels)
             assert pl.label_leq(a, b) == pl.label_leq(pl.dual_label(a), pl.dual_label(b))
+
+    def test_order_matches_near_unanimity_galois_test(self):
+        labels = pl.all_labels(5)
+        for lower in labels:
+            for upper in labels:
+                want = preserves(clone_base(upper), pl.relation_base(lower))
+                assert pl.label_leq(lower, upper) == want, (str(lower), str(upper))
+
+    def test_projection_width_matches_near_unanimity(self):
+        # r lies in fam^k iff the limit clone preserves r and its projection
+        # width is at most k; the k-th clone base decides it by definition
+        relations = [Relation(a, m) for a in (1, 2, 3) for m in range(1, 1 << (1 << a))]
+        rng = random.Random(11)
+        for _ in range(150):
+            seeds = set(rng.sample(range(16), rng.randint(2, 5)))
+            if rng.random() < 0.5:
+                codes = closure(seeds, lambda x, y, z: x | (y & z))
+            else:
+                codes = closure(seeds, lambda x, y, z: x & (y | z))
+            relations.append(Relation.from_tuples(4, codes))
+        outcomes = set()
+        for r in relations:
+            width = projection_width(r)
+            for fam, k in itertools.product(pl.PARAM_FAMILIES, (2, 3, 4)):
+                member = preserves(FAMILY_CLONES[fam](k), [r])
+                if preserves(pl._LIMIT_CLONES[fam], [r]):
+                    assert (width <= k) == member, (str(r), fam, k)
+                    outcomes.add((r.arity, member))
+                else:
+                    assert not member, (str(r), fam, k)
+        assert outcomes == {(1, True), (2, True), (3, True), (3, False), (4, True), (4, False)}
 
     def test_parameter_validation(self):
         with pytest.raises(ParseError):
