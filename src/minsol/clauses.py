@@ -63,12 +63,13 @@ def formula_parity(formula: Formula) -> list[tuple[frozenset[int], int]]:
 def affine_solve(
     formula: Formula, assumptions: dict[int, int] | None = None
 ) -> tuple[int, list[int]] | None:
-    """Particular solution and nullspace basis (gf2 vectors, bit v-1 for
-    variable v) of the formula's parity equations plus the unit
+    """Particular solution and nullspace basis (gf2 vectors, the codes of
+    `Assignment.code()`) of the formula's parity equations plus the unit
     `assumptions`; None iff they are inconsistent."""
-    equations = [(sum(1 << (v - 1) for v in vs), bit) for vs, bit in formula_parity(formula)]
-    equations += [(1 << (v - 1), b) for v, b in (assumptions or {}).items()]
-    return gf2.solve_affine(gf2.Gf2System.from_equations(formula.var_count, tuple(equations)))
+    n = formula.var_count
+    equations = [(sum(1 << (n - v) for v in vs), bit) for vs, bit in formula_parity(formula)]
+    equations += [(1 << (n - v), b) for v, b in (assumptions or {}).items()]
+    return gf2.solve_affine(equations, n)
 
 
 def unit_propagate(

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import gf2
 from .clauses import affine_solve, assignment_from, cached_clauses, horn_model, twosat_model
 from .errors import NotAModel, TooLarge
 from .formulas import (
@@ -69,7 +68,7 @@ def sat_solve(
         return None if model is None else assignment_from(model, n)
     if "affine" in flags:
         solved = affine_solve(formula, assumptions)
-        return None if solved is None else Assignment(gf2.vector_to_bits(solved[0], n))
+        return None if solved is None else Assignment.from_code(solved[0], n)
     _enumeration_guard(formula, cap)
     models = enumerate_models(formula, cap=None if assumptions else 1, var_cap=cap).assignments
     for m in models:

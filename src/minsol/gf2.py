@@ -1,13 +1,14 @@
 """Linear algebra over GF(2) with bit-packed rows.
 
-Vectors of length l are ints with bit i = coordinate i (LSB first).
-Desk-scale exact solvers for minimum weight and nearest codeword live
-here; both enumerate exhaustively and refuse oversized instances.
+A vector of length l is an int whose coordinate 0 is the leading bit
+(bit l-1), the MSB-first order of assignment and tuple codes, so numeric
+order on vectors is lexicographic order on their bitstrings.  Desk-scale
+exact solvers for minimum weight and nearest codeword live here; both
+enumerate exhaustively and refuse oversized instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import TooLarge
@@ -15,38 +16,9 @@ from .errors import TooLarge
 ENUM_CAP_BITS = 24
 
 
-def vector_from_bits(bits: Sequence[int]) -> int:
-    v = 0
-    for i, b in enumerate(bits):
-        if b:
-            v |= 1 << i
-    return v
-
-
-def vector_to_bits(v: int, length: int) -> tuple[int, ...]:
-    return tuple((v >> i) & 1 for i in range(length))
-
-
-@dataclass(frozen=True)
-class Gf2System:
-    """A·x = b with k bit-packed rows over l columns."""
-
-    rows: tuple[int, ...]
-    rhs: tuple[int, ...]
-    cols: int
-
-    def __post_init__(self) -> None:
-        assert len(self.rows) == len(self.rhs)
-
-    @classmethod
-    def from_equations(cls, cols: int, equations: Sequence[tuple[int, int]]) -> "Gf2System":
-        rows = tuple(a for a, _ in equations)
-        rhs = tuple(b & 1 for _, b in equations)
-        return cls(rows, rhs, cols)
-
-
 def _eliminate(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
+    """Reduced row echelon form; returns (reduced rows, pivot bits), in
+    coordinate order of the pivots."""
     reduced: list[int] = []
     pivots: list[int] = []
     for row in rows:
@@ -55,14 +27,14 @@ def _eliminate(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
                 row ^= r
         if row == 0:
             continue
-        p = (row & -row).bit_length() - 1
+        p = row.bit_length() - 1
         # back-substitute into earlier rows
         for i, r in enumerate(reduced):
             if (r >> p) & 1:
                 reduced[i] = r ^ row
         reduced.append(row)
         pivots.append(p)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    order = sorted(range(len(pivots)), key=lambda i: -pivots[i])
     return [reduced[i] for i in order], [pivots[i] for i in order]
 
 
@@ -77,11 +49,12 @@ def rank(vectors: Sequence[int], cols: int) -> int:
 
 
 def nullspace(rows: Sequence[int], cols: int) -> list[int]:
-    """Basis of {x : row·x = 0 for all rows}, one vector per free column."""
+    """Basis of {x : row·x = 0 for all rows}, one vector per free column,
+    in coordinate order."""
     reduced, pivots = _eliminate(list(rows), cols)
     pivot_set = set(pivots)
     basis = []
-    for free in range(cols):
+    for free in reversed(range(cols)):
         if free in pivot_set:
             continue
         v = 1 << free
@@ -92,30 +65,28 @@ def nullspace(rows: Sequence[int], cols: int) -> list[int]:
     return basis
 
 
-def solve_affine(system: Gf2System) -> tuple[int, list[int]] | None:
-    """Particular solution (free columns zero) and nullspace basis.
+def solve_affine(equations: Sequence[tuple[int, int]], cols: int) -> tuple[int, list[int]] | None:
+    """Particular solution (free columns zero) and nullspace basis of the
+    (row, bit) equations row·x = bit.
 
     Returns None iff the system is inconsistent.
     """
-    cols = system.cols
-    # augment with the rhs in an extra top bit
-    aug = [row | (b << cols) for row, b in zip(system.rows, system.rhs)]
-    reduced, pivots = _eliminate(aug, cols + 1)
+    # augment with the rhs in a new lowest column
+    reduced, pivots = _eliminate([(row << 1) | (b & 1) for row, b in equations], cols + 1)
     particular = 0
     for r, p in zip(reduced, pivots):
-        if p == cols:
+        if p == 0:
             return None  # row 0 = 1
-        if (r >> cols) & 1:
-            particular |= 1 << p
-    hom_rows = [r & ((1 << cols) - 1) for r in reduced if (r & ((1 << cols) - 1))]
-    basis = nullspace(hom_rows, cols)
+        if r & 1:
+            particular |= 1 << (p - 1)
+    basis = nullspace([r >> 1 for r in reduced], cols)
     return particular, basis
 
 
 def min_weight_nonzero(basis: Sequence[int], cols: int) -> tuple[int, int] | None:
     """Minimum-weight nonzero span member; None for the zero-dimensional space.
 
-    Ties break toward the vector whose MSB-first bitstring is smallest.
+    Ties break toward the smallest vector, i.e. the smallest bitstring.
     Gray-code enumeration over all 2**dim combinations.
     """
     dim = len(basis)
@@ -124,49 +95,36 @@ def min_weight_nonzero(basis: Sequence[int], cols: int) -> tuple[int, int] | Non
     if dim > ENUM_CAP_BITS:
         raise TooLarge(f"nullspace dimension {dim} exceeds 2**{ENUM_CAP_BITS} enumeration cap")
     best: tuple[int, int] | None = None
-    best_key: tuple[int, int] | None = None
     current = 0
     for i in range(1, 1 << dim):
         current ^= basis[(i & -i).bit_length() - 1]
         if current == 0:
             continue
-        w = current.bit_count()
-        key = (w, _msb_key(current, cols))
-        if best_key is None or key < best_key:
-            best = (w, current)
-            best_key = key
+        key = (current.bit_count(), current)
+        if best is None or key < best:
+            best = key
     return best
 
 
 def nearest_codeword(generator_rows: Sequence[int], cols: int, target: int) -> tuple[int, int]:
     """Exact closest-codeword search over the whole message space.
 
-    Returns (distance, message); ties break toward the lexicographically
-    smallest message (MSB-first over message bits m[0..k-1]).
+    Returns (distance, message), where bit i of the message selects row i;
+    ties break toward the lexicographically smallest message (MSB-first
+    over message bits m[0..k-1]).
     """
     k = len(generator_rows)
     if k > ENUM_CAP_BITS:
         raise TooLarge(f"message space 2**{k} exceeds 2**{ENUM_CAP_BITS} enumeration cap")
-    best = ((target).bit_count(), 0)  # message 0 -> zero codeword
-    best_key = (best[0], 0)
+    # enumerate the reversed message, whose bit k-1-j selects row j, so
+    # numeric order on it is the tie-break order
+    best = (target.bit_count(), 0)  # message 0 -> zero codeword
     codeword = 0
-    gray_prev = 0
     for i in range(1, 1 << k):
-        gray = i ^ (i >> 1)
-        codeword ^= generator_rows[(gray ^ gray_prev).bit_length() - 1]
-        gray_prev = gray
-        d = (codeword ^ target).bit_count()
-        key = (d, _msb_key(gray, k))
-        if key < best_key:
-            best = (d, gray)
-            best_key = key
-    return best
-
-
-def _msb_key(v: int, length: int) -> int:
-    """Reverse bit order so numeric comparison = MSB-first lexicographic."""
-    out = 0
-    for i in range(length):
-        if (v >> i) & 1:
-            out |= 1 << (length - 1 - i)
-    return out
+        # step i of the Gray code flips bit (i & -i).bit_length() - 1
+        codeword ^= generator_rows[k - (i & -i).bit_length()]
+        key = ((codeword ^ target).bit_count(), i ^ (i >> 1))
+        if key < best:
+            best = key
+    distance, reversed_message = best
+    return distance, int(f"{reversed_message:0{k}b}"[::-1], 2)

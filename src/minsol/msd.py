@@ -19,7 +19,6 @@ from .decision import tssat
 from .dispatch import Route, checked, dispatch, via_dual
 from .errors import (
     InternalConsistencyError,
-    TooLarge,
     UniqueModel,
     Unsatisfiable,
 )
@@ -175,21 +174,19 @@ def msd_horn(formula: Formula, dual: bool = False) -> SolveOutcome:
     return out
 
 
-def msd_affine(formula: Formula, cap: int = gf2.ENUM_CAP_BITS) -> SolveOutcome:
+def msd_affine(formula: Formula) -> SolveOutcome:
     """Minimum nonzero weight of the homogeneous solution space."""
     n = formula.var_count
     solved = affine_solve(formula)
     if solved is None:
         raise Unsatisfiable("affine system inconsistent")
     particular, basis = solved
-    if len(basis) > cap:
-        raise TooLarge(f"solution space dimension {len(basis)} exceeds cap {cap}")
     found = gf2.min_weight_nonzero(basis, n)
     if found is None:
         raise UniqueModel("the affine solution space is a single point")
     weight, vector = found
-    w1 = Assignment(gf2.vector_to_bits(particular, n))
-    w2 = Assignment(gf2.vector_to_bits(particular ^ vector, n))
+    w1 = Assignment.from_code(particular, n)
+    w2 = Assignment.from_code(particular ^ vector, n)
     out = checked(MSD, formula, None, [w1, w2], exact(), "affine_mindist")
     if out.value != weight:
         raise InternalConsistencyError("affine witnesses do not realize the weight")

@@ -13,12 +13,11 @@ from fractions import Fraction
 from typing import Callable
 
 from . import gf2
-from .clauses import affine_solve, cached_clauses, formula_parity, twosat_model, unit_propagate
+from .clauses import affine_solve, cached_clauses, twosat_model, unit_propagate
 from .decision import sat_solve
 from .dispatch import Route, checked, dispatch, via_dual
 from .errors import (
     InternalConsistencyError,
-    TooLarge,
     Unsatisfiable,
 )
 from .formulas import (
@@ -58,73 +57,30 @@ def _completed(n: int, assign: dict[int, int], value: Callable[[int], int]) -> A
 def nsol_2affine(formula: Formula, m: Assignment) -> SolveOutcome:
     """Exact nearest solution for parity-of-two constraint systems.
 
-    Unary/binary parity equations form a constraint graph; each connected
-    component admits exactly two colorings and we keep the one closer to m.
+    Unary/binary parity equations link variables into components; a
+    component no constant fixes admits exactly two colorings, and its
+    indicator is one vector of the affine solution basis.  These vectors
+    are pairwise disjoint, so each component flips on its own when that
+    brings it closer to m; on a tie its smallest variable ends up 0.
     """
     formula.check_length(m)
     n = formula.var_count
-    parent = list(range(n + 1))  # 0 is the constant-zero node
-    offset = [0] * (n + 1)  # parity of node relative to its root
-
-    def find_with_parity(v: int) -> tuple[int, int]:
-        root = v
-        par = 0
-        while parent[root] != root:
-            par ^= offset[root]
-            root = parent[root]
-        # path compression
-        cur, cpar = v, par
-        while parent[cur] != root:
-            nxt, noff = parent[cur], offset[cur]
-            parent[cur], offset[cur] = root, cpar
-            cpar ^= noff
-            cur = nxt
-        return root, par
-
-    def union(u: int, v: int, par: int) -> bool:
-        ru, pu = find_with_parity(u)
-        rv, pv = find_with_parity(v)
-        if ru == rv:
-            return (pu ^ pv) == par
-        parent[ru] = rv
-        offset[ru] = pu ^ pv ^ par
-        return True
-
-    for support, bit in formula_parity(formula):
-        if not support:
-            if bit:
-                raise Unsatisfiable("contradictory parity atom")
-            continue
-        vs = sorted(support)
-        if len(vs) == 1:
-            ok = union(vs[0], 0, bit)
-        elif len(vs) == 2:
-            ok = union(vs[0], vs[1], bit)
-        else:
-            raise InternalConsistencyError("2affine route got a wide parity equation")
-        if not ok:
-            raise Unsatisfiable("parity constraints conflict")
-
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for v in range(1, n + 1):
-        root, par = find_with_parity(v)
-        groups.setdefault(root, []).append((v, par))
-    zero_root, zero_par = find_with_parity(0)
-    bits = [0] * n
-    for root, members in groups.items():
-        if root == zero_root:
-            for v, par in members:
-                bits[v - 1] = par ^ zero_par  # parity relative to the constant
-            continue
-        cost0 = sum(m.value(v) != par for v, par in members)
-        cost1 = sum(m.value(v) != (par ^ 1) for v, par in members)
-        flip = 1 if cost1 < cost0 else 0
-        if cost0 == cost1:
-            lead_v, lead_par = min(members)
-            flip = lead_par  # makes the smallest member 0
-        for v, par in members:
-            bits[v - 1] = par ^ flip
-    return checked(NSOL, formula, m, [Assignment(tuple(bits))], exact(), "2affine_exact")
+    solved = affine_solve(formula)
+    if solved is None:
+        raise Unsatisfiable("parity constraints conflict")
+    code, basis = solved
+    target = m.code()
+    covered = 0
+    for component in basis:
+        if covered & component:
+            raise InternalConsistencyError("2affine route got overlapping components")
+        covered |= component
+        distance = ((code ^ target) & component).bit_count()
+        size = component.bit_count()
+        lead = (code >> (component.bit_length() - 1)) & 1  # the smallest variable
+        if 2 * distance > size or (2 * distance == size and lead):
+            code ^= component
+    return checked(NSOL, formula, m, [Assignment.from_code(code, n)], exact(), "2affine_exact")
 
 
 def nsol_monotone(formula: Formula, m: Assignment) -> SolveOutcome:
@@ -153,7 +109,7 @@ def nsol_monotone(formula: Formula, m: Assignment) -> SolveOutcome:
     return checked(NSOL, formula, m, [witness], exact(), "monotone_mincut")
 
 
-def nsol_affine_exact(formula: Formula, m: Assignment, cap: int = gf2.ENUM_CAP_BITS) -> SolveOutcome:
+def nsol_affine_exact(formula: Formula, m: Assignment) -> SolveOutcome:
     """Exact affine route: enumerate the solution coset around m."""
     formula.check_length(m)
     n = formula.var_count
@@ -161,15 +117,12 @@ def nsol_affine_exact(formula: Formula, m: Assignment, cap: int = gf2.ENUM_CAP_B
     if solved is None:
         raise Unsatisfiable("affine system inconsistent")
     particular, basis = solved
-    if len(basis) > cap:
-        raise TooLarge(f"solution space dimension {len(basis)} exceeds cap {cap}")
-    target = gf2.vector_from_bits(m.bits) ^ particular
-    _, message = gf2.nearest_codeword(basis, n, target)
+    _, message = gf2.nearest_codeword(basis, n, m.code() ^ particular)
     span = particular
     for i, row in enumerate(basis):
         if (message >> i) & 1:
             span ^= row
-    witness = Assignment(gf2.vector_to_bits(span, n))
+    witness = Assignment.from_code(span, n)
     return checked(NSOL, formula, m, [witness], exact(), "affine_exact")
 
 

@@ -3,8 +3,9 @@
 A relation of arity n is stored as a membership table over the 2**n tuple
 codes, where the integer code of a tuple has the first coordinate as its
 most significant bit ("0110" -> 6).  The same MSB-first convention is used
-for truth tables of Boolean functions and for assignment bitstrings, so
-lexicographic order on bitstrings is numeric order on codes everywhere.
+for truth tables of Boolean functions, for assignment bitstrings and for
+GF(2) vectors, so lexicographic order on bitstrings is numeric order on
+codes everywhere.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from . import gf2
 from .errors import InternalConsistencyError, ParseError, ShapeUnavailable
 
 MAX_RELATION_ARITY = 16
@@ -488,29 +490,19 @@ def _clause_allowed(shape: str, k: int | None, pos: tuple[int, ...], neg: tuple[
 def _parity_decompose(r: Relation) -> tuple[Clause, ...]:
     # Check-space of the tuple set: all (a | c) with a.t = c for every t in r,
     # reduced to RREF so 2affine relations yield unary/binary equations only.
-    from . import gf2
-
     n = r.arity
-    rows = [_reverse_bits(c, n) | (1 << n) for c in r.tuples()]  # [t | 1], LSB = coord 0
+    rows = [(c << 1) | 1 for c in r.tuples()]  # [t | 1], the constant in the last column
     basis = gf2.nullspace(rows, n + 1)
     basis = gf2.rref_basis(basis, n + 1)
     clauses = []
     for v in basis:
-        support = tuple(i for i in range(n) if (v >> i) & 1)
-        rhs = (v >> n) & 1
+        support = tuple(i for i in range(n) if (v >> (n - i)) & 1)
+        rhs = v & 1
         if not support:
             # 0 = 1 cannot arise from a nonempty relation
             raise InternalConsistencyError("contradictory parity row from nonempty relation")
         clauses.append(Clause(positives=support, parity_bit=rhs))
     return tuple(clauses)
-
-
-def _reverse_bits(code: int, n: int) -> int:
-    out = 0
-    for i in range(n):
-        if (code >> i) & 1:
-            out |= 1 << (n - 1 - i)
-    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,10 +5,11 @@ languages flip one variable at a time and probe it: unit propagation
 from the flipped value, through every binary clause (bijunctive) or
 through the implications only (hitting-set), sets the literals the flip
 forces, and the nearest candidate that is a model wins.  The affine
-route goes through minimum code weight, the Horn route is an oracle
-enumeration up to the variable cap and a reduction to nearest-solution
-beyond it, and an n-approximation uses the second-model decision
-procedure.
+route goes through minimum code weight, the Horn route answers a single
+flip of m when one is a model (distance 1 is optimal) and otherwise is
+an oracle enumeration up to the variable cap and a reduction to
+nearest-solution beyond it, and an n-approximation uses the second-model
+decision procedure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import (
     InternalConsistencyError,
     NoSecondModel,
     NotAModel,
-    TooLarge,
     Unsatisfiable,
 )
 from .formulas import (
@@ -93,19 +93,17 @@ def xsol_ihsb(formula: Formula, m: Assignment, width: int, dual: bool = False) -
     return _flip(formula, m, forced, implications, "ihsb_flip")
 
 
-def xsol_affine(formula: Formula, m: Assignment, cap: int = gf2.ENUM_CAP_BITS) -> SolveOutcome:
+def xsol_affine(formula: Formula, m: Assignment) -> SolveOutcome:
     """Minimum nonzero weight of the homogeneous space, added onto m."""
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
     n = formula.var_count
     _, basis = affine_solve(formula)
-    if len(basis) > cap:
-        raise TooLarge(f"solution space dimension {len(basis)} exceeds cap {cap}")
     found = gf2.min_weight_nonzero(basis, n)
     if found is None:
         raise NoSecondModel("the affine solution space is a single point")
     weight, vector = found
-    witness = Assignment(gf2.vector_to_bits(gf2.vector_from_bits(m.bits) ^ vector, n))
+    witness = Assignment.from_code(m.code() ^ vector, n)
     out = checked(XSOL, formula, m, [witness], exact(), "affine_mindist")
     if out.value != weight:
         raise InternalConsistencyError("affine witness does not realize the weight")
@@ -115,16 +113,23 @@ def xsol_affine(formula: Formula, m: Assignment, cap: int = gf2.ENUM_CAP_BITS) -
 def xsol_horn_turing(
     formula: Formula, m: Assignment, cap: int = ORACLE_VAR_CAP, dual: bool = False
 ) -> SolveOutcome:
-    """Exact by one enumeration of the models up to `cap` variables; beyond,
-    a per-variable pinning reduction to nearest-solution calls in `auto`
-    mode.  Each call pins one variable opposite to m; the answer is exact
-    when every pinned call answered exactly, n-approximate otherwise.
+    """Exact at distance 1: the smallest single flip of m that is a model,
+    since no other model is nearer.  Otherwise exact by one enumeration of
+    the models up to `cap` variables; beyond, a per-variable pinning
+    reduction to nearest-solution calls in `auto` mode.  Each call pins
+    one variable opposite to m; the answer is exact when every pinned call
+    answered exactly, n-approximate otherwise.
     """
     if dual:
         return via_dual(xsol_horn_turing, formula, m, cap)
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
     n = formula.var_count
+    flips = [Assignment(m.bits[:i] + (1 - m.bits[i],) + m.bits[i + 1 :]) for i in range(n)]
+    neighbours = [w for w in flips if satisfies(formula, w)]
+    if neighbours:
+        nearest = min(neighbours, key=lambda w: w.bits)
+        return checked(XSOL, formula, m, [nearest], exact(), "horn_turing")
     if n <= cap:
         out = oracle_optimize(XSOL, formula, m, var_cap=cap)
         return checked(XSOL, formula, m, [out.witness], exact(), "horn_turing")

@@ -2,38 +2,37 @@ import random
 
 import pytest
 
+from helpers import FAMILY_LANGUAGES, random_satisfiable
 from minsol import gf2
+from minsol.clauses import affine_solve
 from minsol.errors import TooLarge
+from minsol.formulas import Assignment, satisfies
 
-
-def system(cols, rows_bits, rhs):
-    rows = [gf2.vector_from_bits(r) for r in rows_bits]
-    return gf2.Gf2System(tuple(rows), tuple(rhs), cols)
+# Vectors are MSB-first: 0b110 is (1, 1, 0), coordinate 0 the leading bit.
 
 
 class TestSolveAffine:
     def test_single_equation(self):
         # x1 + x2 = 1: particular has free columns zero -> x = (1, 0)
-        got = gf2.solve_affine(system(2, [[1, 1]], [1]))
+        got = gf2.solve_affine([(0b11, 1)], 2)
         assert got is not None
         particular, basis = got
-        assert gf2.vector_to_bits(particular, 2) == (1, 0)
-        assert [gf2.vector_to_bits(b, 2) for b in basis] == [(1, 1)]
+        assert particular == 0b10
+        assert basis == [0b11]
 
     def test_identity(self):
-        got = gf2.solve_affine(system(2, [[1, 0], [0, 1]], [1, 1]))
+        got = gf2.solve_affine([(0b10, 1), (0b01, 1)], 2)
         particular, basis = got
-        assert gf2.vector_to_bits(particular, 2) == (1, 1)
+        assert particular == 0b11
         assert basis == []
 
     def test_inconsistent(self):
-        assert gf2.solve_affine(system(2, [[1, 1], [1, 1]], [1, 0])) is None
+        assert gf2.solve_affine([(0b11, 1), (0b11, 0)], 2) is None
 
 
 class TestMinWeight:
     def test_single_vector(self):
-        basis = [gf2.vector_from_bits((1, 1, 1))]
-        assert gf2.min_weight_nonzero(basis, 3) == (3, 0b111)
+        assert gf2.min_weight_nonzero([0b111], 3) == (3, 0b111)
 
     def test_zero_dimensional(self):
         assert gf2.min_weight_nonzero([], 3) is None
@@ -41,10 +40,9 @@ class TestMinWeight:
     def test_three_combinations(self):
         # span {110, 011, 101}: weight ties break to the lexicographically
         # smallest vector (first coordinate most significant), so 011 wins
-        basis = [gf2.vector_from_bits((1, 1, 0)), gf2.vector_from_bits((0, 1, 1))]
-        w, v = gf2.min_weight_nonzero(basis, 3)
+        w, v = gf2.min_weight_nonzero([0b110, 0b011], 3)
         assert w == 2
-        assert gf2.vector_to_bits(v, 3) == (0, 1, 1)
+        assert v == 0b011
 
     def test_cap(self):
         with pytest.raises(TooLarge):
@@ -59,13 +57,11 @@ class TestNearestCodeword:
 
     def test_tie_breaks_to_smaller_message(self):
         # single row (1,1); target 10: both messages give distance 1
-        rows = [gf2.vector_from_bits((1, 1))]
-        dist, msg = gf2.nearest_codeword(rows, 2, gf2.vector_from_bits((1, 0)))
+        dist, msg = gf2.nearest_codeword([0b11], 2, 0b10)
         assert (dist, msg) == (1, 0)
 
     def test_zero_rows(self):
-        target = gf2.vector_from_bits((1, 0, 1))
-        assert gf2.nearest_codeword([], 3, target) == (2, 0)
+        assert gf2.nearest_codeword([], 3, 0b101) == (2, 0)
 
 
 class TestRandomized:
@@ -77,7 +73,7 @@ class TestRandomized:
             rows = [rng.randrange(1 << cols) for _ in range(k)]
             rhs = [rng.randint(0, 1) for _ in range(k)]
             assert gf2.rank(rows, cols) + len(gf2.nullspace(rows, cols)) == cols
-            got = gf2.solve_affine(gf2.Gf2System(tuple(rows), tuple(rhs), cols))
+            got = gf2.solve_affine(list(zip(rows, rhs)), cols)
             truth = [
                 x
                 for x in range(1 << cols)
@@ -121,6 +117,25 @@ class TestRandomized:
             )
             assert dist == truth
             assert (_codeword(rows, msg) ^ target).bit_count() == dist
+
+
+class TestAffineFormulas:
+    def test_coset_codes_are_the_models(self):
+        # the basis and particular solution of a formula's parity system are
+        # assignment codes: every coset member decodes to a model, and the
+        # coset has as many members as the formula has models
+        rng = random.Random(8)
+        for _ in range(200):
+            language = FAMILY_LANGUAGES[rng.choice(["iL2", "iD1"])]
+            formula, codes = random_satisfiable(language, rng, max_vars=8, max_atoms=6)
+            n = formula.var_count
+            particular, basis = affine_solve(formula)
+            span = {0}
+            for v in basis:
+                span |= {s ^ v for s in span}
+            for c in span:
+                assert satisfies(formula, Assignment.from_code(particular ^ c, n))
+            assert len(span) == len(codes)
 
 
 def _codeword(rows, x):
