@@ -15,7 +15,9 @@ n <= 8 instances never reach: long implication chains and large literal
 classes.  Each formula there is planted, built from random atoms that
 a few random models satisfy, so it is satisfiable without enumeration.
 It covers MSD and XSOL over the bijunctive, hitting-set and Horn
-families and their duals.  Horn XSOL answers a single flip of the given
+families and their duals, and NSOL from a random assignment over the
+bijunctive and hitting-set families and their duals (the LP-rounding
+routes).  Horn XSOL answers a single flip of the given
 model when one is a model (distance 1, exact), and otherwise runs
 exhaustively within the 24-variable cap (n = 16) and through pinned
 auto-mode NSOL calls beyond it (n = 32, 48).
@@ -48,7 +50,7 @@ from helpers import (  # noqa: E402
     random_satisfiable,
 )
 from minsol.errors import MinsolError  # noqa: E402
-from minsol.formulas import XSOL, Assignment, make_formula, model_codes  # noqa: E402
+from minsol.formulas import MSD, NSOL, XSOL, Assignment, make_formula, model_codes  # noqa: E402
 from minsol.msd import solve_msd  # noqa: E402
 from minsol.nsol import solve_nsol  # noqa: E402
 from minsol.postlattice import (  # noqa: E402
@@ -87,6 +89,7 @@ LARGE_INSTANCES = 6
 LARGE_FAMILIES = {
     "MSD": ("iD1", "iD2", "iM2", "iS00_3", "iE2", "iV2"),
     "XSOL": ("iD1", "iD2", "iM2", "iS00_3", "iE2", "iV2"),
+    "NSOL": ("iD2", "iS00_2", "iS00_3"),
 }
 
 CLASSIFY_GOLDEN = ROOT / "tests" / "data" / "classify_golden.jsonl"
@@ -188,7 +191,9 @@ def large_records():
             for n in LARGE_SIZES:
                 for k in range(LARGE_INSTANCES):
                     formula, model = planted(everything[name], rng, n)
-                    point = model if problem == XSOL else None
+                    if problem == NSOL:  # a random point, almost never a model
+                        model = Assignment.from_code(rng.getrandbits(n), n)
+                    point = None if problem == MSD else model
                     yield {
                         "language": name,
                         "instance": k,
@@ -199,9 +204,9 @@ def large_records():
                         "mode": "auto",
                         "tag": _tag(formula, problem),
                         **_answer(
-                            lambda: solve_xsol(formula, model)
-                            if problem == XSOL
-                            else solve_msd(formula)
+                            lambda: solve_msd(formula)
+                            if problem == MSD
+                            else (solve_xsol if problem == XSOL else solve_nsol)(formula, model)
                         ),
                     }
 

@@ -34,7 +34,8 @@ def test_large_records_match_golden_file():
     tags = {json.loads(line)["tag"] for line in expected}
     assert tags == {"bijunctive_classes", "horn_closure", "horn_closure_dual",
                     "bijunctive_flip", "ihsb_flip", "ihsb_flip_dual",
-                    "horn_turing", "horn_turing_dual"}
+                    "horn_turing", "horn_turing_dual",
+                    "bijunctive_2approx", "ihsb_rounding", "ihsb_rounding_dual"}
 
 
 def test_classify_records_match_golden_file():
