@@ -30,7 +30,7 @@ class FlowNetwork:
                 return flow
             it = [0] * self.n
             while True:
-                pushed = self._dfs(s, t, INF, level, it)
+                pushed = self._augment(s, t, level, it)
                 if pushed == 0:
                     break
                 flow += pushed
@@ -48,20 +48,32 @@ class FlowNetwork:
                     q.append(v)
         return level if level[t] >= 0 else None
 
-    def _dfs(self, u: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.head[u]):
-            e = self.head[u][it[u]]
-            v = self.to[e]
-            if self.cap[e] > 0 and level[v] == level[u] + 1:
-                pushed = self._dfs(v, t, min(limit, self.cap[e]), level, it)
-                if pushed:
-                    self.cap[e] -= pushed
-                    self.cap[e ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        """Push flow along one s-t path of the level graph; 0 if none is left.
+
+        An explicit path stack, so level graphs deeper than the interpreter's
+        recursion limit are fine; `it[u]` skips the arcs of u found dead.
+        """
+        path: list[int] = []
+        u = s
+        while u != t:
+            while it[u] < len(self.head[u]):
+                e = self.head[u][it[u]]
+                if self.cap[e] > 0 and level[self.to[e]] == level[u] + 1:
+                    path.append(e)
+                    u = self.to[e]
+                    break
+                it[u] += 1
+            else:  # u is a dead end: retreat along the path
+                if not path:
+                    return 0
+                u = self.to[path.pop() ^ 1]
+                it[u] += 1
+        pushed = min(self.cap[e] for e in path)
+        for e in path:
+            self.cap[e] -= pushed
+            self.cap[e ^ 1] += pushed
+        return pushed
 
     def source_side(self, s: int) -> set[int]:
         """Vertices reachable from s in the residual graph (after max_flow)."""

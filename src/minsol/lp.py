@@ -1,235 +1,165 @@
-"""Exact rational linear programming over box-bounded variables.
+"""Exact LP relaxation of covering rows and implications over the unit box.
 
-Two-phase tableau simplex on fractions.Fraction, so rounding thresholds
-like 1/2 and 1/l are compared bit-exactly.  Pivoting takes the most
-negative reduced cost (lowest index on ties) and falls back to Bland's
-rule after a run of degenerate pivots, which keeps every run
+The hitting-set rounding minimizes a linear objective over [0,1]^n under
+covering rows sum(x_v for v in C) >= 1 and implications x_a <= x_b.  A
+bounded-variable simplex on sparse rows of fractions.Fraction solves it,
+so rounding thresholds like 1/k are compared bit-exactly.  The box is
+kept by bound flips, not by rows.  The all-ones point satisfies every
+such system, so the simplex starts there with the surplus variables
+basic: there is no phase 1 and no infeasible outcome.  Pivoting takes the
+most negative reduced cost (lowest index on ties) and falls back to
+Bland's rule after a run of degenerate pivots, which keeps every run
 deterministic and finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .errors import InternalConsistencyError
 
-LE = "<="
-GE = ">="
-EQ = "=="
-
 _BLAND_TRIGGER = 12
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """sum(coeffs[v] * x_v) sense rhs, variables 0-based."""
-
-    coeffs: tuple[tuple[int, Fraction], ...]
-    sense: str
-    rhs: Fraction
-
-    @classmethod
-    def of(
-        cls, coeffs: Mapping[int, int | Fraction], sense: str, rhs: int | Fraction
-    ) -> "LinearConstraint":
-        if sense not in (LE, GE, EQ):
-            raise ValueError(f"bad sense {sense!r}")
-        items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c))
-        return cls(items, sense, Fraction(rhs))
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Minimize the objective over [0,1]^num_vars under the constraints."""
+    """Minimize sum(objective[v] * x_v) over [0,1]^num_vars, variables 0-based.
+
+    Each constraint is a clause `(pos, neg)` read as its LP relaxation
+    sum(x_v for v in pos) + sum(1 - x_v for v in neg) >= 1: a covering row
+    when `neg` is empty, the implication x_a <= x_b when it is `((b,), (a,))`.
+    """
 
     num_vars: int
-    constraints: tuple[LinearConstraint, ...]
-    objective: tuple[tuple[int, Fraction], ...]
-    constant: Fraction = field(default_factory=lambda: Fraction(0))
-
-    @classmethod
-    def minimize(
-        cls,
-        num_vars: int,
-        objective: Mapping[int, int | Fraction],
-        constraints: Sequence[LinearConstraint],
-        constant: int | Fraction = 0,
-    ) -> "LpProblem":
-        obj = tuple(sorted((v, Fraction(c)) for v, c in objective.items() if c))
-        return cls(num_vars, tuple(constraints), obj, Fraction(constant))
+    constraints: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    objective: tuple[int, ...]
 
 
-def lp_solve(problem: LpProblem) -> tuple[Fraction, list[Fraction]] | None:
-    """Exact optimum and an optimal point, or None iff infeasible."""
+def lp_solve(problem: LpProblem) -> tuple[Fraction, list[Fraction]]:
+    """Exact optimum and an optimal point.
+
+    Dictionary form: basic variable `basis[i]` equals `beta[i]` plus
+    `rows[i]` applied to the nonbasic variables, which all sit at 0.  A
+    structural x_v is stored as y_v = 1 - x_v while `flipped[v]`; slack
+    n + i is the surplus of constraint i.  Reduced costs `red` keep their
+    nonzero entries only.
+    """
     n = problem.num_vars
-    raw_rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for con in problem.constraints:
-        row = [_ZERO] * n
-        for v, c in con.coeffs:
-            if not 0 <= v < n:
-                raise InternalConsistencyError(f"constraint variable {v} out of range")
-            row[v] += c
-        raw_rows.append((row, con.sense, con.rhs))
-    for v in range(n):  # upper bounds x_v <= 1; lower bounds are implicit
-        row = [_ZERO] * n
-        row[v] = _ONE
-        raw_rows.append((row, LE, _ONE))
+    rows: list[dict[int, int | Fraction]] = []
+    beta: list[int | Fraction] = []
+    for pos, neg in problem.constraints:
+        if not all(0 <= v < n for v in pos + neg):
+            raise InternalConsistencyError("constraint variable out of range")
+        if neg and (len(neg), len(pos)) != (1, 1):
+            raise InternalConsistencyError("constraint is neither a covering row nor an implication")
+        # at x = 1, i.e. y = 0: surplus = sum(1 - y_pos) - 1 + sum(y_neg)
+        row: dict[int, int | Fraction] = {}
+        for v in pos:
+            row[v] = row.get(v, 0) - 1
+        for v in neg:
+            row[v] = row.get(v, 0) + 1
+        rows.append({v: a for v, a in row.items() if a})
+        beta.append(len(pos) - 1)
+    m = len(rows)
+    basis = list(range(n, n + m))
+    flipped = [True] * n
+    red: dict[int, int | Fraction] = {v: -c for v, c in enumerate(problem.objective) if c}
+    col_rows: list[set[int]] = [set() for _ in range(n + m)]
+    for i, row in enumerate(rows):
+        for v in row:
+            col_rows[v].add(i)
 
-    # normalize to nonnegative rhs and count extra columns
-    m = len(raw_rows)
-    norm: list[tuple[list[Fraction], str, Fraction]] = []
-    for row, sense, rhs in raw_rows:
-        if rhs < 0:
-            row = [-c for c in row]
-            rhs = -rhs
-            sense = {LE: GE, GE: LE, EQ: EQ}[sense]
-        norm.append((row, sense, rhs))
-    n_slack = sum(1 for _, s, _ in norm if s in (LE, GE))
-    n_art = sum(1 for _, s, _ in norm if s != LE)
-    total = n + n_slack
-    width = total + n_art
-
-    tab = [[_ZERO] * width for _ in range(m)]
-    rhs = [_ZERO] * m
-    basis = [-1] * m
-    art_cols: set[int] = set()
-    s_at, a_at = n, total
-    for i, (row, sense, b) in enumerate(norm):
-        tab[i][:n] = row
-        rhs[i] = b
-        if sense in (LE, GE):
-            tab[i][s_at] = _ONE if sense == LE else -_ONE
-            if sense == LE:
-                basis[i] = s_at
-            s_at += 1
-        if sense != LE:
-            tab[i][a_at] = _ONE
-            basis[i] = a_at
-            art_cols.add(a_at)
-            a_at += 1
-
-    if art_cols:
-        cost = [_ZERO] * width
-        for c in art_cols:
-            cost[c] = _ONE
-        if _run_simplex(tab, rhs, basis, cost) != 0:
-            return None
-        _evict_artificials(tab, rhs, basis, art_cols, total)
-        for r in range(len(tab)):
-            del tab[r][total:]
-        width = total
-
-    cost = [_ZERO] * width
-    for v, c in problem.objective:
-        cost[v] += c
-    value = _run_simplex(tab, rhs, basis, cost)
-    point = [_ZERO] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            point[b] = rhs[i]
-    return value + problem.constant, point
-
-
-def _run_simplex(
-    tab: list[list[Fraction]], rhs: list[Fraction], basis: list[int], cost: list[Fraction]
-) -> Fraction:
-    """Minimize cost from the current basic feasible dictionary, in place."""
-    m = len(tab)
-    width = len(cost)
-    red = list(cost)
-    for i, b in enumerate(basis):
-        f = red[b]
-        if f:
-            row = tab[i]
-            for c in range(width):
-                if row[c]:
-                    red[c] -= f * row[c]
     degenerate_run = 0
     while True:
-        bland = degenerate_run >= _BLAND_TRIGGER
-        enter = -1
-        if bland:
-            for c in range(width):
-                if red[c] < 0:
-                    enter = c
-                    break
+        if degenerate_run >= _BLAND_TRIGGER:
+            enter = min((c for c, d in red.items() if d < 0), default=-1)
         else:
-            best = _ZERO
-            for c in range(width):
-                if red[c] < best:
-                    best = red[c]
-                    enter = c
+            enter, best = -1, 0
+            for c, d in red.items():
+                if d < best or (d == best and d < 0 and c < enter):
+                    enter, best = c, d
         if enter == -1:
-            return sum((cost[b] * rhs[i] for i, b in enumerate(basis)), _ZERO)
+            break
+        # the step: the entering variable's own bound, or the first basic bound
+        step: int | Fraction | None = 1 if enter < n else None
         leave = -1
-        best_ratio: Fraction | None = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                ratio = rhs[i] / a
-                better = best_ratio is None or ratio < best_ratio
-                tie = best_ratio is not None and ratio == best_ratio
-                if better or (tie and bland and basis[i] < basis[leave]):
-                    best_ratio = ratio
-                    leave = i
-        if leave == -1:
-            raise InternalConsistencyError("unbounded LP despite box bounds")
-        degenerate_run = degenerate_run + 1 if best_ratio == 0 else 0
-        _pivot(tab, rhs, red, basis, leave, enter)
-
-
-def _pivot(
-    tab: list[list[Fraction]],
-    rhs: list[Fraction],
-    red: list[Fraction],
-    basis: list[int],
-    row: int,
-    col: int,
-) -> None:
-    trow = tab[row]
-    inv = 1 / trow[col]
-    if inv != 1:
-        for c in range(len(trow)):
-            if trow[c]:
-                trow[c] *= inv
-        rhs[row] *= inv
-    for i in range(len(tab)):
-        if i == row:
-            continue
-        f = tab[i][col]
-        if f:
-            other = tab[i]
-            for c in range(len(trow)):
-                if trow[c]:
-                    other[c] -= f * trow[c]
-            rhs[i] -= f * rhs[row]
-    f = red[col]
-    if f:
-        for c in range(len(trow)):
-            if trow[c]:
-                red[c] -= f * trow[c]
-    basis[row] = col
-
-
-def _evict_artificials(
-    tab: list[list[Fraction]],
-    rhs: list[Fraction],
-    basis: list[int],
-    art: set[int],
-    total: int,
-) -> None:
-    """Pivot zero-valued artificials out of the basis; drop dead rows."""
-    i = 0
-    while i < len(tab):
-        if basis[i] in art:
-            pivot_col = next((c for c in range(total) if tab[i][c] != 0), None)
-            if pivot_col is None:
-                del tab[i], rhs[i], basis[i]
+        for i in col_rows[enter]:
+            a, b = rows[i][enter], basis[i]
+            if a < 0:
+                t = Fraction(beta[i], -a)
+            elif b < n:
+                t = Fraction(1 - beta[i], a)
+            else:
                 continue
-            dummy = [_ZERO] * len(tab[0])
-            _pivot(tab, rhs, dummy, basis, i, pivot_col)
-        i += 1
+            if step is None or t < step or (t == step and leave >= 0 and b < basis[leave]):
+                step, leave = t, i
+        if step is None:
+            raise InternalConsistencyError("unbounded LP despite box bounds")
+        degenerate_run = degenerate_run + 1 if step == 0 else 0
+        if leave == -1:
+            _flip(rows, beta, red, col_rows, enter)
+            flipped[enter] = not flipped[enter]
+            continue
+        b = basis[leave]
+        if rows[leave][enter] > 0:  # b leaves at its upper bound 1: store 1 - x_b
+            beta[leave] = 1 - beta[leave]
+            rows[leave] = {c: -a for c, a in rows[leave].items()}
+            flipped[b] = not flipped[b]
+        _pivot(rows, beta, red, basis, col_rows, leave, enter)
+
+    y = [0] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            y[b] = beta[i]
+    point = [Fraction(1 - y[v] if flipped[v] else y[v]) for v in range(n)]
+    return sum((c * x for c, x in zip(problem.objective, point)), Fraction(0)), point
+
+
+def _flip(rows, beta, red, col_rows, col: int) -> None:
+    """Move nonbasic structural `col` to its other bound and store its complement."""
+    for i in col_rows[col]:
+        a = rows[i][col]
+        beta[i] += a
+        rows[i][col] = -a
+    if col in red:
+        red[col] = -red[col]
+
+
+def _pivot(rows, beta, red, basis, col_rows, r: int, col: int) -> None:
+    """Exchange basic `basis[r]` (leaving at 0) for nonbasic `col`."""
+    row = rows[r]
+    a = row.pop(col)
+    inv = a if a in (1, -1) else 1 / Fraction(a)
+    out = basis[r]
+    new = {c: -x * inv for c, x in row.items()}
+    new[out] = inv
+    new_beta = -beta[r] * inv
+    for c in row:
+        col_rows[c].discard(r)
+    rows[r], beta[r], basis[r] = new, new_beta, col
+    col_rows[col].discard(r)
+    for i in col_rows[col]:
+        target = rows[i]
+        f = target.pop(col)
+        beta[i] += f * new_beta
+        for c, x in new.items():
+            v = target.get(c, 0) + f * x
+            if v:
+                if c not in target:
+                    col_rows[c].add(i)
+                target[c] = v
+            elif c in target:
+                del target[c]
+                col_rows[c].discard(i)
+    col_rows[col] = set()
+    for c in new:
+        col_rows[c].add(r)
+    f = red.pop(col, 0)
+    if f:
+        for c, x in new.items():
+            v = red.get(c, 0) + f * x
+            if v:
+                red[c] = v
+            else:
+                red.pop(c, None)

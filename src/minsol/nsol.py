@@ -1,7 +1,9 @@
 """Nearest-solution solvers.
 
-Exact routes for 2affine and monotone languages, LP-rounding
-approximations for the bijunctive and hitting-set classes, the
+Exact routes for 2affine and monotone languages (the latter by minimum
+cut), LP-rounding approximations for the bijunctive class (a
+half-integral LP optimum from one minimum cut on the doubled literal
+network) and the hitting-set classes (the bounded simplex of `lp`), the
 feasibility n-approximation, an exact affine route at desk scale, and a
 capped exhaustive fallback.  `solve_nsol` absorbs unit atoms, classifies
 the residual, and dispatches per the nearest-solution classification.
@@ -29,10 +31,8 @@ from .formulas import (
     satisfies,
 )
 from .flow import INF, FlowNetwork
-from .lp import GE, LE, LinearConstraint, LpProblem, lp_solve
+from .lp import LpProblem, lp_solve
 from .outcome import SolveOutcome, exact, n_approx, ratio
-
-HALF = Fraction(1, 2)
 
 
 def _propagated(
@@ -83,28 +83,40 @@ def nsol_2affine(formula: Formula, m: Assignment) -> SolveOutcome:
     return checked(NSOL, formula, m, [Assignment.from_code(code, n)], exact(), "2affine_exact")
 
 
+def _min_cut(targets: list[int], arcs: list[tuple[int, int]]) -> tuple[int, set[int]]:
+    """Cheapest 0/1 labelling of nodes 0..len(targets)-1 by one minimum cut.
+
+    A node pays 1 when its label differs from its target, and an arc
+    (i, j) forbids i = 1 with j = 0.  Returns the cost and the nodes set to
+    1: the source side of the cut, reachable from the source after the flow.
+    """
+    net = FlowNetwork(len(targets) + 2)
+    source, sink = len(targets), len(targets) + 1
+    for i, target in enumerate(targets):
+        if target:
+            net.add_edge(source, i, 1)
+        else:
+            net.add_edge(i, sink, 1)
+    for i, j in arcs:
+        net.add_edge(i, j, INF)
+    cost = net.max_flow(source, sink)
+    return cost, net.source_side(source)
+
+
 def nsol_monotone(formula: Formula, m: Assignment) -> SolveOutcome:
     """Exact nearest solution for implication/unit systems via minimum cut."""
     formula.check_length(m)
     n = formula.var_count
     assign, residual, free = _propagated(formula, cached_clauses(formula, "monotone"))
     index = {v: i for i, v in enumerate(free)}
-    net = FlowNetwork(len(free) + 2)
-    source, sink = len(free), len(free) + 1
-    for v in free:
-        if m.value(v) == 1:
-            net.add_edge(source, index[v], 1)
-        else:
-            net.add_edge(index[v], sink, 1)
+    arcs = []
     for clause in residual:
         pos = [l for l in clause if l > 0]
         neg = [-l for l in clause if l < 0]
         if len(pos) != 1 or len(neg) != 1:
             raise InternalConsistencyError("monotone route got a non-implication clause")
-        # premise -> conclusion arc may not cross the cut source-to-sink
-        net.add_edge(index[neg[0]], index[pos[0]], INF)
-    net.max_flow(source, sink)
-    ones = net.source_side(source)
+        arcs.append((index[neg[0]], index[pos[0]]))  # premise -> conclusion
+    _, ones = _min_cut([m.value(v) for v in free], arcs)
     witness = _completed(n, assign, lambda v: 1 if index[v] in ones else 0)
     return checked(NSOL, formula, m, [witness], exact(), "monotone_mincut")
 
@@ -129,25 +141,91 @@ def nsol_affine_exact(formula: Formula, m: Assignment) -> SolveOutcome:
 # --- approximation routes ----------------------------------------------------
 
 
-def _distance_objective(m: Assignment, free: list[int]) -> tuple[dict[int, int], int]:
-    """c(m') = sum over free vars of |m'(v) - m(v)| as coeffs + constant."""
-    coeffs: dict[int, int] = {}
-    constant = 0
-    for i, v in enumerate(free):
-        if m.value(v) == 1:
-            coeffs[i] = -1
-            constant += 1
-        else:
-            coeffs[i] = 1
-    return coeffs, constant
+def half_integral_lp(
+    free: list[int], clauses: list[frozenset[int]], m: Assignment
+) -> tuple[Fraction, dict[int, Fraction]]:
+    """Optimum of the LP relaxation of binary clauses over the `free`
+    variables, min sum |x_v - m(v)|, and a half-integral optimal point.
+
+    The doubled network of Hochbaum, Megiddo, Naor and Tamir (1993) has a
+    node for each literal: p_v for v and z_v for -v, standing for x_v and
+    1 - x_v.  A clause (a or b) gives the arcs -a -> b and -b -> a, and a
+    literal node pays 1 when its label differs from m's value of that
+    literal.  With x_v = (p_v + 1 - z_v) / 2 every closed labelling is
+    LP-feasible at half its cost, and every LP point (p = x, z = 1 - x) is
+    a fractional labelling at twice its cost; the labelling polytope is
+    integral, so one minimum cut is an LP optimum.
+    """
+    k = len(free)
+    index = {v: i for i, v in enumerate(free)}
+
+    def node(lit: int) -> int:
+        return index[lit] if lit > 0 else k + index[-lit]
+
+    arcs = []
+    for clause in clauses:
+        if len(clause) != 2:
+            raise InternalConsistencyError("bijunctive residual clause is not binary")
+        a, b = clause
+        arcs += [(node(-a), node(b)), (node(-b), node(a))]
+    cut, ones = _min_cut([m.value(v) for v in free] + [1 - m.value(v) for v in free], arcs)
+    point = {
+        v: Fraction((index[v] in ones) + 1 - (k + index[v] in ones), 2) for v in free
+    }
+    value = sum((abs(x - m.value(v)) for v, x in point.items()), Fraction(0))
+    if 2 * value != cut:
+        raise InternalConsistencyError("min cut is not a half-integral LP optimum")
+    return value, point
+
+
+def _twosat_toward(
+    m: Assignment, variables: set[int], clauses: list[frozenset[int]]
+) -> dict[int, int]:
+    """A model over `variables` of the satisfiable binary `clauses`, leaning
+    toward m.
+
+    Each variable in ascending order takes m's value with every literal that value
+    implies; if that conflicts with the literals set so far, the opposite
+    value, which then cannot conflict (propagation in 2-CNF leaves a
+    subset of the clauses, so satisfiability is kept at every step).
+    """
+    succ: dict[int, list[int]] = {}
+    for a, b in map(tuple, clauses):
+        succ.setdefault(-a, []).append(b)
+        succ.setdefault(-b, []).append(a)
+    model: dict[int, int] = {}
+
+    def implied(lit: int) -> set[int] | None:
+        seen, stack = {lit}, [lit]
+        while stack:
+            for nxt in succ.get(stack.pop(), ()):
+                if abs(nxt) in model:
+                    if model[abs(nxt)] != (nxt > 0):
+                        return None
+                elif nxt not in seen:
+                    if -nxt in seen:
+                        return None
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
+    for v in sorted(variables):
+        if v not in model:
+            lit = v if m.value(v) else -v
+            forced = implied(lit) or implied(-lit)
+            if forced is None:
+                raise InternalConsistencyError("half-variable 2-SAT residue unsatisfiable")
+            model.update((abs(l), int(l > 0)) for l in forced)
+    return model
 
 
 def nsol_bijunctive_2approx(formula: Formula, m: Assignment) -> SolveOutcome:
     """Half-integral LP rounding for two-variable constraints, factor 2.
 
     Integral LP values are final; the half-valued variables induce a
-    sub-2-SAT instance that is completed by a deterministic 2-SAT model,
-    which preserves feasibility and at most doubles each half cost.
+    sub-2-SAT instance, completed by a model that keeps m's value where it
+    can.  That preserves feasibility and at most doubles each half cost.
+    A model m is its own nearest solution.
     """
     formula.check_length(m)
     n = formula.var_count
@@ -155,73 +233,40 @@ def nsol_bijunctive_2approx(formula: Formula, m: Assignment) -> SolveOutcome:
     if twosat_model(n, clauses) is None:
         raise Unsatisfiable("no model (2-SAT check)")
     if satisfies(formula, m):
-        return checked(NSOL, formula, m, [m], ratio(2), "bijunctive_2approx")
+        return checked(NSOL, formula, m, [m], exact(), "bijunctive_2approx")
     assign, residual, free = _propagated(formula, clauses)
-    index = {v: i for i, v in enumerate(free)}
-    cons = []
-    for clause in residual:
-        lits = sorted(clause, key=abs)
-        if len(lits) != 2:
-            raise InternalConsistencyError("bijunctive residual clause is not binary")
-        a, b = lits
-        ia, ib = index[abs(a)], index[abs(b)]
-        if a > 0 and b > 0:
-            cons.append(LinearConstraint.of({ia: 1, ib: 1}, GE, 1))
-        elif a < 0 and b < 0:
-            cons.append(LinearConstraint.of({ia: 1, ib: 1}, LE, 1))
-        elif a < 0 and b > 0:
-            cons.append(LinearConstraint.of({ia: 1, ib: -1}, LE, 0))
-        else:
-            cons.append(LinearConstraint.of({ib: 1, ia: -1}, LE, 0))
-    coeffs, constant = _distance_objective(m, free)
-    solved = lp_solve(LpProblem.minimize(len(free), coeffs, cons, constant))
-    if solved is None:
-        raise InternalConsistencyError("LP infeasible on a satisfiable 2-SAT system")
-    _, point = solved
-    halves = {free[i] for i, x in enumerate(point) if 0 < x < 1}
-    for v in halves:
-        if point[index[v]] != HALF:
-            raise InternalConsistencyError("LP vertex is not half-integral")
-    sub = [c for c in residual if all(abs(l) in halves for l in c)]
-    model = twosat_model(n, sub)
-    if model is None:
-        raise InternalConsistencyError("half-variable 2-SAT residue unsatisfiable")
-    witness = _completed(
-        n, assign, lambda v: model[v] if v in halves else int(point[index[v]] == 1)
-    )
+    _, point = half_integral_lp(free, residual, m)
+    halves = {v for v, x in point.items() if x.denominator == 2}
+    model = _twosat_toward(m, halves, [c for c in residual if all(abs(l) in halves for l in c)])
+    witness = _completed(n, assign, lambda v: model[v] if v in halves else int(point[v]))
     return checked(NSOL, formula, m, [witness], ratio(2), "bijunctive_2approx")
 
 
 def nsol_ihsb_rounding(
     formula: Formula, m: Assignment, width: int, dual: bool = False
 ) -> SolveOutcome:
-    """LP rounding at threshold 1/width for hitting-set-bounded languages."""
+    """LP rounding at threshold 1/width for hitting-set-bounded languages.
+
+    The residual after unit propagation is positive clauses of width at
+    most `width` and implications, so its LP relaxation is what `lp_solve`
+    takes.  Rounding back to m (value 0) is optimal.
+    """
     if dual:
         return via_dual(nsol_ihsb_rounding, formula, m, width)
     formula.check_length(m)
     n = formula.var_count
     assign, residual, free = _propagated(formula, cached_clauses(formula, "ihsb_pos", width))
     index = {v: i for i, v in enumerate(free)}
-    cons = []
-    for clause in residual:
-        pos = [l for l in clause if l > 0]
-        neg = [l for l in clause if l < 0]
-        if not neg:
-            cons.append(LinearConstraint.of({index[v]: 1 for v in pos}, GE, 1))
-        elif len(pos) == 1 and len(neg) == 1:
-            cons.append(
-                LinearConstraint.of({index[-neg[0]]: 1, index[pos[0]]: -1}, LE, 0)
-            )
-        else:
-            raise InternalConsistencyError("hitting-set residual clause out of shape")
-    coeffs, constant = _distance_objective(m, free)
-    solved = lp_solve(LpProblem.minimize(len(free), coeffs, cons, constant))
-    if solved is None:
-        raise Unsatisfiable("LP infeasible, formula has no model")
-    _, point = solved
+    constraints = tuple(
+        (tuple(index[l] for l in c if l > 0), tuple(index[-l] for l in c if l < 0))
+        for c in residual
+    )
+    objective = tuple(-1 if m.value(v) else 1 for v in free)
+    _, point = lp_solve(LpProblem(len(free), constraints, objective))
     threshold = Fraction(1, width)
     witness = _completed(n, assign, lambda v: int(point[index[v]] >= threshold))
-    return checked(NSOL, formula, m, [witness], ratio(width), "ihsb_rounding")
+    guarantee = exact() if witness == m else ratio(width)
+    return checked(NSOL, formula, m, [witness], guarantee, "ihsb_rounding")
 
 
 def nsol_feasible_napprox(formula: Formula, m: Assignment, cap: int = ORACLE_VAR_CAP) -> SolveOutcome:

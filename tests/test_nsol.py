@@ -19,6 +19,7 @@ from minsol.formulas import (
     satisfies,
 )
 from minsol.nsol import (
+    half_integral_lp,
     nsol_2affine,
     nsol_affine_exact,
     nsol_bijunctive_2approx,
@@ -100,6 +101,40 @@ class TestBijunctive2Approx:
         with pytest.raises(Unsatisfiable):
             nsol_bijunctive_2approx(f, A("00"))
 
+    def test_model_is_exact(self):
+        f = make_formula(lang(x=XOR2, impl=IMPL), 3, [("x", [1, 2]), ("impl", [2, 3])])
+        out = nsol_bijunctive_2approx(f, A("011"))
+        assert (out.value, str(out.guarantee)) == (0, "exact")
+
+
+class TestHalfIntegralLp:
+    def test_cut_is_the_lp_optimum(self):
+        # half the doubled network's cut is the LP optimum, at a half-integral point
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = random.Random(7)
+        for _ in range(400):
+            n = rng.randint(2, 12)
+            clauses = set()
+            for _ in range(rng.randint(0, 3 * n)):
+                a, b = rng.sample(range(1, n + 1), 2)
+                sa, sb = rng.choice(((1, 1), (-1, -1), (-1, 1)))  # or, nand, a -> b
+                clauses.add(frozenset({sa * a, sb * b}))
+            clauses = sorted(clauses, key=sorted)
+            m = random_assignment(rng, n)
+            value, point = half_integral_lp(list(range(1, n + 1)), clauses, m)
+            a_ub = [[-1 if v in c else 1 if -v in c else 0 for v in range(1, n + 1)]
+                    for c in clauses]
+            b_ub = [sum(l < 0 for l in c) - 1 for c in clauses]
+            cost = [-1 if m.value(v) else 1 for v in range(1, n + 1)]
+            res = linprog(cost, A_ub=a_ub or None, b_ub=b_ub or None,
+                          bounds=[(0, 1)] * n, method="highs")
+            assert res.status == 0
+            assert abs(float(value) - (res.fun + sum(m.bits))) < 1e-9
+            assert all(2 * x in (0, 1, 2) for x in point.values())
+            assert value == sum(abs(x - m.value(v)) for v, x in point.items())
+            for c in clauses:
+                assert sum(point[l] if l > 0 else 1 - point[-l] for l in c) >= 1
+
 
 class TestIhsbRounding:
     def test_or3(self):
@@ -111,7 +146,8 @@ class TestIhsbRounding:
     def test_model_returns_zero(self):
         f = make_formula(lang(impl=IMPL, t=T_REL, or2=OR2, f=F_REL), 2,
                          [("impl", [1, 2]), ("t", [1])])
-        assert nsol_ihsb_rounding(f, A("11"), 2).value == 0
+        out = nsol_ihsb_rounding(f, A("11"), 2)
+        assert (out.value, str(out.guarantee)) == (0, "exact")
 
     def test_unit_forces_exact(self):
         f = make_formula(lang(or2=OR2, f=F_REL, impl=IMPL, t=T_REL), 2,
