@@ -21,6 +21,8 @@ from .errors import InternalConsistencyError
 
 _BLAND_TRIGGER = 12
 
+Num = int | Fraction
+
 
 @dataclass(frozen=True)
 class LpProblem:
@@ -46,15 +48,15 @@ def lp_solve(problem: LpProblem) -> tuple[Fraction, list[Fraction]]:
     nonzero entries only.
     """
     n = problem.num_vars
-    rows: list[dict[int, int | Fraction]] = []
-    beta: list[int | Fraction] = []
+    rows: list[dict[int, Num]] = []
+    beta: list[Num] = []
     for pos, neg in problem.constraints:
         if not all(0 <= v < n for v in pos + neg):
             raise InternalConsistencyError("constraint variable out of range")
         if neg and (len(neg), len(pos)) != (1, 1):
-            raise InternalConsistencyError("constraint is neither a covering row nor an implication")
+            raise InternalConsistencyError("constraint is neither a cover nor an implication")
         # at x = 1, i.e. y = 0: surplus = sum(1 - y_pos) - 1 + sum(y_neg)
-        row: dict[int, int | Fraction] = {}
+        row: dict[int, Num] = {}
         for v in pos:
             row[v] = row.get(v, 0) - 1
         for v in neg:
@@ -64,7 +66,7 @@ def lp_solve(problem: LpProblem) -> tuple[Fraction, list[Fraction]]:
     m = len(rows)
     basis = list(range(n, n + m))
     flipped = [True] * n
-    red: dict[int, int | Fraction] = {v: -c for v, c in enumerate(problem.objective) if c}
+    red: dict[int, Num] = {v: -c for v, c in enumerate(problem.objective) if c}
     col_rows: list[set[int]] = [set() for _ in range(n + m)]
     for i, row in enumerate(rows):
         for v in row:
@@ -82,7 +84,7 @@ def lp_solve(problem: LpProblem) -> tuple[Fraction, list[Fraction]]:
         if enter == -1:
             break
         # the step: the entering variable's own bound, or the first basic bound
-        step: int | Fraction | None = 1 if enter < n else None
+        step: Num | None = 1 if enter < n else None
         leave = -1
         for i in col_rows[enter]:
             a, b = rows[i][enter], basis[i]
@@ -97,8 +99,11 @@ def lp_solve(problem: LpProblem) -> tuple[Fraction, list[Fraction]]:
         if step is None:
             raise InternalConsistencyError("unbounded LP despite box bounds")
         degenerate_run = degenerate_run + 1 if step == 0 else 0
-        if leave == -1:
-            _flip(rows, beta, red, col_rows, enter)
+        if leave == -1:  # x_enter moves to its other bound: store its complement
+            for i in col_rows[enter]:
+                beta[i] += rows[i][enter]
+                rows[i][enter] = -rows[i][enter]
+            red[enter] = -red[enter]
             flipped[enter] = not flipped[enter]
             continue
         b = basis[leave]
@@ -116,17 +121,15 @@ def lp_solve(problem: LpProblem) -> tuple[Fraction, list[Fraction]]:
     return sum((c * x for c, x in zip(problem.objective, point)), Fraction(0)), point
 
 
-def _flip(rows, beta, red, col_rows, col: int) -> None:
-    """Move nonbasic structural `col` to its other bound and store its complement."""
-    for i in col_rows[col]:
-        a = rows[i][col]
-        beta[i] += a
-        rows[i][col] = -a
-    if col in red:
-        red[col] = -red[col]
-
-
-def _pivot(rows, beta, red, basis, col_rows, r: int, col: int) -> None:
+def _pivot(
+    rows: list[dict[int, Num]],
+    beta: list[Num],
+    red: dict[int, Num],
+    basis: list[int],
+    col_rows: list[set[int]],
+    r: int,
+    col: int,
+) -> None:
     """Exchange basic `basis[r]` (leaving at 0) for nonbasic `col`."""
     row = rows[r]
     a = row.pop(col)

@@ -181,13 +181,12 @@ def half_integral_lp(
 def _twosat_toward(
     m: Assignment, variables: set[int], clauses: list[frozenset[int]]
 ) -> dict[int, int]:
-    """A model over `variables` of the satisfiable binary `clauses`, leaning
-    toward m.
+    """A model over `variables` of the satisfiable binary `clauses`, near m.
 
-    Each variable in ascending order takes m's value with every literal that value
-    implies; if that conflicts with the literals set so far, the opposite
-    value, which then cannot conflict (propagation in 2-CNF leaves a
-    subset of the clauses, so satisfiability is kept at every step).
+    Each variable in ascending order takes m's value and every literal it
+    implies; if that conflicts with the literals set so far, it takes the
+    other value, which cannot conflict: a consistent propagation in 2-CNF
+    leaves a subset of the clauses, so each step keeps them satisfiable.
     """
     succ: dict[int, list[int]] = {}
     for a, b in map(tuple, clauses):

@@ -42,7 +42,8 @@ class TestExamples:
 
     def test_implication_cycle_moves_together(self):
         # 0 -> 1 -> 2 -> 0 forces equal values; the row forces them up
-        value, point = lp_solve(lp(3, [1, -1, 1], implies(0, 1), implies(1, 2), implies(2, 0), cover(0)))
+        cycle = (implies(0, 1), implies(1, 2), implies(2, 0))
+        value, point = lp_solve(lp(3, [1, -1, 1], *cycle, cover(0)))
         assert value == 1 and point == [1, 1, 1]
 
     def test_no_constraints_is_box_optimum(self):
@@ -71,7 +72,8 @@ def random_covering_lp(rng: random.Random, n: int, k: int):
         cyc = rng.sample(range(n), rng.randint(2, min(n, 5)))
         cons += [implies(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
     rng.shuffle(cons)
-    objective = [rng.choice((-1, 1)) if rng.random() < 0.9 else rng.randint(-3, 3) for _ in range(n)]
+    objective = [rng.choice((-1, 1)) if rng.random() < 0.9 else rng.randint(-3, 3)
+                 for _ in range(n)]
     return lp(n, objective, *cons)
 
 
