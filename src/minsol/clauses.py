@@ -2,48 +2,34 @@
 
 Clauses over a formula are frozensets of signed 1-based literals
 (+v / -v); tautologies are dropped at extraction time.  Parity
-constraints are (variable set, bit) pairs with repeated variables
-cancelled out.  The engines here (unit propagation, implication-graph
-2-SAT, Horn propagation) are deterministic so every solver built on
-them is reproducible.
+equations are bit-packed (row, bit) pairs with repeated variables
+cancelled out.  A `ClauseIndex`, cached per formula and shape, serves
+every propagation: counter-based unit propagation, linear in the clauses
+it touches, and for binary clauses the implication graph, condensed into
+strongly connected components whose bitset closure gives every
+literal's probe at once.  The engines (unit propagation,
+implication-graph 2-SAT, Horn propagation) are deterministic so every
+solver built on them is reproducible.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import gf2
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, Unsatisfiable
 from .formulas import Assignment, Formula
-from .relations import Clause, cnf_decompose
+from .relations import cnf_decompose
 
 LitClause = frozenset[int]
 
 
-def map_clause(clause: Clause, var_tuple: Sequence[int]) -> LitClause | None:
-    """Instantiate a coordinate clause on atom variables; None if tautological."""
-    pos = {var_tuple[i] for i in clause.positives}
-    neg = {var_tuple[i] for i in clause.negatives}
-    if pos & neg:
-        return None
-    return frozenset(pos | {-v for v in neg})
-
-
-def formula_clauses(formula: Formula, shape: str, k: int | None = None) -> list[LitClause]:
-    """Decompose every atom into the shape and map onto formula variables."""
-    out: set[LitClause] = set()
-    for name, vars_ in formula.atoms:
-        rel = formula.relation(name)
-        for cl in cnf_decompose(rel, shape, k):
-            mapped = map_clause(cl, vars_)
-            if mapped is not None:
-                out.add(mapped)
-    return sorted(out, key=lambda c: (len(c), sorted(abs(l) for l in c), sorted(c)))
-
-
-def formula_parity(formula: Formula) -> list[tuple[frozenset[int], int]]:
-    """GF(2) equations of an affine formula, repeated variables cancelled."""
+@functools.lru_cache(maxsize=64)
+def parity_rows(formula: Formula) -> tuple[tuple[int, int], ...]:
+    """GF(2) equations of an affine formula as (row, bit) pairs, rows the
+    codes of `Assignment.code()`, repeated variables cancelled."""
+    n = formula.var_count
     out: set[tuple[frozenset[int], int]] = set()
     for name, vars_ in formula.atoms:
         rel = formula.relation(name)
@@ -54,10 +40,11 @@ def formula_parity(formula: Formula) -> list[tuple[frozenset[int], int]]:
             bit = cl.parity_bit
             if not support:
                 if bit:  # 0 = 1: the atom is unsatisfiable under identification
-                    return [(frozenset(), 1)]
+                    return ((0, 1),)
                 continue
             out.add((frozenset(support), bit))
-    return sorted(out, key=lambda e: (len(e[0]), sorted(e[0]), e[1]))
+    equations = sorted(out, key=lambda e: (len(e[0]), sorted(e[0]), e[1]))
+    return tuple((sum(1 << (n - v) for v in vs), bit) for vs, bit in equations)
 
 
 def affine_solve(
@@ -67,187 +54,247 @@ def affine_solve(
     `Assignment.code()`) of the formula's parity equations plus the unit
     `assumptions`; None iff they are inconsistent."""
     n = formula.var_count
-    equations = [(sum(1 << (n - v) for v in vs), bit) for vs, bit in formula_parity(formula)]
-    equations += [(1 << (n - v), b) for v, b in (assumptions or {}).items()]
-    return gf2.solve_affine(equations, n)
+    units = [(1 << (n - v), b) for v, b in (assumptions or {}).items()]
+    return gf2.solve_affine([*parity_rows(formula), *units], n)
+
+
+class ClauseIndex:
+    """A clause list over variables 1..n (by default the largest one seen)
+    prepared for propagation, each part built on first use: the unit
+    clauses, and the positions of the longer clauses by literal.
+    Propagation keeps a count of each touched clause's literals not yet set
+    false (Dowling and Gallier, J. Logic Programming 1(3), 1984), so it is
+    linear in the clauses it touches."""
+
+    def __init__(self, clauses: Iterable[LitClause], n: int | None = None) -> None:
+        self.clauses = tuple(clauses)
+        self.n = max((abs(l) for c in self.clauses for l in c), default=0) if n is None else n
+
+    @functools.cached_property
+    def units(self) -> list[int]:
+        return [l for c in self.clauses if len(c) == 1 for l in c]
+
+    @functools.cached_property
+    def occurs(self) -> dict[int, list[int]]:
+        occurs: dict[int, list[int]] = {}
+        for i, c in enumerate(self.clauses):
+            if len(c) > 1:
+                for lit in c:
+                    occurs.setdefault(lit, []).append(i)
+        return occurs
+
+    def _spread(self, lits: Iterable[int]) -> dict[int, int] | None:
+        """The assignment that sets `lits` and every literal they force, or
+        None on conflict."""
+        clauses, occurs = self.clauses, self.occurs
+        assign: dict[int, int] = {}
+        for lit in lits:
+            if assign.setdefault(abs(lit), int(lit > 0)) != (lit > 0):
+                return None
+        queue = [v if b else -v for v, b in assign.items()]
+        left: dict[int, int] = {}  # touched clause -> literals not yet processed as false
+        while queue:
+            for i in occurs.get(-queue.pop(), ()):
+                left[i] = k = left.get(i, len(clauses[i])) - 1
+                # one literal not yet processed as false: true, forced now, or a conflict
+                if k == 1:
+                    for l in clauses[i]:
+                        b = assign.get(abs(l))
+                        if b is None:
+                            assign[abs(l)] = int(l > 0)
+                            queue.append(l)
+                            break
+                        if b == (l > 0):
+                            break
+                    else:
+                        return None
+        return assign
+
+    def probe(self, lit: int) -> set[int] | None:
+        """The literals unit propagation forces from `lit`, itself included;
+        None if it conflicts."""
+        forced = self._spread([lit, *self.units])
+        return None if forced is None else {v if b else -v for v, b in forced.items()}
+
+    @functools.cached_property
+    def reduced(self) -> tuple[dict[int, int], ClauseIndex]:
+        """Forced values (shared: do not mutate) and the index of the
+        residual clauses; raises Unsatisfiable on conflict."""
+        propagated = unit_propagate(self)
+        if propagated is None:
+            raise Unsatisfiable("unit propagation conflict")
+        return propagated[0], ClauseIndex(propagated[1], self.n)
+
+    @functools.cached_property
+    def succ(self) -> dict[int, list[int]]:
+        """The implication graph of the clauses with one or two literals:
+        (a or b) gives -a -> b and -b -> a, a unit (a) gives -a -> a."""
+        succ: dict[int, list[int]] = {}
+        for c in self.clauses:
+            if len(c) == 1:
+                (a,) = c
+                succ.setdefault(-a, []).append(a)
+            elif len(c) == 2:
+                a, b = sorted(c)
+                succ.setdefault(-a, []).append(b)
+                succ.setdefault(-b, []).append(a)
+        return succ
+
+    def bit(self, lit: int) -> int:
+        """Literal bitset layout: v at bit n - v, the code bit of v in
+        `Assignment.code()`, and -v n bits higher."""
+        return 1 << (self.n - lit if lit > 0 else 2 * self.n + lit)
+
+    @functools.cached_property
+    def closure(self) -> tuple[dict[int, int], list[int]]:
+        """Each literal's strongly connected component in `succ` (Aspvall,
+        Plass and Tarjan, IPL 8(3), 1979), and per component the bitset of
+        the literals it reaches, ORed up in Tarjan's order, successors
+        first.  On clauses of exactly two literals a literal's set is its
+        unit-propagation probe, which fails iff it holds the negation."""
+        succ, bit = self.succ, self.bit
+        comp = _tarjan_scc(succ, succ)  # from every literal with a successor
+        reach = [0] * (max(comp.values(), default=-1) + 1)
+        for lit, c in comp.items():  # in numbering order, components contiguous
+            reach[c] |= bit(lit)
+            for nxt in succ.get(lit, ()):
+                reach[c] |= reach[comp[nxt]]
+        for lit in (l for v in range(1, self.n + 1) for l in (v, -v) if l not in comp):
+            comp[lit] = len(reach)
+            reach.append(bit(lit))
+        return comp, reach
+
+    def reach(self, lit: int) -> int:
+        comp, reach = self.closure
+        return reach[comp[lit]]
+
+    def setting(self, code: int, lits: int) -> int | None:
+        """The assignment code `code` with every literal of the bitset
+        `lits` made true; None if `lits` holds a literal and its negation."""
+        ones, zeros = lits & ((1 << self.n) - 1), lits >> self.n
+        return None if ones & zeros else (code | ones) & ~zeros
+
+
+@functools.lru_cache(maxsize=64)
+def clause_index(formula: Formula, shape: str, k: int | None = None) -> ClauseIndex:
+    """The index of `cached_clauses(formula, shape, k)`, built once."""
+    return ClauseIndex(cached_clauses(formula, shape, k), formula.var_count)
 
 
 def unit_propagate(
-    clauses: Iterable[LitClause], assumptions: dict[int, int] | None = None
+    clauses: Iterable[LitClause] | ClauseIndex, assumptions: dict[int, int] | None = None
 ) -> tuple[dict[int, int], list[LitClause]] | None:
     """Propagate forced literals; None on conflict.
 
     Returns the forced assignment and the residual clauses (references to
-    unforced variables only).
+    unforced variables only), in clause order.
     """
-    assign: dict[int, int] = {}
-
-    def set_lit(lit: int) -> bool:
-        v, b = abs(lit), int(lit > 0)
-        if v in assign:
-            return assign[v] == b
-        assign[v] = b
-        return True
-
-    for v, b in (assumptions or {}).items():
-        if not set_lit(v if b else -v):
-            return None
-    pending: list[LitClause] = []
-    for c in clauses:
-        if len(c) == 1:
-            if not set_lit(next(iter(c))):
-                return None
-        else:
-            pending.append(c)
-    changed = True
-    while changed:
-        changed = False
-        survivors: list[LitClause] = []
-        for c in pending:
-            live: list[int] = []
-            satisfied = False
-            for lit in c:
-                v = abs(lit)
-                if v in assign:
-                    if assign[v] == (lit > 0):
-                        satisfied = True
-                        break
-                else:
-                    live.append(lit)
-            if satisfied:
-                continue
-            if not live:
-                return None
-            if len(live) == 1:
-                if not set_lit(live[0]):
-                    return None
-                changed = True
-                continue
-            survivors.append(frozenset(live))
-        pending = survivors
-    return assign, pending
+    index = clauses if isinstance(clauses, ClauseIndex) else ClauseIndex(clauses)
+    lits = [v if b else -v for v, b in (assumptions or {}).items()]
+    assign = index._spread([*lits, *index.units]) if all(index.clauses) else None
+    if assign is None:
+        return None
+    satisfied: set[int] = set()
+    touched: set[int] = set()
+    for lit in (v if b else -v for v, b in assign.items()):
+        satisfied.update(index.occurs.get(lit, ()))
+        touched.update(index.occurs.get(-lit, ()))
+    residual = [
+        frozenset(l for l in c if abs(l) not in assign) if i in touched else c
+        for i, c in enumerate(index.clauses)
+        if len(c) > 1 and i not in satisfied
+    ]
+    return assign, residual
 
 
 def twosat_model(
-    n: int, clauses: Iterable[LitClause], assumptions: dict[int, int] | None = None
-) -> dict[int, int] | None:
+    index: ClauseIndex, assumptions: dict[int, int] | None = None
+) -> Assignment | None:
     """Deterministic 2-SAT model via the implication graph, or None.
 
-    Clauses must have at most two literals.
+    Clauses must have one or two literals.
     """
-    lits: list[LitClause] = list(clauses)
-    for v, b in (assumptions or {}).items():
-        lits.append(frozenset({v if b else -v}))
-    # literal encoding: var v -> 2v (positive), 2v+1 (negative)
-    def enc(lit: int) -> int:
-        return 2 * abs(lit) + (0 if lit > 0 else 1)
-
-    adj: dict[int, list[int]] = {}
-
-    def edge(u: int, w: int) -> None:
-        adj.setdefault(u, []).append(w)
-        adj.setdefault(w, [])
-
-    used_vars: set[int] = set()
-    for c in lits:
-        items = sorted(c)
-        used_vars.update(abs(l) for l in items)
-        if len(items) == 1:
-            (a,) = items
-            edge(enc(-a), enc(a))
-        elif len(items) == 2:
-            a, b = items
-            edge(enc(-a), enc(b))
-            edge(enc(-b), enc(a))
-        else:
-            raise InternalConsistencyError("twosat_model got a clause with >2 literals")
-    for v in range(1, n + 1):
-        adj.setdefault(2 * v, [])
-        adj.setdefault(2 * v + 1, [])
-    comp = _tarjan_scc(adj)
-    model: dict[int, int] = {}
-    for v in range(1, n + 1):
-        cp, cn = comp[2 * v], comp[2 * v + 1]
-        if cp == cn:
-            return None
-        # Tarjan numbers components in reverse topological order, so the
-        # smaller id sits closer to the sinks and wins the assignment.
-        model[v] = int(cp < cn)
-    return model
+    if any(not 0 < len(c) <= 2 for c in index.clauses):
+        raise InternalConsistencyError("twosat_model got a clause with >2 literals")
+    adj = index.succ
+    if assumptions:
+        adj = dict(adj)
+        for lit in (v if b else -v for v, b in assumptions.items()):
+            adj[-lit] = [*adj.get(-lit, ()), lit]
+    variables = range(1, index.n + 1)
+    comp = _tarjan_scc([l for v in variables for l in (v, -v)], adj)
+    if any(comp[v] == comp[-v] for v in variables):
+        return None
+    # Tarjan numbers components in reverse topological order, so the
+    # smaller id sits closer to the sinks and wins the assignment.
+    return Assignment(tuple(int(comp[v] < comp[-v]) for v in variables))
 
 
-def _tarjan_scc(adj: dict[int, list[int]]) -> dict[int, int]:
+def _tarjan_scc(roots: Iterable[int], adj: dict[int, list[int]]) -> dict[int, int]:
+    """Strongly connected components of the nodes reachable from `roots`,
+    numbered in output order: every arc leads to the same or a smaller
+    number.  A visited node stays on Tarjan's stack until it is numbered."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     comp: dict[int, int] = {}
-    on_stack: set[int] = set()
     stack: list[int] = []
-    counter = 0
     comp_count = 0
-    for root in sorted(adj):
+    for root in roots:
         if root in index:
             continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter
-        counter += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(adj.get(root, ())))]
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
                 if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
+                    index[nxt] = low[nxt] = len(index)
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj[nxt])))
-                    advanced = True
+                    work.append((nxt, iter(adj.get(nxt, ()))))
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = comp_count
-                    if w == node:
-                        break
-                comp_count += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if nxt not in comp and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = comp_count
+                        if w == node:
+                            break
+                    comp_count += 1
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
     return comp
 
 
 def horn_model(
-    n: int,
-    clauses: Iterable[LitClause],
-    assumptions: dict[int, int] | None = None,
-    default: int = 0,
-) -> dict[int, int] | None:
+    index: ClauseIndex, assumptions: dict[int, int] | None = None, default: int = 0
+) -> Assignment | None:
     """Deterministic Horn/dual-Horn model: propagate, fill with `default`."""
-    propagated = unit_propagate(clauses, assumptions)
+    propagated = unit_propagate(index, assumptions)
     if propagated is None:
         return None
     assign, residual = propagated
-    model = {v: assign.get(v, default) for v in range(1, n + 1)}
-    for c in residual:
-        if not any((l > 0) == bool(model[abs(l)]) for l in c):
-            return None
-    return model
-
-
-def assignment_from(model: dict[int, int], n: int) -> Assignment:
-    return Assignment(tuple(model.get(v, 0) for v in range(1, n + 1)))
+    model = tuple(assign.get(v, default) for v in range(1, index.n + 1))
+    if any(not any((l > 0) == bool(model[abs(l) - 1]) for l in c) for c in residual):
+        return None
+    return Assignment(model)
 
 
 @functools.lru_cache(maxsize=4096)
 def _formula_clause_cache(formula: Formula, shape: str, k: int | None) -> tuple[LitClause, ...]:
-    return tuple(formula_clauses(formula, shape, k))
+    """Every atom decomposed into the shape and mapped onto formula
+    variables, tautologies dropped."""
+    out: set[LitClause] = set()
+    for name, vars_ in formula.atoms:
+        for cl in cnf_decompose(formula.relation(name), shape, k):
+            pos = {vars_[i] for i in cl.positives}
+            neg = {vars_[i] for i in cl.negatives}
+            if not pos & neg:
+                out.add(frozenset(pos | {-v for v in neg}))
+    return tuple(sorted(out, key=lambda c: (len(c), sorted(abs(l) for l in c), sorted(c))))
 
 
 def cached_clauses(formula: Formula, shape: str, k: int | None = None) -> tuple[LitClause, ...]:

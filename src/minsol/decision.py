@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .clauses import affine_solve, assignment_from, cached_clauses, horn_model, twosat_model
+from .clauses import affine_solve, clause_index, horn_model, twosat_model
 from .errors import NotAModel, TooLarge
 from .formulas import (
     ORACLE_VAR_CAP,
@@ -58,14 +58,11 @@ def sat_solve(
             return Assignment((1,) * n)
     flags = _language_flags(formula)
     if "horn" in flags:
-        model = horn_model(n, cached_clauses(formula, "horn"), assumptions, default=0)
-        return None if model is None else assignment_from(model, n)
+        return horn_model(clause_index(formula, "horn"), assumptions, default=0)
     if "dual_horn" in flags:
-        model = horn_model(n, cached_clauses(formula, "dual_horn"), assumptions, default=1)
-        return None if model is None else assignment_from(model, n)
+        return horn_model(clause_index(formula, "dual_horn"), assumptions, default=1)
     if "bijunctive" in flags:
-        model = twosat_model(n, cached_clauses(formula, "bijunctive"), assumptions)
-        return None if model is None else assignment_from(model, n)
+        return twosat_model(clause_index(formula, "bijunctive"), assumptions)
     if "affine" in flags:
         solved = affine_solve(formula, assumptions)
         return None if solved is None else Assignment.from_code(solved[0], n)

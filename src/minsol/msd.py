@@ -1,20 +1,28 @@
 """Minimum-distance-between-models solvers.
 
 The bijunctive and Horn routes read which literals force which others off
-probes: unit propagation from one assumed literal.  On 2-CNF a probe
-finds every literal the assumption implies, and so does a positive probe
-on Horn clauses; a probe that fails forces the opposite literal.  The
-bijunctive route flips a minimal class of literals whose probes contain
-each other; the Horn route flips a minimal class of variables that has no
-dependent variable.  Affine languages reduce to minimum code weight,
-everything else gets the two-models n-approximation or the capped
-exhaustive fallback.
+probes: the literals one assumed literal implies.  On 2-CNF every probe
+comes at once from the bitset closure of the implication graph's
+strongly connected components; on Horn clauses a positive probe is
+counter-based unit propagation from one variable.  A probe that fails
+forces the opposite literal.  The bijunctive route flips a minimal
+class of literals, an SCC; the Horn route flips a minimal class of
+variables with equal probes that has no dependent variable.  Affine
+languages reduce to minimum code weight, everything else gets the
+two-models n-approximation or the capped exhaustive fallback.
 """
 
 from __future__ import annotations
 
 from . import gf2
-from .clauses import LitClause, affine_solve, cached_clauses, twosat_model, unit_propagate
+from .clauses import (
+    ClauseIndex,
+    LitClause,
+    affine_solve,
+    clause_index,
+    twosat_model,
+    unit_propagate,
+)
 from .decision import tssat
 from .dispatch import Route, checked, dispatch, via_dual
 from .errors import (
@@ -32,132 +40,92 @@ from .formulas import (
 from .outcome import SolveOutcome, exact, n_approx
 
 
-def _probe(clauses: list[LitClause], lit: int) -> set[int] | None:
-    """The literals unit propagation forces from `lit`, itself included;
-    None if it conflicts.  On 2-CNF, and on Horn clauses from a positive
-    `lit`, these are exactly the literals `lit` implies."""
-    propagated = unit_propagate(clauses, {abs(lit): int(lit > 0)})
-    if propagated is None:
-        return None
-    return {v if b else -v for v, b in propagated[0].items()}
+def _force_failed(
+    forced: dict[int, int], residual: ClauseIndex, failed: list[int]
+) -> tuple[dict[int, int], list[LitClause]]:
+    """Force the negation of every failed probe; the forced values and the
+    residual clauses over the variables still free.
 
-
-def _probed(
-    formula: Formula, shape: str, signs: tuple[int, ...]
-) -> tuple[dict[int, int], list[LitClause], dict[int, set[int]]]:
-    """Forced values, the residual clauses over the unforced variables, and
-    the probe of every unforced literal of the given signs, cut down to
-    those literals.
-
-    Unit propagation over the formula's clauses of `shape` forces the
-    first values; then every literal whose probe fails forces its
-    negation.  One round is enough: on 2-CNF and Horn clauses a probe
-    fails exactly when the formula implies the negation.
+    One round is enough: on 2-CNF and Horn clauses a probe fails exactly
+    when the formula implies the negation.
     """
-    n = formula.var_count
-    propagated = unit_propagate(cached_clauses(formula, shape))
+    fixed = {abs(lit): int(lit < 0) for lit in failed}
+    propagated = unit_propagate(residual, fixed) if len(fixed) == len(failed) else None
     if propagated is None:
         raise Unsatisfiable("formula has no model")
-    forced, residual = propagated
-    probes = {
-        s * v: _probe(residual, s * v) for v in range(1, n + 1) if v not in forced for s in signs
-    }
-    failed = [frozenset({-lit}) for lit, probe in probes.items() if probe is None]
-    propagated = unit_propagate([*residual, *failed])
-    if propagated is None:
-        raise Unsatisfiable("formula has no model")
-    forced.update(propagated[0])
-    if len(forced) == n:
+    if len(forced) + len(propagated[0]) == residual.n:
         raise UniqueModel("all variables are forced")
-    free = {lit for lit in probes if abs(lit) not in forced}
-    return forced, propagated[1], {lit: probes[lit] & free for lit in probes if lit in free}
-
-
-def _classes(probes: dict[int, set[int]]) -> tuple[dict[int, int], dict[int, list[int]]]:
-    """Classes of probed literals whose probes contain each other: the class
-    root of each literal, and the members of each class."""
-    root: dict[int, int] = {}
-    classes: dict[int, list[int]] = {}
-    for x, probe in probes.items():
-        if x not in root:
-            classes[x] = [y for y in probe if x in probes[y]]
-            root.update(dict.fromkeys(classes[x], x))
-    return root, classes
+    return {**forced, **propagated[0]}, propagated[1]
 
 
 def msd_bijunctive(formula: Formula) -> SolveOutcome:
-    """Minimal literal-equivalence class, read off unit-propagation probes."""
+    """Minimal literal-equivalence class: an SCC of the implication graph
+    of the residual binary clauses, flipped with what it implies and what
+    its negation implies, read off the closure bitsets."""
     n = formula.var_count
-    forced, residual, probes = _probed(formula, "bijunctive", (1, -1))
-    root, classes = _classes(probes)
-    pivot_root = min(
-        classes, key=lambda r: (len(classes[r]), sorted((abs(l), l < 0) for l in classes[r]))
-    )
-    # the pivot implies its successors and is implied by its predecessors
-    succs = {root[y] for y in probes[pivot_root]} - {pivot_root}
-    preds = {root[-y] for y in probes[-pivot_root]} - {pivot_root}
-    base = twosat_model(n, residual)
+    forced, index = clause_index(formula, "bijunctive").reduced
+    comp, _ = index.closure
+    probed = [s * v for v in range(1, n + 1) if v not in forced for s in (1, -1)]
+    failed = [lit for lit in probed if index.reach(lit) & index.bit(-lit)]
+    forced, residual = _force_failed(forced, index, failed)
+    free = [lit for lit in probed if abs(lit) not in forced]
+    classes: dict[int, list[int]] = {}
+    for lit in free:
+        classes.setdefault(comp[lit], []).append(lit)
+    pivot = min(classes.values(), key=lambda c: (len(c), sorted((abs(l), l < 0) for l in c)))
+    base = twosat_model(ClauseIndex(residual, n))
     if base is None:
         raise InternalConsistencyError("probes satisfiable but 2-SAT failed")
+    code = sum(forced.get(v, base.value(v)) << (n - v) for v in range(1, n + 1))
+    pos, neg = sum(index.bit(l) for l in pivot), sum(index.bit(-l) for l in pivot)
+    # the free literals the pivot class or its negation implies hold either way
+    implied = index.reach(pivot[0]) | index.reach(-pivot[0])
+    implied &= sum(index.bit(l) for l in free) & ~(pos | neg)
 
-    def literal_rule(l: int, pivot_value: int) -> int | None:
-        if root[l] == pivot_root:
-            return pivot_value
-        if root[l] in preds:
-            return 0
-        if root[l] in succs:
-            return 1
-        return None
+    def build(true: int) -> Assignment:
+        built = index.setting(code, true)
+        if built is None:
+            raise InternalConsistencyError("contradictory literal class values")
+        return Assignment.from_code(built, n)
 
-    def build(pivot_value: int) -> Assignment:
-        bits = [forced.get(v, 0) for v in range(1, n + 1)]
-        for v in {abs(l) for l in probes}:
-            rp = literal_rule(v, pivot_value)
-            rn = literal_rule(-v, pivot_value)
-            if rp is None and rn is None:
-                val = base[v]
-            elif rn is None:
-                val = rp
-            elif rp is None:
-                val = 1 - rn
-            else:
-                if rp != 1 - rn:
-                    raise InternalConsistencyError("contradictory literal class values")
-                val = rp
-            bits[v - 1] = val
-        return Assignment(tuple(bits))
-
-    w1, w2 = build(0), build(1)
+    w1, w2 = build(implied | neg), build(implied | pos)
     out = checked(MSD, formula, None, [w1, w2], exact(), "bijunctive_classes")
-    if out.value != len(classes[pivot_root]):
+    if out.value != len(pivot):
         raise InternalConsistencyError("pivot class size does not match the distance")
     return out
 
 
 def msd_horn(formula: Formula, dual: bool = False) -> SolveOutcome:
     """Minimal variable class without dependent variables, read off the
-    positive unit-propagation probes."""
+    positive unit-propagation probes: variables whose probes contain each
+    other, that is, have equal probes."""
     if dual:
         return via_dual(msd_horn, formula, None)
     n = formula.var_count
-    forced, residual, probes = _probed(formula, "horn", (1,))
-    root, classes = _classes(probes)
+    forced, index = clause_index(formula, "horn").reduced
+    probes = {v: index.probe(v) for v in range(1, n + 1) if v not in forced}
+    forced, residual = _force_failed(forced, index, [v for v, p in probes.items() if p is None])
+    free = {v for v in probes if v not in forced}
+    classes: dict[frozenset[int], list[int]] = {}
+    for v in free:
+        classes.setdefault(frozenset(probes[v] & free), []).append(v)
+    root = {v: probe for probe, members in classes.items() for v in members}
     # z is dependent when a clause derives it from variables it implies
     # but is not equivalent to
-    dependent: set[int] = set()
+    dependent: set[frozenset[int]] = set()
     for cl in residual:
         pos = [l for l in cl if l > 0]
         if len(pos) != 1:
             continue
         z = pos[0]
-        if all(-l in probes[z] and root[-l] != root[z] for l in cl if l < 0):
+        if all(-l in root[z] and root[-l] != root[z] for l in cl if l < 0):
             dependent.add(root[z])
     eligible = [r for r in classes if r not in dependent]
     if not eligible:
         raise InternalConsistencyError("no class without dependent variables")
     pivot_root = min(eligible, key=lambda r: (len(classes[r]), sorted(classes[r])))
     pivot = set(classes[pivot_root])
-    implied = probes[pivot_root] - pivot
+    implied = pivot_root - pivot
 
     def build(pivot_value: int) -> Assignment:
         bits = [forced.get(v, 0) for v in range(1, n + 1)]

@@ -12,10 +12,10 @@ the residual, and dispatches per the nearest-solution classification.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import gf2
-from .clauses import affine_solve, cached_clauses, twosat_model, unit_propagate
+from .clauses import ClauseIndex, affine_solve, clause_index, twosat_model
 from .decision import sat_solve
 from .dispatch import Route, checked, dispatch, via_dual
 from .errors import (
@@ -33,17 +33,6 @@ from .formulas import (
 from .flow import INF, FlowNetwork
 from .lp import LpProblem, lp_solve
 from .outcome import SolveOutcome, exact, n_approx, ratio
-
-
-def _propagated(
-    formula: Formula, clauses: tuple[frozenset[int], ...]
-) -> tuple[dict[int, int], list[frozenset[int]], list[int]]:
-    """Forced values, residual clauses and the free variables, ascending."""
-    propagated = unit_propagate(clauses)
-    if propagated is None:
-        raise Unsatisfiable("unit propagation conflict")
-    assign, residual = propagated
-    return assign, residual, [v for v in range(1, formula.var_count + 1) if v not in assign]
 
 
 def _completed(n: int, assign: dict[int, int], value: Callable[[int], int]) -> Assignment:
@@ -107,10 +96,11 @@ def nsol_monotone(formula: Formula, m: Assignment) -> SolveOutcome:
     """Exact nearest solution for implication/unit systems via minimum cut."""
     formula.check_length(m)
     n = formula.var_count
-    assign, residual, free = _propagated(formula, cached_clauses(formula, "monotone"))
+    assign, residual = clause_index(formula, "monotone").reduced
+    free = [v for v in range(1, n + 1) if v not in assign]
     index = {v: i for i, v in enumerate(free)}
     arcs = []
-    for clause in residual:
+    for clause in residual.clauses:
         pos = [l for l in clause if l > 0]
         neg = [-l for l in clause if l < 0]
         if len(pos) != 1 or len(neg) != 1:
@@ -142,7 +132,7 @@ def nsol_affine_exact(formula: Formula, m: Assignment) -> SolveOutcome:
 
 
 def half_integral_lp(
-    free: list[int], clauses: list[frozenset[int]], m: Assignment
+    free: list[int], clauses: Iterable[frozenset[int]], m: Assignment
 ) -> tuple[Fraction, dict[int, Fraction]]:
     """Optimum of the LP relaxation of binary clauses over the `free`
     variables, min sum |x_v - m(v)|, and a half-integral optimal point.
@@ -178,26 +168,23 @@ def half_integral_lp(
     return value, point
 
 
-def _twosat_toward(
-    m: Assignment, variables: set[int], clauses: list[frozenset[int]]
-) -> dict[int, int]:
-    """A model over `variables` of the satisfiable binary `clauses`, near m.
+def _twosat_toward(m: Assignment, variables: set[int], index: ClauseIndex) -> dict[int, int]:
+    """A model over `variables` of the satisfiable binary clauses of `index`
+    that mention only `variables`, near m.
 
     Each variable in ascending order takes m's value and every literal it
     implies; if that conflicts with the literals set so far, it takes the
     other value, which cannot conflict: a consistent propagation in 2-CNF
     leaves a subset of the clauses, so each step keeps them satisfiable.
     """
-    succ: dict[int, list[int]] = {}
-    for a, b in map(tuple, clauses):
-        succ.setdefault(-a, []).append(b)
-        succ.setdefault(-b, []).append(a)
     model: dict[int, int] = {}
 
     def implied(lit: int) -> set[int] | None:
         seen, stack = {lit}, [lit]
         while stack:
-            for nxt in succ.get(stack.pop(), ()):
+            for nxt in index.succ.get(stack.pop(), ()):
+                if abs(nxt) not in variables:
+                    continue
                 if abs(nxt) in model:
                     if model[abs(nxt)] != (nxt > 0):
                         return None
@@ -228,15 +215,15 @@ def nsol_bijunctive_2approx(formula: Formula, m: Assignment) -> SolveOutcome:
     """
     formula.check_length(m)
     n = formula.var_count
-    clauses = cached_clauses(formula, "bijunctive")
-    if twosat_model(n, clauses) is None:
+    if twosat_model(clause_index(formula, "bijunctive")) is None:
         raise Unsatisfiable("no model (2-SAT check)")
     if satisfies(formula, m):
         return checked(NSOL, formula, m, [m], exact(), "bijunctive_2approx")
-    assign, residual, free = _propagated(formula, clauses)
-    _, point = half_integral_lp(free, residual, m)
+    assign, residual = clause_index(formula, "bijunctive").reduced
+    free = [v for v in range(1, n + 1) if v not in assign]
+    _, point = half_integral_lp(free, residual.clauses, m)
     halves = {v for v, x in point.items() if x.denominator == 2}
-    model = _twosat_toward(m, halves, [c for c in residual if all(abs(l) in halves for l in c)])
+    model = _twosat_toward(m, halves, residual)
     witness = _completed(n, assign, lambda v: model[v] if v in halves else int(point[v]))
     return checked(NSOL, formula, m, [witness], ratio(2), "bijunctive_2approx")
 
@@ -254,11 +241,12 @@ def nsol_ihsb_rounding(
         return via_dual(nsol_ihsb_rounding, formula, m, width)
     formula.check_length(m)
     n = formula.var_count
-    assign, residual, free = _propagated(formula, cached_clauses(formula, "ihsb_pos", width))
+    assign, residual = clause_index(formula, "ihsb_pos", width).reduced
+    free = [v for v in range(1, n + 1) if v not in assign]
     index = {v: i for i, v in enumerate(free)}
     constraints = tuple(
         (tuple(index[l] for l in c if l > 0), tuple(index[-l] for l in c if l < 0))
-        for c in residual
+        for c in residual.clauses
     )
     objective = tuple(-1 if m.value(v) else 1 for v in free)
     _, point = lp_solve(LpProblem(len(free), constraints, objective))

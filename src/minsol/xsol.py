@@ -1,21 +1,21 @@
 """Next-solution solvers: the closest other model of a given one.
 
 The exact polynomial routes for bijunctive and hitting-set-bounded
-languages flip one variable at a time and probe it: unit propagation
-from the flipped value, through every binary clause (bijunctive) or
-through the implications only (hitting-set), sets the literals the flip
-forces, and the nearest candidate that is a model wins.  The affine
-route goes through minimum code weight, the Horn route answers a single
-flip of m when one is a model (distance 1 is optimal) and otherwise is
-an oracle enumeration up to the variable cap and a reduction to
-nearest-solution beyond it, and an n-approximation uses the second-model
-decision procedure.
+languages flip one variable at a time and set every literal the flipped
+value implies, through every binary clause (bijunctive) or through the
+implications only (hitting-set): one bitset of the implication graph's
+closure per flip.  The nearest candidate that is a model wins.  The
+affine route goes through minimum code weight, the Horn route answers a
+single flip of m when one is a model (distance 1 is optimal) and
+otherwise is an oracle enumeration up to the variable cap and a
+reduction to nearest-solution beyond it, and an n-approximation uses the
+second-model decision procedure.
 """
 
 from __future__ import annotations
 
 from . import gf2
-from .clauses import LitClause, affine_solve, cached_clauses, unit_propagate
+from .clauses import ClauseIndex, LitClause, affine_solve, clause_index
 from .decision import another_sat
 from .dispatch import Route, checked, dispatch, via_dual
 from .errors import (
@@ -29,33 +29,27 @@ from .formulas import (
     XSOL,
     Assignment,
     Formula,
-    hamming,
     oracle_optimize,
     satisfies,
 )
 from .outcome import SolveOutcome, exact, n_approx
 from .preprocess import ReducedFormula
+from .relations import Relation, tuple_code
 from .nsol import solve_nsol
 
 
 def _flip(
-    formula: Formula, m: Assignment, forced: dict[int, int], clauses: list[LitClause], method: str
+    formula: Formula, m: Assignment, forced: dict[int, int], index: ClauseIndex, method: str
 ) -> SolveOutcome:
-    """Flip each unforced variable of m and set every literal its probe
-    through `clauses` forces; answer with the nearest such candidate that
-    is a model."""
-    candidates: list[Assignment] = []
-    for x in range(1, formula.var_count + 1):
-        if x in forced:
-            continue
-        probe = unit_propagate(clauses, {x: 1 - m.value(x)})
-        if probe is None:
-            continue
-        bits = list(m.bits)
-        for v, b in probe[0].items():
-            bits[v - 1] = b
-        candidates.append(Assignment(tuple(bits)))
-    for w in sorted(candidates, key=lambda w: (hamming(m, w), w.bits)):
+    """Flip each unforced variable of m and set every literal the flipped
+    literal reaches in the implication closure of `index`; answer with the
+    nearest such candidate that is a model."""
+    n, code = formula.var_count, m.code()
+    flips = (-x if m.value(x) else x for x in range(1, n + 1) if x not in forced)
+    # a flipped literal that reaches its negation fails, and `setting` refuses it
+    candidates = [c for c in (index.setting(code, index.reach(l)) for l in flips) if c is not None]
+    for c in sorted(candidates, key=lambda c: ((c ^ code).bit_count(), c)):
+        w = Assignment.from_code(c, n)
         if satisfies(formula, w):
             return checked(XSOL, formula, m, [w], exact(), method)
     raise NoSecondModel("the given model is the only one")
@@ -65,11 +59,7 @@ def xsol_bijunctive(formula: Formula, m: Assignment) -> SolveOutcome:
     """Per-variable flip, probed through the binary clauses."""
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
-    propagated = unit_propagate(cached_clauses(formula, "bijunctive"))
-    if propagated is None:
-        raise InternalConsistencyError("model exists but unit propagation failed")
-    forced, residual = propagated
-    return _flip(formula, m, forced, residual, "bijunctive_flip")
+    return _flip(formula, m, *clause_index(formula, "bijunctive").reduced, "bijunctive_flip")
 
 
 def xsol_ihsb(formula: Formula, m: Assignment, width: int, dual: bool = False) -> SolveOutcome:
@@ -79,18 +69,15 @@ def xsol_ihsb(formula: Formula, m: Assignment, width: int, dual: bool = False) -
         return via_dual(xsol_ihsb, formula, m, width)
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
-    propagated = unit_propagate(cached_clauses(formula, "ihsb_pos", width))
-    if propagated is None:
-        raise InternalConsistencyError("model exists but unit propagation failed")
-    forced, residual = propagated
+    forced, residual = clause_index(formula, "ihsb_pos", width).reduced
     implications: list[LitClause] = []
-    for clause in residual:
+    for clause in residual.clauses:
         neg = [l for l in clause if l < 0]
         if len(neg) == 1 and len(clause) == 2:
             implications.append(clause)
         elif neg:
             raise InternalConsistencyError("hitting-set residual clause out of shape")
-    return _flip(formula, m, forced, implications, "ihsb_flip")
+    return _flip(formula, m, forced, ClauseIndex(implications, residual.n), "ihsb_flip")
 
 
 def xsol_affine(formula: Formula, m: Assignment) -> SolveOutcome:
@@ -125,11 +112,19 @@ def xsol_horn_turing(
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
     n = formula.var_count
-    flips = [Assignment(m.bits[:i] + (1 - m.bits[i],) + m.bits[i + 1 :]) for i in range(n)]
-    neighbours = [w for w in flips if satisfies(formula, w)]
+    # m is a model, so a flip is one iff the atoms that mention the flipped variable hold
+    touching: dict[int, list[tuple[Relation, tuple[int, ...]]]] = {}
+    for name, vs in formula.atoms:
+        for v in set(vs):
+            touching.setdefault(v, []).append((formula.relation(name), vs))
+    flips = [m.bits[:i] + (1 - m.bits[i],) + m.bits[i + 1 :] for i in range(n)]
+    neighbours = [
+        w
+        for v, w in enumerate(flips, 1)
+        if all(r.contains(tuple_code([w[u - 1] for u in vs])) for r, vs in touching.get(v, ()))
+    ]
     if neighbours:
-        nearest = min(neighbours, key=lambda w: w.bits)
-        return checked(XSOL, formula, m, [nearest], exact(), "horn_turing")
+        return checked(XSOL, formula, m, [Assignment(min(neighbours))], exact(), "horn_turing")
     if n <= cap:
         out = oracle_optimize(XSOL, formula, m, var_cap=cap)
         return checked(XSOL, formula, m, [out.witness], exact(), "horn_turing")
