@@ -2,7 +2,8 @@
 
 Every routine dispatches on the language's verdict: tractable classes get
 their constructive polynomial algorithm, everything else falls back to
-capped enumeration and refuses loudly beyond the cap.
+model enumeration, which refuses with `TooLarge` beyond `ORACLE_VAR_CAP`
+variables.
 """
 
 from __future__ import annotations
@@ -11,15 +12,8 @@ import functools
 from dataclasses import dataclass
 
 from .clauses import affine_solve, clause_index, horn_model, twosat_model
-from .errors import NotAModel, TooLarge
-from .formulas import (
-    ORACLE_VAR_CAP,
-    Assignment,
-    Formula,
-    enumerate_models,
-    hamming,
-    satisfies,
-)
+from .errors import NotAModel
+from .formulas import Assignment, Formula, enumerate_models, hamming, satisfies
 from .postlattice import verdict
 
 SCHAEFER_FLAGS = ("bijunctive", "horn", "dual_horn", "affine")
@@ -32,22 +26,12 @@ def _language_flags(formula: Formula) -> frozenset[str]:
     return formula.effective_language().flags
 
 
-def _enumeration_guard(formula: Formula, cap: int) -> None:
-    if formula.var_count > cap:
-        raise TooLarge(
-            f"{formula.var_count} variables exceed the enumeration cap {cap} "
-            "and the language admits no polynomial routine"
-        )
-
-
-def sat_solve(
-    formula: Formula, cap: int = ORACLE_VAR_CAP, assumptions: dict[int, int] | None = None
-) -> Assignment | None:
+def sat_solve(formula: Formula, assumptions: dict[int, int] | None = None) -> Assignment | None:
     """A model or None, via the strongest routine the class admits.
 
     Assumptions are extra unit constraints the model must meet; they keep
     the four Schaefer classes tractable, but not the 0-/1-valid shortcuts.
-    Beyond those classes it falls back to capped enumeration.
+    Beyond those classes it falls back to model enumeration.
     """
     n = formula.var_count
     if not assumptions:
@@ -66,17 +50,14 @@ def sat_solve(
     if "affine" in flags:
         solved = affine_solve(formula, assumptions)
         return None if solved is None else Assignment.from_code(solved[0], n)
-    _enumeration_guard(formula, cap)
-    models = enumerate_models(formula, cap=None if assumptions else 1, var_cap=cap).assignments
+    models = enumerate_models(formula, cap=None if assumptions else 1).assignments
     for m in models:
         if all(m.value(v) == b for v, b in (assumptions or {}).items()):
             return m
     return None
 
 
-def another_sat(
-    formula: Formula, m: Assignment, cap: int = ORACLE_VAR_CAP
-) -> Assignment | None:
+def another_sat(formula: Formula, m: Assignment) -> Assignment | None:
     """Some model different from m, or None iff m is the unique model."""
     if not satisfies(formula, m):
         raise NotAModel("another_sat needs a satisfying assignment")
@@ -85,7 +66,7 @@ def another_sat(
     if flags & set(SCHAEFER_FLAGS):
         best: Assignment | None = None
         for v in range(1, formula.var_count + 1):
-            cand = sat_solve(formula, cap, {v: 1 - m.value(v)})
+            cand = sat_solve(formula, {v: 1 - m.value(v)})
             if cand is None:
                 continue
             if best is None or (hamming(m, cand), cand.bits) < (hamming(m, best), best.bits):
@@ -97,8 +78,7 @@ def another_sat(
     if tag == "both_valid":
         zero = Assignment((0,) * formula.var_count)
         return zero if m != zero else Assignment((1,) * formula.var_count)
-    _enumeration_guard(formula, cap)
-    for cand in enumerate_models(formula, var_cap=cap).assignments:
+    for cand in enumerate_models(formula).assignments:
         if cand != m:
             return cand
     return None
@@ -116,19 +96,18 @@ class TwoModels:
         return self.witnesses is not None
 
 
-def tssat(formula: Formula, cap: int = ORACLE_VAR_CAP) -> TwoModels:
+def tssat(formula: Formula) -> TwoModels:
     """Does the formula have two distinct models?"""
     lang = formula.effective_language()
     if verdict(lang, "TSSAT").complexity == "P":
-        first = sat_solve(formula, cap)
+        first = sat_solve(formula)
         if first is None:
             return TwoModels(False, None)
-        second = another_sat(formula, first, cap)
+        second = another_sat(formula, first)
         if second is None:
             return TwoModels(True, None)
         return TwoModels(True, (first, second))
-    _enumeration_guard(formula, cap)
-    models = enumerate_models(formula, cap=2, var_cap=cap).assignments
+    models = enumerate_models(formula, cap=2).assignments
     if not models:
         return TwoModels(False, None)
     if len(models) == 1:
@@ -136,18 +115,22 @@ def tssat(formula: Formula, cap: int = ORACLE_VAR_CAP) -> TwoModels:
     return TwoModels(True, (models[0], models[1]))
 
 
-def another_sat_below_n(
-    formula: Formula, m: Assignment, cap: int = ORACLE_VAR_CAP
-) -> bool:
+def another_sat_below_n(formula: Formula, m: Assignment) -> bool:
     """Is there a model m' != m with hd(m, m') < n (n = variable count)?
 
-    For the four Schaefer classes this fixes one flipped and one agreeing
+    The models of an affine formula are m plus its solution space V, so the
+    answer is whether V holds a nonzero vector other than all ones.  For
+    the other Schaefer classes this fixes one flipped and one agreeing
     variable per probe, so a distance-n-only second model cannot fool it.
     """
     if not satisfies(formula, m):
         raise NotAModel("another_sat_below_n needs a satisfying assignment")
     n = formula.var_count
-    if _language_flags(formula) & set(SCHAEFER_FLAGS):
+    flags = _language_flags(formula)
+    if "affine" in flags:
+        _, basis = affine_solve(formula)
+        return len(basis) >= 2 or (len(basis) == 1 and basis[0] != (1 << n) - 1)
+    if flags & set(SCHAEFER_FLAGS):
         if n == 1:
             return False
         for i in range(1, n + 1):
@@ -155,11 +138,10 @@ def another_sat_below_n(
                 if i == j:
                     continue
                 fixed = {i: 1 - m.value(i), j: m.value(j)}
-                if sat_solve(formula, cap, fixed) is not None:
+                if sat_solve(formula, fixed) is not None:
                     return True
         return False
-    _enumeration_guard(formula, cap)
-    for cand in enumerate_models(formula, var_cap=cap).assignments:
+    for cand in enumerate_models(formula).assignments:
         if cand != m and hamming(cand, m) < n:
             return True
     return False

@@ -8,6 +8,10 @@ problem's capped exhaustive fallback, and `approx` swaps one that is not
 polynomial for the problem's n-approximation, except that the capped
 exhaustive fallback itself refuses in `approx` mode.
 
+Dual classes have no routes of their own: a verdict tag `X_dual` runs
+route `X` on the dual formula through `via_dual`, which complements the
+answer back, unless the mode swapped the route out.
+
 `checked` is the one place where witnesses are tested against a formula
 and turned into an outcome; routes, the dispatcher and the CLI all use it.
 """
@@ -68,13 +72,13 @@ def via_dual(
 
 @dataclass(frozen=True)
 class Route:
-    """A route table entry; `call(formula, m, verdict, cap)`.
+    """A route table entry; `call(formula, m, verdict)`.
 
     Calls name their route at call time (a lambda, not the function object),
     so a wrapper later bound to the module attribute sees every call.
     """
 
-    call: Callable[[Formula, Assignment | None, Verdict, int], SolveOutcome]
+    call: Callable[[Formula, Assignment | None, Verdict], SolveOutcome]
     exact: bool
     poly: bool
 
@@ -86,7 +90,6 @@ def dispatch(
     formula: Formula,
     m: Assignment | None,
     mode: str,
-    cap: int,
 ) -> SolveOutcome:
     """Classify the unit-absorbed residual and run the route its verdict
     names, as the mode allows; the answer is re-checked on `formula`.
@@ -99,12 +102,13 @@ def dispatch(
         raise NotAModel("xsol needs a model as input")
     res = absorb_units(formula).pinned()
     vdict = verdict(res.effective_language(), problem)
-    route = routes[vdict.algorithm_tag]
+    dual = vdict.algorithm_tag.endswith("_dual")
+    route = routes[vdict.algorithm_tag.removesuffix("_dual")]
     if mode == "exact" and not route.exact:
-        route = routes[EXHAUSTIVE]
+        route, dual = routes[EXHAUSTIVE], False
     elif mode == "approx" and not route.poly:
         if vdict.algorithm_tag == EXHAUSTIVE:
             raise NoPolyAlgorithm("the residual language admits no polynomial-time approximation")
-        route = routes[napprox]
-    out = route.call(res, m, vdict, cap)
+        route, dual = routes[napprox], False
+    out = via_dual(route.call, res, m, vdict) if dual else route.call(res, m, vdict)
     return checked(problem, formula, m, out.witnesses(), out.guarantee, out.method, vdict)

@@ -44,7 +44,7 @@ class ResourceRefusal(MinsolError):
 
 
 class TooLarge(ResourceRefusal):
-    """Instance exceeds the configured exhaustive-search cap."""
+    """Instance exceeds the exhaustive-search cap."""
 
 
 class NoPolyAlgorithm(ResourceRefusal):

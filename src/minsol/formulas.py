@@ -176,13 +176,11 @@ class ModelEnumeration:
     truncated: bool
 
 
-def enumerate_models(
-    formula: Formula, cap: int | None = None, var_cap: int = ORACLE_VAR_CAP
-) -> ModelEnumeration:
-    """All models in lexicographic order, truncated at `cap` if given."""
+def enumerate_models(formula: Formula, cap: int | None = None) -> ModelEnumeration:
+    """All models in lexicographic order, truncated after `cap` models if given."""
     n = formula.var_count
-    if n > var_cap:
-        raise TooLarge(f"{n} variables exceed the enumeration cap {var_cap}")
+    if n > ORACLE_VAR_CAP:
+        raise TooLarge(f"{n} variables exceed the enumeration cap {ORACLE_VAR_CAP}")
     out: list[Assignment] = []
     truncated = False
     for block in _model_blocks(formula):
@@ -196,23 +194,18 @@ def enumerate_models(
     return ModelEnumeration(tuple(out), truncated)
 
 
-def model_codes(formula: Formula, var_cap: int = ORACLE_VAR_CAP) -> np.ndarray:
+def model_codes(formula: Formula) -> np.ndarray:
     """Ascending int64 array of all model codes."""
     n = formula.var_count
-    if n > var_cap:
-        raise TooLarge(f"{n} variables exceed the enumeration cap {var_cap}")
+    if n > ORACLE_VAR_CAP:
+        raise TooLarge(f"{n} variables exceed the enumeration cap {ORACLE_VAR_CAP}")
     blocks = [b for b in _model_blocks(formula) if len(b)]
     if not blocks:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(blocks)
 
 
-def oracle_optimize(
-    problem: str,
-    formula: Formula,
-    m: Assignment | None = None,
-    var_cap: int = ORACLE_VAR_CAP,
-) -> SolveOutcome:
+def oracle_optimize(problem: str, formula: Formula, m: Assignment | None = None) -> SolveOutcome:
     """Exact optimum of NSOL/XSOL/MSD by full enumeration.
 
     Witnesses are the lexicographically smallest optima, so every
@@ -225,7 +218,7 @@ def oracle_optimize(
         if m is None:
             raise NotAModel(f"{problem} needs an input assignment")
         formula.check_length(m)
-    codes = model_codes(formula, var_cap)
+    codes = model_codes(formula)
     if len(codes) == 0:
         raise Unsatisfiable("formula has no model")
     if problem == NSOL:

@@ -24,7 +24,7 @@ from .clauses import (
     unit_propagate,
 )
 from .decision import tssat
-from .dispatch import Route, checked, dispatch, via_dual
+from .dispatch import Route, checked, dispatch
 from .errors import (
     InternalConsistencyError,
     UniqueModel,
@@ -32,7 +32,6 @@ from .errors import (
 )
 from .formulas import (
     MSD,
-    ORACLE_VAR_CAP,
     Assignment,
     Formula,
     oracle_optimize,
@@ -95,12 +94,10 @@ def msd_bijunctive(formula: Formula) -> SolveOutcome:
     return out
 
 
-def msd_horn(formula: Formula, dual: bool = False) -> SolveOutcome:
+def msd_horn(formula: Formula) -> SolveOutcome:
     """Minimal variable class without dependent variables, read off the
     positive unit-propagation probes: variables whose probes contain each
     other, that is, have equal probes."""
-    if dual:
-        return via_dual(msd_horn, formula, None)
     n = formula.var_count
     forced, index = clause_index(formula, "horn").reduced
     probes = {v: index.probe(v) for v in range(1, n + 1) if v not in forced}
@@ -161,9 +158,9 @@ def msd_affine(formula: Formula) -> SolveOutcome:
     return out
 
 
-def msd_napprox(formula: Formula, cap: int = ORACLE_VAR_CAP) -> SolveOutcome:
+def msd_napprox(formula: Formula) -> SolveOutcome:
     """Any two models, n-approximate (the optimum is at least 1)."""
-    two = tssat(formula, cap)
+    two = tssat(formula)
     if not two.satisfiable:
         raise Unsatisfiable("formula has no model")
     if not two.has_two:
@@ -172,25 +169,22 @@ def msd_napprox(formula: Formula, cap: int = ORACLE_VAR_CAP) -> SolveOutcome:
     return checked(MSD, formula, None, [w1, w2], n_approx(), "tssat_napprox")
 
 
-def _oracle_fallback(formula: Formula, cap: int) -> SolveOutcome:
-    out = oracle_optimize(MSD, formula, var_cap=cap)
+def _oracle_fallback(formula: Formula) -> SolveOutcome:
+    out = oracle_optimize(MSD, formula)
     return SolveOutcome(
         MSD, out.value, out.witness, out.witness2, exact(), None, "exhaustive_fallback"
     )
 
 
 ROUTES = {
-    "bijunctive_classes": Route(lambda f, m, v, cap: msd_bijunctive(f), exact=True, poly=True),
-    "horn_closure": Route(lambda f, m, v, cap: msd_horn(f), exact=True, poly=True),
-    "horn_closure_dual": Route(lambda f, m, v, cap: msd_horn(f, dual=True), exact=True, poly=True),
-    "affine_mindist": Route(lambda f, m, v, cap: msd_affine(f), exact=True, poly=False),
-    "tssat_napprox": Route(lambda f, m, v, cap: msd_napprox(f, cap), exact=False, poly=True),
-    "exhaustive_fallback": Route(
-        lambda f, m, v, cap: _oracle_fallback(f, cap), exact=True, poly=False
-    ),
+    "bijunctive_classes": Route(lambda f, m, v: msd_bijunctive(f), exact=True, poly=True),
+    "horn_closure": Route(lambda f, m, v: msd_horn(f), exact=True, poly=True),
+    "affine_mindist": Route(lambda f, m, v: msd_affine(f), exact=True, poly=False),
+    "tssat_napprox": Route(lambda f, m, v: msd_napprox(f), exact=False, poly=True),
+    "exhaustive_fallback": Route(lambda f, m, v: _oracle_fallback(f), exact=True, poly=False),
 }
 
 
-def solve_msd(formula: Formula, mode: str = "auto", cap: int = ORACLE_VAR_CAP) -> SolveOutcome:
+def solve_msd(formula: Formula, mode: str = "auto") -> SolveOutcome:
     """Dispatch the minimum-solution-distance classification."""
-    return dispatch(MSD, ROUTES, "tssat_napprox", formula, None, mode, cap)
+    return dispatch(MSD, ROUTES, "tssat_napprox", formula, None, mode)

@@ -17,14 +17,13 @@ from typing import Callable, Iterable
 from . import gf2
 from .clauses import ClauseIndex, affine_solve, clause_index, twosat_model
 from .decision import sat_solve
-from .dispatch import Route, checked, dispatch, via_dual
+from .dispatch import Route, checked, dispatch
 from .errors import (
     InternalConsistencyError,
     Unsatisfiable,
 )
 from .formulas import (
     NSOL,
-    ORACLE_VAR_CAP,
     Assignment,
     Formula,
     oracle_optimize,
@@ -228,17 +227,13 @@ def nsol_bijunctive_2approx(formula: Formula, m: Assignment) -> SolveOutcome:
     return checked(NSOL, formula, m, [witness], ratio(2), "bijunctive_2approx")
 
 
-def nsol_ihsb_rounding(
-    formula: Formula, m: Assignment, width: int, dual: bool = False
-) -> SolveOutcome:
+def nsol_ihsb_rounding(formula: Formula, m: Assignment, width: int) -> SolveOutcome:
     """LP rounding at threshold 1/width for hitting-set-bounded languages.
 
     The residual after unit propagation is positive clauses of width at
     most `width` and implications, so its LP relaxation is what `lp_solve`
     takes.  Rounding back to m (value 0) is optimal.
     """
-    if dual:
-        return via_dual(nsol_ihsb_rounding, formula, m, width)
     formula.check_length(m)
     n = formula.var_count
     assign, residual = clause_index(formula, "ihsb_pos", width).reduced
@@ -256,53 +251,44 @@ def nsol_ihsb_rounding(
     return checked(NSOL, formula, m, [witness], guarantee, "ihsb_rounding")
 
 
-def nsol_feasible_napprox(formula: Formula, m: Assignment, cap: int = ORACLE_VAR_CAP) -> SolveOutcome:
+def nsol_feasible_napprox(formula: Formula, m: Assignment) -> SolveOutcome:
     """Return m when it satisfies the formula, else any model (factor n)."""
     formula.check_length(m)
     if satisfies(formula, m):
         return checked(NSOL, formula, m, [m], exact(), "feasible_napprox")
-    model = sat_solve(formula, cap)
+    model = sat_solve(formula)
     if model is None:
         raise Unsatisfiable("formula has no model")
     return checked(NSOL, formula, m, [model], n_approx(), "feasible_napprox")
 
 
-def _oracle_fallback(formula: Formula, m: Assignment, cap: int) -> SolveOutcome:
-    out = oracle_optimize(NSOL, formula, m, var_cap=cap)
+def _oracle_fallback(formula: Formula, m: Assignment) -> SolveOutcome:
+    out = oracle_optimize(NSOL, formula, m)
     return SolveOutcome(NSOL, out.value, out.witness, None, exact(), None, "exhaustive_fallback")
 
 
 # --- dispatcher ---------------------------------------------------------------
 
 ROUTES = {
-    "2affine_exact": Route(lambda f, m, v, cap: nsol_2affine(f, m), exact=True, poly=True),
-    "monotone_mincut": Route(lambda f, m, v, cap: nsol_monotone(f, m), exact=True, poly=True),
-    "affine_exact": Route(lambda f, m, v, cap: nsol_affine_exact(f, m), exact=True, poly=False),
+    "2affine_exact": Route(lambda f, m, v: nsol_2affine(f, m), exact=True, poly=True),
+    "monotone_mincut": Route(lambda f, m, v: nsol_monotone(f, m), exact=True, poly=True),
+    "affine_exact": Route(lambda f, m, v: nsol_affine_exact(f, m), exact=True, poly=False),
     "bijunctive_2approx": Route(
-        lambda f, m, v, cap: nsol_bijunctive_2approx(f, m), exact=False, poly=True
+        lambda f, m, v: nsol_bijunctive_2approx(f, m), exact=False, poly=True
     ),
     "ihsb_rounding": Route(
-        lambda f, m, v, cap: nsol_ihsb_rounding(f, m, v.param), exact=False, poly=True
+        lambda f, m, v: nsol_ihsb_rounding(f, m, v.param), exact=False, poly=True
     ),
-    "ihsb_rounding_dual": Route(
-        lambda f, m, v, cap: nsol_ihsb_rounding(f, m, v.param, dual=True), exact=False, poly=True
-    ),
-    "feasible_napprox": Route(
-        lambda f, m, v, cap: nsol_feasible_napprox(f, m, cap), exact=False, poly=True
-    ),
-    "exhaustive_fallback": Route(
-        lambda f, m, v, cap: _oracle_fallback(f, m, cap), exact=True, poly=False
-    ),
+    "feasible_napprox": Route(lambda f, m, v: nsol_feasible_napprox(f, m), exact=False, poly=True),
+    "exhaustive_fallback": Route(lambda f, m, v: _oracle_fallback(f, m), exact=True, poly=False),
 }
 
 
-def solve_nsol(
-    formula: Formula, m: Assignment, mode: str = "auto", cap: int = ORACLE_VAR_CAP
-) -> SolveOutcome:
+def solve_nsol(formula: Formula, m: Assignment, mode: str = "auto") -> SolveOutcome:
     """Classify (after unit absorption) and dispatch the strongest route.
 
     Modes: auto picks the best guarantee the classification permits;
     exact forces oracle enumeration for classes without exact routes;
     approx never exceeds polynomial time and refuses where impossible.
     """
-    return dispatch(NSOL, ROUTES, "feasible_napprox", formula, m, mode, cap)
+    return dispatch(NSOL, ROUTES, "feasible_napprox", formula, m, mode)

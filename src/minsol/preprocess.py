@@ -51,52 +51,57 @@ class ReducedFormula:
 def absorb_units(formula: Formula) -> ReducedFormula:
     """Propagate unit atoms and pin their variables into the other atoms.
 
-    Raises Unsatisfiable on a unit conflict or an atom emptied by pinning.
+    One pass settles every atom; after it, only the atoms that mention a
+    newly forced variable are settled again, so an atom is revisited at
+    most once per variable it mentions.  Raises Unsatisfiable on a unit
+    conflict or an atom emptied by pinning.
     """
     forced: dict[int, int] = {}
-    atoms: list[tuple[Relation, tuple[int, ...], str]] = [
+    atoms: list[tuple[Relation, tuple[int, ...], str] | None] = [
         (formula.relation(name), vars_, name) for name, vars_ in formula.atoms
     ]
-    changed = True
-    while changed:
-        changed = False
-        survivors: list[tuple[Relation, tuple[int, ...], str]] = []
-        for rel, vars_, name in atoms:
-            # pin coordinates whose variable is already forced
-            i = 0
-            while i < rel.arity:
-                v = vars_[i]
-                if v in forced:
-                    if rel.arity == 1:
-                        if not rel.contains(forced[v]):
-                            raise Unsatisfiable("unit atoms conflict")
-                        rel = None  # satisfied outright
-                        break
-                    rel = rel.restrict(i, forced[v])
-                    if rel is None:
-                        raise Unsatisfiable(f"atom {name} emptied by unit propagation")
-                    vars_ = vars_[:i] + vars_[i + 1 :]
-                    changed = True
-                    continue
-                i += 1
-            if rel is None:
+    fresh: list[int] = []  # forced variables whose atoms may still mention them
+
+    def settle(a: int) -> None:
+        rel, vars_, name = atoms[a]
+        # pin coordinates whose variable is already forced
+        i = 0
+        while i < rel.arity:
+            v = vars_[i]
+            if v in forced:
+                if rel.arity == 1:
+                    if not rel.contains(forced[v]):
+                        raise Unsatisfiable("unit atoms conflict")
+                    atoms[a] = None  # satisfied outright
+                    return
+                rel = rel.restrict(i, forced[v])
+                if rel is None:
+                    raise Unsatisfiable(f"atom {name} emptied by unit propagation")
+                vars_ = vars_[:i] + vars_[i + 1 :]
                 continue
-            if rel.arity == 1 and rel.size == 1:
-                v = vars_[0]
-                val = rel.tuples()[0]
-                if forced.get(v, val) != val:
-                    raise Unsatisfiable("unit atoms conflict")
-                if v not in forced:
-                    forced[v] = val
-                    changed = True
-                continue
-            if rel.is_full():
-                continue
-            survivors.append((rel, vars_, name))
-        atoms = survivors
+            i += 1
+        if rel.arity == 1 and rel.size == 1:
+            # no coordinate is forced any more, so vars_[0] is new
+            forced[vars_[0]] = rel.tuples()[0]
+            fresh.append(vars_[0])
+            atoms[a] = None
+        else:
+            atoms[a] = None if rel.is_full() else (rel, vars_, name)
+
+    for a in range(len(atoms)):
+        settle(a)
+    if fresh:
+        occurs: dict[int, list[int]] = {}
+        for a, atom in enumerate(atoms):
+            for v in set(atom[1]) if atom else ():
+                occurs.setdefault(v, []).append(a)
+        while fresh:
+            for a in occurs.get(fresh.pop(), ()):
+                if atoms[a] is not None:
+                    settle(a)
     pairs: dict[str, Relation] = {}
     new_atoms: list[tuple[str, tuple[int, ...]]] = []
-    for rel, vars_, name in atoms:
+    for rel, vars_, name in filter(None, atoms):
         key = f"{name}#{rel.arity}x{rel.mask:x}"
         pairs.setdefault(key, rel)
         new_atoms.append((key, vars_))

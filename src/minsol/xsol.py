@@ -17,7 +17,7 @@ from __future__ import annotations
 from . import gf2
 from .clauses import ClauseIndex, LitClause, affine_solve, clause_index
 from .decision import another_sat
-from .dispatch import Route, checked, dispatch, via_dual
+from .dispatch import Route, checked, dispatch
 from .errors import (
     InternalConsistencyError,
     NoSecondModel,
@@ -62,11 +62,9 @@ def xsol_bijunctive(formula: Formula, m: Assignment) -> SolveOutcome:
     return _flip(formula, m, *clause_index(formula, "bijunctive").reduced, "bijunctive_flip")
 
 
-def xsol_ihsb(formula: Formula, m: Assignment, width: int, dual: bool = False) -> SolveOutcome:
+def xsol_ihsb(formula: Formula, m: Assignment, width: int) -> SolveOutcome:
     """Per-variable flip, probed through the implications only: upward from
     a 0, downward from a 1."""
-    if dual:
-        return via_dual(xsol_ihsb, formula, m, width)
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
     forced, residual = clause_index(formula, "ihsb_pos", width).reduced
@@ -97,18 +95,14 @@ def xsol_affine(formula: Formula, m: Assignment) -> SolveOutcome:
     return out
 
 
-def xsol_horn_turing(
-    formula: Formula, m: Assignment, cap: int = ORACLE_VAR_CAP, dual: bool = False
-) -> SolveOutcome:
+def xsol_horn_turing(formula: Formula, m: Assignment) -> SolveOutcome:
     """Exact at distance 1: the smallest single flip of m that is a model,
     since no other model is nearer.  Otherwise exact by one enumeration of
-    the models up to `cap` variables; beyond, a per-variable pinning
-    reduction to nearest-solution calls in `auto` mode.  Each call pins
-    one variable opposite to m; the answer is exact when every pinned call
-    answered exactly, n-approximate otherwise.
+    the models up to `ORACLE_VAR_CAP` variables; beyond, a per-variable
+    pinning reduction to nearest-solution calls in `auto` mode.  Each call
+    pins one variable opposite to m; the answer is exact when every pinned
+    call answered exactly, n-approximate otherwise.
     """
-    if dual:
-        return via_dual(xsol_horn_turing, formula, m, cap)
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
     n = formula.var_count
@@ -125,14 +119,14 @@ def xsol_horn_turing(
     ]
     if neighbours:
         return checked(XSOL, formula, m, [Assignment(min(neighbours))], exact(), "horn_turing")
-    if n <= cap:
-        out = oracle_optimize(XSOL, formula, m, var_cap=cap)
+    if n <= ORACLE_VAR_CAP:
+        out = oracle_optimize(XSOL, formula, m)
         return checked(XSOL, formula, m, [out.witness], exact(), "horn_turing")
     results: list[SolveOutcome] = []
     for x in range(1, n + 1):
         pinned = ReducedFormula(formula, {x: 1 - m.value(x)}).pinned()
         try:
-            results.append(solve_nsol(pinned, m, "auto", cap))
+            results.append(solve_nsol(pinned, m, "auto"))
         except Unsatisfiable:
             continue
     if not results:
@@ -142,44 +136,30 @@ def xsol_horn_turing(
     return checked(XSOL, formula, m, [best.witness], guarantee, "horn_turing")
 
 
-def xsol_anothersat_napprox(
-    formula: Formula, m: Assignment, cap: int = ORACLE_VAR_CAP
-) -> SolveOutcome:
-    other = another_sat(formula, m, cap)
+def xsol_anothersat_napprox(formula: Formula, m: Assignment) -> SolveOutcome:
+    other = another_sat(formula, m)
     if other is None:
         raise NoSecondModel("the given model is the only one")
     return checked(XSOL, formula, m, [other], n_approx(), "anothersat_napprox")
 
 
-def _oracle_fallback(formula: Formula, m: Assignment, cap: int) -> SolveOutcome:
-    out = oracle_optimize(XSOL, formula, m, var_cap=cap)
+def _oracle_fallback(formula: Formula, m: Assignment) -> SolveOutcome:
+    out = oracle_optimize(XSOL, formula, m)
     return SolveOutcome(XSOL, out.value, out.witness, None, exact(), None, "exhaustive_fallback")
 
 
 ROUTES = {
-    "bijunctive_flip": Route(lambda f, m, v, cap: xsol_bijunctive(f, m), exact=True, poly=True),
-    "ihsb_flip": Route(lambda f, m, v, cap: xsol_ihsb(f, m, v.param), exact=True, poly=True),
-    "ihsb_flip_dual": Route(
-        lambda f, m, v, cap: xsol_ihsb(f, m, v.param, dual=True), exact=True, poly=True
-    ),
-    "affine_mindist": Route(lambda f, m, v, cap: xsol_affine(f, m), exact=True, poly=False),
-    "horn_turing": Route(
-        lambda f, m, v, cap: xsol_horn_turing(f, m, cap=cap), exact=False, poly=False
-    ),
-    "horn_turing_dual": Route(
-        lambda f, m, v, cap: xsol_horn_turing(f, m, cap=cap, dual=True), exact=False, poly=False
-    ),
+    "bijunctive_flip": Route(lambda f, m, v: xsol_bijunctive(f, m), exact=True, poly=True),
+    "ihsb_flip": Route(lambda f, m, v: xsol_ihsb(f, m, v.param), exact=True, poly=True),
+    "affine_mindist": Route(lambda f, m, v: xsol_affine(f, m), exact=True, poly=False),
+    "horn_turing": Route(lambda f, m, v: xsol_horn_turing(f, m), exact=False, poly=False),
     "anothersat_napprox": Route(
-        lambda f, m, v, cap: xsol_anothersat_napprox(f, m, cap), exact=False, poly=True
+        lambda f, m, v: xsol_anothersat_napprox(f, m), exact=False, poly=True
     ),
-    "exhaustive_fallback": Route(
-        lambda f, m, v, cap: _oracle_fallback(f, m, cap), exact=True, poly=False
-    ),
+    "exhaustive_fallback": Route(lambda f, m, v: _oracle_fallback(f, m), exact=True, poly=False),
 }
 
 
-def solve_xsol(
-    formula: Formula, m: Assignment, mode: str = "auto", cap: int = ORACLE_VAR_CAP
-) -> SolveOutcome:
+def solve_xsol(formula: Formula, m: Assignment, mode: str = "auto") -> SolveOutcome:
     """Dispatch the next-solution classification on the unit-absorbed residual."""
-    return dispatch(XSOL, ROUTES, "anothersat_napprox", formula, m, mode, cap)
+    return dispatch(XSOL, ROUTES, "anothersat_napprox", formula, m, mode)

@@ -5,8 +5,10 @@ import pytest
 
 from helpers import lang
 from minsol.decision import another_sat, another_sat_below_n, sat_solve, tssat
-from minsol.errors import NotAModel
+from minsol.errors import NotAModel, TooLarge
 from minsol.formulas import Assignment, enumerate_models, hamming, make_formula, satisfies
+from minsol.msd import solve_msd
+from minsol.nsol import solve_nsol
 from minsol.relations import (
     BUILTIN_RELATIONS,
     DUP3,
@@ -18,6 +20,7 @@ from minsol.relations import (
     T_REL,
     XOR2,
 )
+from minsol.xsol import solve_xsol
 
 A = Assignment.from_string
 
@@ -150,3 +153,24 @@ class TestAgainstEnumeration:
                     assert other != m and satisfies(f, other)
                 truth = any(x != m and hamming(x, m) < n for x in models)
                 assert another_sat_below_n(f, m) == truth
+
+
+class TestBeyondTheCap:
+    # one-in-three is in no tractable class, so each of these enumerates
+    N = 30
+    F = make_formula(Language(()), N, [("one_in_three", [i, i + 1, i + 2]) for i in range(1, N, 3)])
+    M = A("100" * (N // 3))
+
+    @pytest.mark.parametrize("call", [
+        lambda f, m: sat_solve(f),
+        lambda f, m: tssat(f),
+        lambda f, m: another_sat(f, m),
+        lambda f, m: another_sat_below_n(f, m),
+        lambda f, m: solve_nsol(f, m, "exact"),
+        lambda f, m: solve_xsol(f, m, "exact"),
+        lambda f, m: solve_msd(f, "exact"),
+    ], ids=["sat", "tssat", "anothersat", "anothersat_lt_n", "nsol", "xsol", "msd"])
+    def test_enumeration_refuses(self, call):
+        assert satisfies(self.F, self.M)
+        with pytest.raises(TooLarge):
+            call(self.F, self.M)

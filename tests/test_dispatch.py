@@ -74,4 +74,4 @@ def test_golden_file_covers_every_tag_in_every_mode():
 def test_route_table_covers_every_verdict_tag(problem, routes):
     # a missing or misspelt key would send a class to the wrong route
     tags = {verdict_for_label(label, problem).algorithm_tag for label in all_labels(5)}
-    assert tags == set(routes)
+    assert {tag.removesuffix("_dual") for tag in tags} == set(routes)

@@ -4,6 +4,7 @@ import zlib
 import pytest
 
 from helpers import FAMILY_LANGUAGES, lang, random_satisfiable
+from minsol.dispatch import via_dual
 from minsol.errors import UniqueModel, Unsatisfiable
 from minsol.formulas import (
     Assignment,
@@ -110,7 +111,7 @@ class TestHorn:
 
     def test_dual_route(self):
         f = make_formula(lang(dh3=dualize_rel(), f=F_REL, t=T_REL), 3, [("dh3", [1, 2, 3])])
-        out = msd_horn(f, dual=True)
+        out = via_dual(lambda g, m: msd_horn(g), f, None)
         assert out.value == oracle_optimize("MSD", f).value
 
 

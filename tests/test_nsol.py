@@ -10,6 +10,7 @@ from helpers import (
     random_assignment,
     random_satisfiable,
 )
+from minsol.dispatch import via_dual
 from minsol.errors import NoPolyAlgorithm, Unsatisfiable
 from minsol.formulas import (
     Assignment,
@@ -158,7 +159,7 @@ class TestIhsbRounding:
     def test_dual_route(self):
         f = make_formula(lang(nand3=nand_rel(3), impl=IMPL, f=F_REL, t=T_REL), 3,
                          [("nand3", [1, 2, 3])])
-        out = nsol_ihsb_rounding(f, A("111"), 3, dual=True)
+        out = via_dual(nsol_ihsb_rounding, f, A("111"), 3)
         want = oracle_optimize("NSOL", f, A("111"))
         assert want.value <= out.value <= 3 * want.value
 
