@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .clauses import affine_solve, clause_index, horn_model, twosat_model
 from .errors import NotAModel
-from .formulas import Assignment, Formula, enumerate_models, hamming, satisfies
+from .formulas import Assignment, Formula, enumerate_models, hamming, model_codes, satisfies
+from .gf2 import popcount
 from .postlattice import verdict
 
 SCHAEFER_FLAGS = ("bijunctive", "horn", "dual_horn", "affine")
@@ -78,7 +79,7 @@ def another_sat(formula: Formula, m: Assignment) -> Assignment | None:
     if tag == "both_valid":
         zero = Assignment((0,) * formula.var_count)
         return zero if m != zero else Assignment((1,) * formula.var_count)
-    for cand in enumerate_models(formula).assignments:
+    for cand in enumerate_models(formula, cap=2).assignments:
         if cand != m:
             return cand
     return None
@@ -141,7 +142,5 @@ def another_sat_below_n(formula: Formula, m: Assignment) -> bool:
                 if sat_solve(formula, fixed) is not None:
                     return True
         return False
-    for cand in enumerate_models(formula).assignments:
-        if cand != m and hamming(cand, m) < n:
-            return True
-    return False
+    distances = popcount(model_codes(formula) ^ m.code())
+    return bool(((distances > 0) & (distances < n)).any())

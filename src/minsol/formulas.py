@@ -2,6 +2,11 @@
 
 The oracle is the library's ground truth: plain exhaustive enumeration,
 vectorized with numpy so the acceptance suites stay inside their budgets.
+Its MSD closest pair is a radius search: for d = 1, 2, ... every model
+code is XORed with every weight-d mask and looked up in a 2**n membership
+bitmap.  Once the masks tried would exceed half the model count it
+compares all model pairs instead, so no input costs more than about
+twice the pairwise scan.
 Assignment codes are MSB-first (variable 1 is the most significant bit),
 so ascending code order is lexicographic order on bitstrings.
 """
@@ -9,6 +14,7 @@ so ascending code order is lexicographic order on bitstrings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -22,6 +28,7 @@ from .errors import (
     TooLarge,
     Unsatisfiable,
 )
+from .gf2 import popcount
 from .outcome import SolveOutcome, exact
 from .relations import (
     BUILTIN_RELATIONS,
@@ -29,17 +36,16 @@ from .relations import (
     Relation,
     dualize,
     load_language,
+    parse_relation_line,
 )
 
 ORACLE_VAR_CAP = 24
 _BLOCK_BITS = 18
+_LOOKUPS = 1 << 20  # bitmap lookups per step of the MSD radius search
 
 NSOL = "NSOL"
 XSOL = "XSOL"
 MSD = "MSD"
-
-_POP16 = np.array([c.bit_count() for c in range(1 << 16)], dtype=np.uint8)
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -144,10 +150,6 @@ def dualize_formula(formula: Formula) -> Formula:
 # --- vectorized model enumeration ---------------------------------------------
 
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    return _POP16[arr & 0xFFFF] + _POP16[(arr >> 16) & 0xFFFF]
-
-
 def _model_blocks(formula: Formula) -> Iterator[np.ndarray]:
     """Yield ascending arrays of model codes, in blocks."""
     n = formula.var_count
@@ -222,7 +224,7 @@ def oracle_optimize(problem: str, formula: Formula, m: Assignment | None = None)
     if len(codes) == 0:
         raise Unsatisfiable("formula has no model")
     if problem == NSOL:
-        dist = _popcount((codes ^ m.code()).astype(np.int64))
+        dist = popcount((codes ^ m.code()).astype(np.int64))
         best = int(dist.argmin())
         # argmin returns the first (lexicographically smallest) optimum
         witness = Assignment.from_code(int(codes[best]), n)
@@ -233,13 +235,70 @@ def oracle_optimize(problem: str, formula: Formula, m: Assignment | None = None)
         others = codes[codes != m.code()]
         if len(others) == 0:
             raise NoSecondModel("the given model is the only one")
-        dist = _popcount((others ^ m.code()).astype(np.int64))
+        dist = popcount((others ^ m.code()).astype(np.int64))
         best = int(dist.argmin())
         witness = Assignment.from_code(int(others[best]), n)
         return SolveOutcome(XSOL, int(dist[best]), witness, guarantee=exact(), method="oracle")
     # MSD
     if len(codes) < 2:
         raise NoSecondModel("fewer than two models")
+    found = _radius_pair(codes, n, len(codes) // 2) or _pairwise_pair(codes, n)
+    best_val, a, b = found
+    w1 = Assignment.from_code(a, n)
+    w2 = Assignment.from_code(b, n)
+    return SolveOutcome(MSD, best_val, w1, w2, guarantee=exact(), method="oracle")
+
+
+def _weight_masks(masks: np.ndarray, n: int) -> np.ndarray:
+    """The n-bit masks of one more set bit than `masks`, which must hold
+    every mask of its weight: each arises once, by its top bit."""
+    return np.concatenate([masks[masks < (1 << b)] | (1 << b) for b in range(n)])
+
+
+def _radius_pair(codes: np.ndarray, n: int, max_masks: int | None) -> tuple[int, int, int] | None:
+    """(distance, a, b) for the lexicographically smallest closest pair
+    a < b of the ascending model codes, or None once more than
+    `max_masks` masks would be tried.
+
+    For d = 1, 2, ... it looks up `code ^ mask` in a 2**n membership
+    bitmap over the weight-d masks.  The first code with a partner at the
+    least distance d has only greater partners (a smaller one would have
+    come first), so it is the pair's `a` and its least partner is `b`.
+    """
+    member = None
+    masks = np.zeros(1, dtype=np.int64)
+    tried = 0
+    for d in range(1, n + 1):
+        tried += comb(n, d)
+        if max_masks is not None and tried > max_masks:
+            return None
+        if member is None:
+            member = np.zeros(1 << n, dtype=bool)
+            member[codes] = True
+        masks = _weight_masks(masks, n)
+        rows_per_block = min(len(codes), _LOOKUPS)
+        masks_per_chunk = max(1, _LOOKUPS // rows_per_block)
+        for start in range(0, len(codes), rows_per_block):
+            rows = codes[start : start + rows_per_block]
+            best: tuple[int, int] | None = None
+            for m0 in range(0, len(masks), masks_per_chunk):
+                partners = rows[:, None] ^ masks[None, m0 : m0 + masks_per_chunk]
+                hit = member[partners]
+                first = int(hit.any(axis=1).argmax())
+                if not hit[first].any():
+                    continue
+                cand = (start + first, int(partners[first][hit[first]].min()))
+                if best is None or cand < best:
+                    best = cand
+                rows = rows[: first + 1]  # later chunks can only tie or lose
+            if best is not None:
+                return d, int(codes[best[0]]), best[1]
+    return None
+
+
+def _pairwise_pair(codes: np.ndarray, n: int) -> tuple[int, int, int]:
+    """(distance, a, b) for the lexicographically smallest closest pair
+    a < b of the ascending model codes, by comparing every pair."""
     best_val = n + 1
     best_pair: tuple[int, int] | None = None
     chunk = 1 << 12
@@ -247,7 +306,7 @@ def oracle_optimize(problem: str, formula: Formula, m: Assignment | None = None)
         left = codes[i : i + chunk]
         for j in range(i, len(codes), chunk):
             right = codes[j : j + chunk]
-            d = _popcount(left[:, None] ^ right[None, :])
+            d = popcount(left[:, None] ^ right[None, :])
             if i == j:  # keep strictly ordered pairs only
                 d = np.where(np.tri(len(left), len(right), 0, dtype=bool), n + 1, d)
             val = int(d.min())
@@ -258,9 +317,7 @@ def oracle_optimize(problem: str, formula: Formula, m: Assignment | None = None)
             if val < best_val or best_pair is None or cand < best_pair:
                 best_val = val
                 best_pair = cand
-    w1 = Assignment.from_code(best_pair[0], n)
-    w2 = Assignment.from_code(best_pair[1], n)
-    return SolveOutcome(MSD, best_val, w1, w2, guarantee=exact(), method="oracle")
+    return best_val, best_pair[0], best_pair[1]
 
 
 # --- formula files --------------------------------------------------------------
@@ -269,8 +326,10 @@ def oracle_optimize(problem: str, formula: Formula, m: Assignment | None = None)
 def parse_formula(text: str, base_dir: str | Path | None = None) -> Formula:
     """Parse the formula file format.
 
-    Header: `lang FILE` or `lang builtin`, then `vars N`, then one atom per
-    line: `NAME i1 i2 ...` with 1-based variable indices.
+    Header: `lang FILE` or `lang builtin`, or inline `rel NAME ARITY
+    t1,t2,...` declarations as in a language file (or both), then
+    `vars N`, then one atom per line: `NAME i1 i2 ...` with 1-based
+    variable indices.  Declared relations shadow builtins of the same name.
     """
     lang: Language | None = None
     var_count: int | None = None
@@ -284,19 +343,24 @@ def parse_formula(text: str, base_dir: str | Path | None = None) -> Formula:
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'lang FILE|builtin'")
             if parts[1] == "builtin":
-                lang = Language(())
+                loaded = Language(())
             else:
                 path = Path(parts[1])
                 if base_dir is not None and not path.is_absolute():
                     path = Path(base_dir) / path
-                lang = load_language(path)
+                loaded = load_language(path)
+            inline = lang.relations if lang is not None else ()
+            lang = Language.from_pairs(loaded.relations + inline)
+        elif parts[0] == "rel":
+            declared = lang.relations if lang is not None else ()
+            lang = Language.from_pairs(declared + (parse_relation_line(line, lineno),))
         elif parts[0] == "vars":
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError(f"line {lineno}: expected 'vars N'")
             var_count = int(parts[1])
         else:
             if lang is None or var_count is None:
-                raise ParseError(f"line {lineno}: atom before 'lang'/'vars' header")
+                raise ParseError(f"line {lineno}: atom before 'lang'/'rel'/'vars' header")
             name = parts[0]
             try:
                 vars_ = tuple(int(p) for p in parts[1:])
@@ -306,7 +370,7 @@ def parse_formula(text: str, base_dir: str | Path | None = None) -> Formula:
                 raise ParseError(f"line {lineno}: unknown relation {name!r}")
             atoms.append((name, vars_))
     if lang is None or var_count is None:
-        raise ParseError("formula file needs 'lang' and 'vars' headers")
+        raise ParseError("formula file needs a 'lang' header or 'rel' lines, and 'vars'")
     return Formula(lang, var_count, tuple(atoms))
 
 

@@ -4,16 +4,25 @@ A vector of length l is an int whose coordinate 0 is the leading bit
 (bit l-1), the MSB-first order of assignment and tuple codes, so numeric
 order on vectors is lexicographic order on their bitstrings.  Desk-scale
 exact solvers for minimum weight and nearest codeword live here; both
-enumerate exhaustively and refuse oversized instances.
+enumerate the whole span and refuse dimensions above ENUM_CAP_BITS.  The
+span is enumerated in numpy blocks: a table of all combinations of the
+low 16 rows, built by doubling, XORed with each combination of the rest.
+Vectors are stored as 32-bit limbs, so any column count works.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import TooLarge
 
 ENUM_CAP_BITS = 24
+_TABLE_BITS = 16
+_NEVER = np.iinfo(np.int64).max
+
+_POP16 = np.array([c.bit_count() for c in range(1 << 16)], dtype=np.uint8)
 
 
 def _eliminate(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
@@ -83,11 +92,64 @@ def solve_affine(equations: Sequence[tuple[int, int]], cols: int) -> tuple[int, 
     return particular, basis
 
 
+def popcount(arr: np.ndarray) -> np.ndarray:
+    """Per-element bit count of an integer array whose values fit in 32 bits."""
+    return _POP16[arr & 0xFFFF] + _POP16[(arr >> 16) & 0xFFFF]
+
+
+def _limbs(vectors: Sequence[int], width: int) -> np.ndarray:
+    """(limbs, len(vectors)) uint32 array, one vector per column, most
+    significant limb first."""
+    count = max(1, -(-width // 32))
+    return np.array(
+        [[(v >> (32 * j)) & 0xFFFFFFFF for v in vectors] for j in reversed(range(count))],
+        dtype=np.uint32,
+    ).reshape(count, len(vectors))
+
+
+def _combinations(limbs: np.ndarray) -> np.ndarray:
+    """All 2**k XOR combinations of k limb columns, one per column; bit i
+    of the column index selects column i.  Built by doubling."""
+    k = limbs.shape[1]
+    table = np.zeros((len(limbs), 1 << k), dtype=np.uint32)
+    for i in range(k):
+        table[:, 1 << i : 2 << i] = table[:, : 1 << i] ^ limbs[:, i : i + 1]
+    return table
+
+
+def _span_blocks(rows: Sequence[int], width: int, extra: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first, block) over the span of `rows` shifted by `extra`:
+    column j of the block is the member whose combination index (bit i
+    selects rows[i]) is first + j.  One table covers the low _TABLE_BITS
+    rows; each combination of the high rows shifts it."""
+    width = max([width, extra.bit_length()] + [r.bit_length() for r in rows])
+    low = min(len(rows), _TABLE_BITS)
+    limbs = _limbs([*rows, extra], width)
+    table = _combinations(limbs[:, :low]) ^ limbs[:, -1:]
+    offsets = _combinations(limbs[:, low:-1])
+    for high in range(offsets.shape[1]):
+        yield high << low, table ^ offsets[:, high : high + 1]
+
+
+def _weights(block: np.ndarray) -> np.ndarray:
+    weights = popcount(block[0]).astype(np.int64)
+    for limb in block[1:]:
+        weights += popcount(limb)
+    return weights
+
+
+def _vector(limbs: np.ndarray) -> int:
+    out = 0
+    for limb in limbs:
+        out = (out << 32) | int(limb)
+    return out
+
+
 def min_weight_nonzero(basis: Sequence[int], cols: int) -> tuple[int, int] | None:
     """Minimum-weight nonzero span member; None for the zero-dimensional space.
 
     Ties break toward the smallest vector, i.e. the smallest bitstring.
-    Gray-code enumeration over all 2**dim combinations.
+    Enumerates all 2**dim combinations, a table block at a time.
     """
     dim = len(basis)
     if dim == 0:
@@ -95,12 +157,15 @@ def min_weight_nonzero(basis: Sequence[int], cols: int) -> tuple[int, int] | Non
     if dim > ENUM_CAP_BITS:
         raise TooLarge(f"nullspace dimension {dim} exceeds 2**{ENUM_CAP_BITS} enumeration cap")
     best: tuple[int, int] | None = None
-    current = 0
-    for i in range(1, 1 << dim):
-        current ^= basis[(i & -i).bit_length() - 1]
-        if current == 0:
+    for _, block in _span_blocks(basis, cols):
+        weights = _weights(block)
+        weights[weights == 0] = _NEVER  # the zero vector never counts
+        low = int(weights.min())
+        if low == _NEVER or (best is not None and low > best[0]):
             continue
-        key = (current.bit_count(), current)
+        ties = block[:, weights == low]
+        # lexsort's last key is the primary one: the most significant limb
+        key = (low, _vector(ties[:, np.lexsort(ties[::-1])[0]]))
         if best is None or key < best:
             best = key
     return best
@@ -117,14 +182,13 @@ def nearest_codeword(generator_rows: Sequence[int], cols: int, target: int) -> t
     if k > ENUM_CAP_BITS:
         raise TooLarge(f"message space 2**{k} exceeds 2**{ENUM_CAP_BITS} enumeration cap")
     # enumerate the reversed message, whose bit k-1-j selects row j, so
-    # numeric order on it is the tie-break order
-    best = (target.bit_count(), 0)  # message 0 -> zero codeword
-    codeword = 0
-    for i in range(1, 1 << k):
-        # step i of the Gray code flips bit (i & -i).bit_length() - 1
-        codeword ^= generator_rows[k - (i & -i).bit_length()]
-        key = ((codeword ^ target).bit_count(), i ^ (i >> 1))
-        if key < best:
+    # numeric order on the combination index is the tie-break order
+    best: tuple[int, int] | None = None
+    for first, block in _span_blocks(generator_rows[::-1], cols, target):
+        distances = _weights(block)
+        at = int(distances.argmin())  # the first minimum: smallest index
+        key = (int(distances[at]), first + at)
+        if best is None or key < best:
             best = key
     distance, reversed_message = best
     return distance, int(f"{reversed_message:0{k}b}"[::-1], 2)

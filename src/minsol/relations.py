@@ -648,17 +648,21 @@ def parse_language(text: str) -> Language:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _REL_LINE.match(line)
-        if not m:
-            raise ParseError(f"line {lineno}: expected 'rel NAME ARITY t1,t2,...'")
-        name, arity_s, tuples_s = m.groups()
-        try:
-            arity = int(arity_s)
-            rel = Relation.from_tuples(arity, tuples_s.split(","))
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-        pairs.append((name, rel))
+        pairs.append(parse_relation_line(line, lineno))
     return Language.from_pairs(pairs)
+
+
+def parse_relation_line(line: str, lineno: int) -> tuple[str, Relation]:
+    """One `rel NAME ARITY t1,t2,...` declaration (comments stripped)."""
+    m = _REL_LINE.match(line)
+    if not m:
+        raise ParseError(f"line {lineno}: expected 'rel NAME ARITY t1,t2,...'")
+    name, arity_s, tuples_s = m.groups()
+    try:
+        rel = Relation.from_tuples(int(arity_s), tuples_s.split(","))
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from exc
+    return name, rel
 
 
 def load_language(path: str | Path) -> Language:

@@ -160,3 +160,29 @@ class TestDualize:
     def test_parse_error_exit_one(self, workdir, capsys):
         code, _ = call(capsys, "dualize", "--formula", str(workdir / "missing.cf"))
         assert code == 1
+
+    def test_output_reloads_with_complemented_answers(self, workdir, capsys):
+        # models 100, 101, 011: every answer below is the unique optimum, and
+        # the dualized file redeclares the builtins or2, nand2 and impl
+        (workdir / "mixed.cf").write_text("lang builtin\nvars 3\nor2 1 2\nnand2 1 2\nimpl 2 3\n")
+        code, out = call(capsys, "dualize", "--formula", str(workdir / "mixed.cf"))
+        assert code == 0
+        (workdir / "mixed_dual.cf").write_text(out)
+
+        def solve(name, *args):
+            code, out = call(capsys, "solve", *args, "--formula", str(workdir / name), "--json")
+            assert code == 0, out
+            payload = json.loads(out)
+            return payload["value"], payload["witnesses"]
+
+        def flip(bits):
+            return bits.translate(str.maketrans("01", "10"))
+
+        for args, m in ((("msd",), None), (("xsol",), "011"), (("nsol",), "000")):
+            extra = () if m is None else ("--assignment", m)
+            dual_extra = () if m is None else ("--assignment", flip(m))
+            value, witnesses = solve("mixed.cf", *args, *extra)
+            dual_value, dual_witnesses = solve("mixed_dual.cf", *args, *dual_extra)
+            assert dual_value == value
+            assert sorted(dual_witnesses) == sorted(flip(w) for w in witnesses)
+        assert solve("mixed.cf", "msd") == (1, ["100", "101"])

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import lang, random_language, random_satisfiable
+from helpers import lang, random_formula, random_language, random_satisfiable
+from minsol import formulas
 from minsol.errors import (
     LengthMismatch,
     NoSecondModel,
@@ -21,7 +22,7 @@ from minsol.formulas import (
     parse_formula,
     satisfies,
 )
-from minsol.relations import DUP3, F_REL, OR2, T_REL, XOR2, even_rel, nand_rel
+from minsol.relations import BUILTIN_RELATIONS, DUP3, F_REL, OR2, T_REL, XOR2, even_rel, nand_rel
 
 A = Assignment.from_string
 
@@ -122,6 +123,36 @@ class TestOracle:
         assert [str(w) for w in out.witnesses()] == ["01", "11"]
 
 
+class TestMsdRadiusSearch:
+    def test_radius_matches_pairwise_scan(self):
+        # the radius search runs until a hit when unbounded; under the cost
+        # cutoff the oracle hands some formulas to the pairwise scan
+        rng = random.Random(31)
+        sides = {"radius": 0, "pairwise": 0}
+        for _ in range(400):
+            language = random_language(rng, max_arity=3, max_rels=2)
+            f = random_formula(language, rng, max_vars=14, max_atoms=rng.randint(1, 12))
+            codes = model_codes(f)
+            if not 2 <= len(codes) <= 3000:  # keep the quadratic scan quick
+                continue
+            n = f.var_count
+            truth = formulas._pairwise_pair(codes, n)
+            assert formulas._radius_pair(codes, n, None) == truth
+            within = formulas._radius_pair(codes, n, len(codes) // 2) is not None
+            sides["radius" if within else "pairwise"] += 1
+            out = oracle_optimize("MSD", f)
+            assert (out.value, out.witness.code(), out.witness2.code()) == truth
+        assert min(sides.values()) >= 50, sides
+
+    def test_lone_nae3_at_n18(self):
+        # 3/4 of all 2**18 assignments are models; the smallest one,
+        # 001 0..0, and its last-bit flip are the smallest closest pair
+        f = make_formula(lang(nae3=BUILTIN_RELATIONS["nae3"]), 18, [("nae3", [1, 2, 3])])
+        out = oracle_optimize("MSD", f)
+        assert out.value == 1
+        assert [str(w) for w in out.witnesses()] == ["001" + "0" * 15, "001" + "0" * 14 + "1"]
+
+
 class TestDualizeFormula:
     def test_or_becomes_nand(self):
         f = make_formula(lang(or2=OR2), 2, [("or2", [1, 2])])
@@ -208,6 +239,18 @@ class TestParsing:
         f = parse_formula("lang builtin\nvars 2\nor2 1 2\n")
         assert f.relation("or2") == OR2
         assert f.effective_language().names() == ("or2",)
+
+    def test_inline_relations(self):
+        # inline declarations load without a 'lang' header and shadow the
+        # builtin of the same name; they merge with a language file
+        f = parse_formula("rel or2 2 00,01,10\nvars 2\nor2 1 2\n")
+        assert f.relation("or2") == nand_rel(2)
+        g = parse_formula("lang builtin\nrel x 2 01,10\nvars 3\nx 1 2\nimpl 2 3\n")
+        assert g.relation("x") == XOR2 and g.effective_language().names() == ("x", "impl")
+        from minsol.errors import ParseError
+
+        with pytest.raises(ParseError):
+            parse_formula("rel x 2 01\nrel x 2 10\nvars 2\nx 1 2\n")
 
     def test_errors(self):
         from minsol.errors import ParseError

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gf2_oracle import gray_min_weight_nonzero, gray_nearest_codeword
 from helpers import FAMILY_LANGUAGES, random_satisfiable
 from minsol import gf2
 from minsol.clauses import affine_solve
@@ -117,6 +118,48 @@ class TestRandomized:
             )
             assert dist == truth
             assert (_codeword(rows, msg) ^ target).bit_count() == dist
+
+
+def _tie_heavy(rng, dim, cols):
+    """Rows of weight 1 or 2 over a few columns, with repeats, and the
+    lexicographically smallest nonzero vector last, so ties span the high
+    rows as well as the table."""
+    pool = [(1 << rng.randrange(cols)) | (1 << rng.randrange(cols)) for _ in range(4)]
+    rows = [rng.choice(pool) for _ in range(dim - 1)]
+    return rows + [1] if dim else rows
+
+
+class TestBlockedAgainstGrayCode:
+    # 16 rows fill one table; the 17th shifts it, across the block boundary.
+    # 32-bit limbs: 31/32/33 and 64/65 columns straddle limb boundaries.
+    @pytest.mark.parametrize("cols", [31, 32, 33, 64, 65, 200])
+    @pytest.mark.parametrize("dim", [0, 1, 16, 17])
+    def test_same_answers_ties_included(self, dim, cols):
+        rng = random.Random(dim * 1000 + cols)
+        bases = [
+            [rng.randrange(1, 1 << cols) for _ in range(dim)],
+            _tie_heavy(rng, dim, cols),
+        ]
+        for basis in bases:
+            target = rng.randrange(1 << cols)
+            assert gf2.min_weight_nonzero(basis, cols) == gray_min_weight_nonzero(basis)
+            assert gf2.nearest_codeword(basis, cols, target) == gray_nearest_codeword(basis, target)
+            # a target inside the code ties every message that reaches it
+            inside = basis[0] ^ basis[-1] if dim else 0
+            assert gf2.nearest_codeword(basis, cols, inside) == gray_nearest_codeword(basis, inside)
+
+    def test_small_dimensions(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            cols = rng.choice([1, 3, 8, 31, 33, 70])
+            dim = rng.randint(0, 9)
+            if rng.random() < 0.5:
+                basis = _tie_heavy(rng, dim, cols)
+            else:
+                basis = [rng.randrange(1, 1 << cols) for _ in range(dim)]
+            target = rng.randrange(1 << cols)
+            assert gf2.min_weight_nonzero(basis, cols) == gray_min_weight_nonzero(basis)
+            assert gf2.nearest_codeword(basis, cols, target) == gray_nearest_codeword(basis, target)
 
 
 class TestAffineFormulas:
