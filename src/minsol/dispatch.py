@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InternalConsistencyError, NoPolyAlgorithm, NotAModel
-from .formulas import MSD, XSOL, Assignment, Formula, dualize_formula, hamming, satisfies
-from .outcome import Guarantee, SolveOutcome
+from .formulas import MSD, NSOL, XSOL, Assignment, Formula, dualize_formula, hamming, satisfies
+from .outcome import Guarantee, SolveOutcome, exact
 from .postlattice import Verdict, verdict
 from .preprocess import absorb_units
 
@@ -43,7 +43,8 @@ def checked(
     """The outcome realized by `witnesses`, once they are checked to answer
     the problem: models of `formula`, an XSOL witness other than `m`, two
     distinct MSD witnesses (put in bitstring order).  The value is the
-    distance the witnesses realize."""
+    distance the witnesses realize; at the trivial lower bound (NSOL 0,
+    XSOL and MSD 1) it is optimal, so the guarantee becomes exact."""
     if problem == XSOL and witnesses[0] == m:
         raise InternalConsistencyError(f"{method} returned the input assignment")
     if problem == MSD and witnesses[0] == witnesses[1]:
@@ -52,9 +53,13 @@ def checked(
         raise InternalConsistencyError(f"{method} produced a non-model witness")
     if problem == MSD:
         w1, w2 = sorted(witnesses, key=lambda w: w.bits)
-        return SolveOutcome(MSD, hamming(w1, w2), w1, w2, guarantee, vdict, method)
-    w = witnesses[0]
-    return SolveOutcome(problem, hamming(m, w), w, None, guarantee, vdict, method)
+        value = hamming(w1, w2)
+    else:
+        w1, w2 = witnesses[0], None
+        value = hamming(m, w1)
+    if value == (0 if problem == NSOL else 1):
+        guarantee = exact()
+    return SolveOutcome(problem, value, w1, w2, guarantee, vdict, method)
 
 
 def via_dual(

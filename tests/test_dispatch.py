@@ -75,3 +75,20 @@ def test_route_table_covers_every_verdict_tag(problem, routes):
     # a missing or misspelt key would send a class to the wrong route
     tags = {verdict_for_label(label, problem).algorithm_tag for label in all_labels(5)}
     assert {tag.removesuffix("_dual") for tag in tags} == set(routes)
+
+
+def test_trivial_lower_bound_is_labelled_exact():
+    # NSOL 0 and XSOL/MSD 1 cannot be beaten, whatever the route promised
+    from minsol.dispatch import checked
+    from minsol.formulas import Assignment, make_formula
+    from minsol.outcome import n_approx, ratio
+    from minsol.relations import BUILTIN_RELATIONS, Language
+
+    f = make_formula(Language((("or2", BUILTIN_RELATIONS["or2"]),)), 2, [("or2", (1, 2))])
+    a = Assignment.from_string
+    assert checked("NSOL", f, a("01"), [a("01")], ratio(2), "r").guarantee.kind == "exact"
+    assert checked("NSOL", f, a("00"), [a("01")], ratio(2), "r").guarantee.kind == "ratio"
+    assert checked("XSOL", f, a("01"), [a("11")], n_approx(), "r").guarantee.kind == "exact"
+    assert checked("XSOL", f, a("01"), [a("10")], n_approx(), "r").guarantee.kind == "n_approx"
+    assert checked("MSD", f, None, [a("11"), a("01")], n_approx(), "r").guarantee.kind == "exact"
+    assert checked("MSD", f, None, [a("10"), a("01")], n_approx(), "r").guarantee.kind == "n_approx"
