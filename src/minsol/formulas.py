@@ -242,11 +242,10 @@ def oracle_optimize(problem: str, formula: Formula, m: Assignment | None = None)
     # MSD
     if len(codes) < 2:
         raise NoSecondModel("fewer than two models")
-    found = _radius_pair(codes, n, len(codes) // 2) or _pairwise_pair(codes, n)
-    best_val, a, b = found
+    value, a, b = _radius_pair(codes, n, len(codes) // 2) or _pairwise_pair(codes, n)
     w1 = Assignment.from_code(a, n)
     w2 = Assignment.from_code(b, n)
-    return SolveOutcome(MSD, best_val, w1, w2, guarantee=exact(), method="oracle")
+    return SolveOutcome(MSD, value, w1, w2, guarantee=exact(), method="oracle")
 
 
 def _weight_masks(masks: np.ndarray, n: int) -> np.ndarray:
@@ -255,7 +254,7 @@ def _weight_masks(masks: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([masks[masks < (1 << b)] | (1 << b) for b in range(n)])
 
 
-def _radius_pair(codes: np.ndarray, n: int, max_masks: int | None) -> tuple[int, int, int] | None:
+def _radius_pair(codes: np.ndarray, n: int, max_masks: int) -> tuple[int, int, int] | None:
     """(distance, a, b) for the lexicographically smallest closest pair
     a < b of the ascending model codes, or None once more than
     `max_masks` masks would be tried.
@@ -270,7 +269,7 @@ def _radius_pair(codes: np.ndarray, n: int, max_masks: int | None) -> tuple[int,
     tried = 0
     for d in range(1, n + 1):
         tried += comb(n, d)
-        if max_masks is not None and tried > max_masks:
+        if tried > max_masks:
             return None
         if member is None:
             member = np.zeros(1 << n, dtype=bool)

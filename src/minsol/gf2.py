@@ -94,7 +94,7 @@ def solve_affine(equations: Sequence[tuple[int, int]], cols: int) -> tuple[int, 
 
 def popcount(arr: np.ndarray) -> np.ndarray:
     """Per-element bit count of an integer array whose values fit in 32 bits."""
-    return _POP16[arr & 0xFFFF] + _POP16[(arr >> 16) & 0xFFFF]
+    return _POP16[arr & 0xFFFF] + _POP16[arr >> 16]
 
 
 def _limbs(vectors: Sequence[int], width: int) -> np.ndarray:
@@ -132,10 +132,7 @@ def _span_blocks(rows: Sequence[int], width: int, extra: int = 0) -> Iterator[tu
 
 
 def _weights(block: np.ndarray) -> np.ndarray:
-    weights = popcount(block[0]).astype(np.int64)
-    for limb in block[1:]:
-        weights += popcount(limb)
-    return weights
+    return popcount(block).sum(axis=0, dtype=np.int64)
 
 
 def _vector(limbs: np.ndarray) -> int:

@@ -137,7 +137,7 @@ class TestMsdRadiusSearch:
                 continue
             n = f.var_count
             truth = formulas._pairwise_pair(codes, n)
-            assert formulas._radius_pair(codes, n, None) == truth
+            assert formulas._radius_pair(codes, n, 1 << n) == truth  # every mask allowed
             within = formulas._radius_pair(codes, n, len(codes) // 2) is not None
             sides["radius" if within else "pairwise"] += 1
             out = oracle_optimize("MSD", f)
