@@ -267,6 +267,8 @@ def _radius_pair(codes: np.ndarray, n: int, max_masks: int) -> tuple[int, int, i
     member = None
     masks = np.zeros(1, dtype=np.int64)
     tried = 0
+    rows_per_block = min(len(codes), _LOOKUPS)
+    masks_per_chunk = max(1, _LOOKUPS // rows_per_block)
     for d in range(1, n + 1):
         tried += comb(n, d)
         if tried > max_masks:
@@ -275,8 +277,6 @@ def _radius_pair(codes: np.ndarray, n: int, max_masks: int) -> tuple[int, int, i
             member = np.zeros(1 << n, dtype=bool)
             member[codes] = True
         masks = _weight_masks(masks, n)
-        rows_per_block = min(len(codes), _LOOKUPS)
-        masks_per_chunk = max(1, _LOOKUPS // rows_per_block)
         for start in range(0, len(codes), rows_per_block):
             rows = codes[start : start + rows_per_block]
             best: tuple[int, int] | None = None

@@ -124,7 +124,7 @@ class TestOracle:
 
 
 class TestMsdRadiusSearch:
-    def test_radius_matches_pairwise_scan(self):
+    def test_radius_matches_pairwise_scan(self, monkeypatch):
         # the radius search runs until a hit when unbounded; under the cost
         # cutoff the oracle hands some formulas to the pairwise scan
         rng = random.Random(31)
@@ -138,6 +138,10 @@ class TestMsdRadiusSearch:
             n = f.var_count
             truth = formulas._pairwise_pair(codes, n)
             assert formulas._radius_pair(codes, n, 1 << n) == truth  # every mask allowed
+            with monkeypatch.context() as tiny:
+                # many row blocks and mask chunks, as past 2**20 models
+                tiny.setattr(formulas, "_LOOKUPS", 7)
+                assert formulas._radius_pair(codes, n, 1 << n) == truth
             within = formulas._radius_pair(codes, n, len(codes) // 2) is not None
             sides["radius" if within else "pairwise"] += 1
             out = oracle_optimize("MSD", f)
