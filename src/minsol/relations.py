@@ -6,6 +6,16 @@ most significant bit ("0110" -> 6).  The same MSB-first convention is used
 for truth tables of Boolean functions, for assignment bitstrings and for
 GF(2) vectors, so lexicographic order on bitstrings is numeric order on
 codes everywhere.
+
+Whether a k-ary function f preserves a relation is decided bit-sliced: a
+tuple code is a word of coordinates, so fixing f's first k-1 arguments to
+member tuples leaves two words, the coordinates where f(prefix, 0) = 1 and
+those where f(prefix, 1) = 1, and the image of each last member is a few
+whole-word operations and one membership lookup.  Every clone base the
+classifier uses is at most ternary, so this costs |r|**(k-1) word
+pairs rather than |r|**k tuples times the arity.  Threshold functions on
+or/nand-type relations and weight-determined relations take shortcuts
+first.
 """
 
 from __future__ import annotations
@@ -85,7 +95,7 @@ class Relation:
 
     def tuples(self) -> tuple[int, ...]:
         """Member tuple codes in ascending (lexicographic) order."""
-        return tuple(c for c in range(1 << self.arity) if (self.mask >> c) & 1)
+        return _members(self.arity, self.mask)[0]
 
     def bit_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(code_bits(c, self.arity) for c in self.tuples())
@@ -152,16 +162,6 @@ class BoolFunction:
 
     def apply_bits(self, bits: Sequence[int]) -> int:
         return self.value(tuple_code(bits))
-
-    @functools.cached_property
-    def is_symmetric(self) -> bool:
-        by_weight: dict[int, int] = {}
-        for code in range(1 << self.arity):
-            w = code.bit_count()
-            v = self.value(code)
-            if by_weight.setdefault(w, v) != v:
-                return False
-        return True
 
     def __str__(self) -> str:
         return self.name or f"fn{self.arity}:{self.table:x}"
@@ -262,75 +262,102 @@ BUILTIN_RELATIONS: dict[str, Relation] = {
 # --- polymorphisms and flags -------------------------------------------------
 
 
-def _threshold_of(f: BoolFunction) -> int | None:
-    """t such that f = [weight >= t] with 1 <= t <= arity, else None."""
-    if not f.is_symmetric:
-        return None
-    weights = sorted({c.bit_count() for c in range(1 << f.arity) if f.value(c)})
-    if not weights or weights[0] < 1:
-        return None
-    t = weights[0]
-    if weights == list(range(t, f.arity + 1)):
-        return t
-    return None
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _weight_set_of(r: Relation) -> frozenset[int] | None:
-    """Weights of a permutation-symmetric relation, else None."""
-    wset = {c.bit_count() for c in r.tuples()}
-    for c in range(1 << r.arity):
-        if ((r.mask >> c) & 1) != (c.bit_count() in wset):
-            return None
-    return frozenset(wset)
+@functools.lru_cache(maxsize=256)
+def _members(arity: int, mask: int) -> tuple[tuple[int, ...], bytes, frozenset[int] | None]:
+    """A relation's member codes in ascending order, its membership as one
+    byte per code, and its weight set if membership depends on weight only.
+    Kept for few relations: a 16-ary one has up to 65,536 members."""
+    bits = bin(mask)[:1:-1].ljust(1 << arity, "0")
+    rows = tuple(c for c, b in enumerate(bits) if b == "1")
+    counts = [0] * (arity + 1)
+    for c in rows:
+        counts[c.bit_count()] += 1
+    wset = None
+    if all(m in (0, math.comb(arity, w)) for w, m in enumerate(counts)):
+        wset = frozenset(w for w, m in enumerate(counts) if m)
+    return rows, bits.encode().translate(_BIT_BYTES), wset
 
 
+@functools.lru_cache(maxsize=256)
+def _function_facts(
+    arity: int, table: int
+) -> tuple[bool, int | None, tuple[int, ...], tuple[int, ...]]:
+    """Whether f is symmetric; t with f = [weight >= t] and 1 <= t <= arity,
+    else None; and f's minterms split by the last argument: the prefix codes
+    p with f(p, 0) = 1, then those with f(p, 1) = 1."""
+    minterms = [c for c in range(1 << arity) if (table >> c) & 1]
+    weights = {c.bit_count() for c in minterms}
+    symmetric = all(((table >> c) & 1) == (c.bit_count() in weights) for c in range(1 << arity))
+    threshold = None
+    if symmetric and weights and sorted(weights) == list(range(min(weights), arity + 1)):
+        threshold = min(weights) or None
+    lo = tuple(m >> 1 for m in minterms if not m & 1)
+    hi = tuple(m >> 1 for m in minterms if m & 1)
+    return symmetric, threshold, lo, hi
+
+
+# Bit-sliced kernel: a tuple code is a word whose bits are the coordinates.
+# With every argument but the last fixed to a prefix of member tuples, the
+# prefix splits the coordinates into cells by their bit pattern, and f's
+# minterms give two words: `lo`, the coordinates where f(prefix, 0) = 1, and
+# `hi`, those where f(prefix, 1) = 1.  The image of a last tuple c is then
+# (c & hi) | (lo & ~c), one lookup per member c; prefixes that give a (lo,
+# hi) pair already tested are skipped.  A symmetric f needs only the
+# multisets of prefix tuples.  The threshold and weight-set shortcuts come
+# first, because on wide or/nand-type and weight-determined relations they
+# avoid the |r|**(k-1) prefixes.
 @functools.lru_cache(maxsize=200_000)
 def _is_poly_cached(f_arity: int, f_table: int, r_arity: int, r_mask: int) -> bool:
-    f = BoolFunction(f_arity, f_table)
-    r = Relation(r_arity, r_mask)
-    n, k = r.arity, f.arity
-    full = (1 << (1 << n)) - 1
+    n, k = r_arity, f_arity
+    rows, member, wset = _members(n, r_mask)
+    symmetric, t, lo_prefixes, hi_prefixes = _function_facts(k, f_table)
+    full = (1 << n) - 1
 
     # threshold functions on or/nand-type relations admit a packing argument:
     # a counterexample spreads one violating entry per row across the columns
-    t = _threshold_of(f)
-    if t is not None:
-        if r.mask == full & ~1:  # [weight >= 1]
+    if t is not None and len(rows) == full:
+        if not member[0]:  # [weight >= 1]
             return k > n * (t - 1)
-        if r.mask == full & ~(1 << ((1 << n) - 1)):  # [weight <= n-1]
+        if not member[full]:  # [weight <= n-1]
             return k > n * (k - t)
 
-    # weight-determined relations: counterexamples are column multisets
-    wset = _weight_set_of(r)
-    if wset is not None and math.comb((1 << k) + n - 1, n) <= min(500_000, r.size**k):
-        for cols in itertools.combinations_with_replacement(range(1 << k), n):
-            row_weights = [0] * k
-            out_weight = 0
-            for p in cols:
-                for i in range(k):
-                    row_weights[i] += (p >> (k - 1 - i)) & 1
-                out_weight += f.value(p)
-            if all(w in wset for w in row_weights) and out_weight not in wset:
-                return False
-        return True
+    # weight-determined relations: counterexamples are column multisets.  A
+    # column packs its k row bits and its image bit into 5-bit fields, so the
+    # sum of a multiset holds its row weights and its image's weight.
+    if wset is not None and math.comb((1 << k) + n - 1, n) <= min(500_000, len(rows) ** k):
+        cols = [
+            sum(((p >> (k - 1 - i)) & 1) << (5 * i) for i in range(k))
+            | ((f_table >> p) & 1) << (5 * k)
+            for p in range(1 << k)
+        ]
+        bad = {o << (5 * k) for o in range(n + 1) if o not in wset}
+        for i in range(k):
+            bad = {x | w << (5 * i) for x in bad for w in wset}
+        return not bad or bad.isdisjoint(map(sum, itertools.combinations_with_replacement(cols, n)))
 
-    rows = r.tuples()
-    shifts = tuple(n - 1 - j for j in range(n))
-    if f.is_symmetric:
-        choices: Iterable[tuple[int, ...]] = itertools.combinations_with_replacement(rows, k)
+    if symmetric:
+        prefixes: Iterable[tuple[int, ...]] = itertools.combinations_with_replacement(rows, k - 1)
     else:
-        choices = itertools.product(rows, repeat=k)
-    table = f.table
-    mask = r.mask
-    for ts in choices:
-        out = 0
-        for s in shifts:
-            idx = 0
-            for t_ in ts:
-                idx = (idx << 1) | ((t_ >> s) & 1)
-            out = (out << 1) | ((table >> idx) & 1)
-        if not (mask >> out) & 1:
-            return False
+        prefixes = itertools.product(rows, repeat=k - 1)
+    seen = set()
+    for prefix in prefixes:
+        cells = [full]
+        for a in prefix:
+            cells = [x for cell in cells for x in (cell & ~a, cell & a)]
+        lo = hi = 0
+        for p in lo_prefixes:
+            lo |= cells[p]
+        for p in hi_prefixes:
+            hi |= cells[p]
+        if (lo, hi) in seen:
+            continue
+        seen.add((lo, hi))
+        for c in rows:
+            if not member[(c & hi) | (lo & ~c)]:
+                return False
     return True
 
 
@@ -367,10 +394,10 @@ def projection_width(r: Relation) -> int:
     coordinate set is a bit mask s, and `t & s` projects the tuple code t.
     The width is usually the arity, so k = arity - 1 is tried first."""
     n = r.arity
-    members = r.tuples()
+    members, member, _ = _members(n, r.mask)
 
     def joins(k: int) -> bool:
-        left = [t for t in range(1 << n) if not r.contains(t)]
+        left = [t for t, b in enumerate(member) if not b]
         for coords in itertools.combinations(range(n), k):
             s = sum(1 << i for i in coords)
             seen = {t & s for t in members}
@@ -665,8 +692,15 @@ def parse_relation_line(line: str, lineno: int) -> tuple[str, Relation]:
     return name, rel
 
 
+@functools.lru_cache(maxsize=256)
+def _parse_language_text(text: str) -> Language:
+    return parse_language(text)
+
+
 def load_language(path: str | Path) -> Language:
-    return parse_language(Path(path).read_text(encoding="utf-8"))
+    """The language in a file.  The file is read on every call, so an edited
+    file is never served stale; parsing is memoized on the text."""
+    return _parse_language_text(Path(path).read_text(encoding="utf-8"))
 
 
 def builtin_language(names: Iterable[str]) -> Language:

@@ -239,6 +239,15 @@ class TestParsing:
         f = parse_formula(text, base_dir=tmp_path)
         assert f.var_count == 3 and len(f.atoms) == 2
 
+    def test_edited_language_file_is_reread(self, tmp_path):
+        # parsing is memoized on the file's text, never on its path
+        lang = tmp_path / "x.lang"
+        text = "lang x.lang\nvars 2\nr 1 2\n"
+        lang.write_text("rel r 2 01,10\n")
+        assert parse_formula(text, base_dir=tmp_path).relation("r") == XOR2
+        lang.write_text("rel r 2 00,01,10\n")
+        assert parse_formula(text, base_dir=tmp_path).relation("r") == nand_rel(2)
+
     def test_builtin_language(self):
         f = parse_formula("lang builtin\nvars 2\nor2 1 2\n")
         assert f.relation("or2") == OR2

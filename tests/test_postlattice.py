@@ -1,5 +1,8 @@
 import itertools
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +41,17 @@ from minsol.relations import (
     or_rel,
     projection_width,
 )
+
+CLASSIFY_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "classify_pool.json"
+
+
+def clear_library_caches() -> None:
+    for name, module in list(sys.modules.items()):
+        if name.startswith("minsol."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear") and hasattr(value, "cache_info"):
+                    value.cache_clear()
+
 
 # (language, co-clone) conformance rows: known generating sets for the
 # lattice nodes; every base of arity <= 4 appears.
@@ -209,6 +223,19 @@ class TestClassify:
 
     def test_empty_language_is_bottom(self):
         assert pl.classify(Language(())) == pl.CoCloneLabel("iBF")
+
+    def test_classify_pool_labels(self):
+        # every benchmark pool language (arity 2-6) keeps its recorded label,
+        # each classified from empty library caches
+        pool = json.loads(CLASSIFY_POOL.read_text(encoding="utf-8"))["languages"]
+        wrong = []
+        for entry in pool:
+            clear_library_caches()
+            rels = entry["rels"]
+            gamma = Language(tuple((f"r{j}", Relation(a, int(m, 16))) for j, (a, m) in enumerate(rels)))
+            if str(pl.classify(gamma)) != entry["label"]:
+                wrong.append((rels, entry["label"]))
+        assert len(pool) == 3032 and not wrong
 
 
 class TestLatticeTable:

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minsol.errors import ParseError, ShapeUnavailable
+from minsol.postlattice import _LIMIT_CLONES, _PLAIN_NODES
 from minsol.relations import (
     AND2,
     DUP3,
@@ -23,6 +25,8 @@ from minsol.relations import (
     even_rel,
     is_polymorphism,
     nand_rel,
+    odd_rel,
+    or_rel,
     parse_language,
     property_flags,
     tuple_code,
@@ -65,6 +69,63 @@ class TestIsPolymorphism:
         table = hash((r.arity, r.mask, f_arity)) % (1 << (1 << f_arity))
         f = BoolFunction(f_arity, table)
         assert is_polymorphism(f, r) == brute_force_polymorphism(f, r)
+
+
+# every clone generator the classifier tests, once each
+CLONE_GENERATORS = tuple(
+    {
+        (f.arity, f.table): f
+        for clone in [c for c, _, _ in _PLAIN_NODES.values()] + list(_LIMIT_CLONES.values())
+        for f in clone
+    }.values()
+)
+
+
+def closed_under(f: BoolFunction, arity: int, codes: set[int]) -> Relation:
+    """The least relation containing `codes` that f preserves."""
+    codes = set(codes)
+    while True:
+        rows = [code_bits(c, arity) for c in sorted(codes)]
+        images = {
+            tuple_code([f.apply_bits(col) for col in zip(*choice)])
+            for choice in itertools.product(rows, repeat=f.arity)
+        }
+        if images <= codes:
+            return Relation.from_tuples(arity, codes)
+        codes |= images
+
+
+def kernel_cases() -> list[Relation]:
+    """Relations closed under one clone generator each, the same relations
+    with one random tuple added, and or/nand and weight-determined ones."""
+    rng = random.Random(20050301)
+    cases = []
+    for arity in range(1, 7):
+        gens = CLONE_GENERATORS
+        if arity == 6:  # ternary closures at arity 6 are slow to build
+            gens = rng.sample([g for g in CLONE_GENERATORS if g.arity <= 2], 4)
+        for g in gens:
+            r = closed_under(g, arity, set(rng.sample(range(1 << arity), min(arity, 3))))
+            cases.append(r)
+            outside = [c for c in range(1 << arity) if not r.contains(c)]
+            if outside:
+                cases.append(Relation(arity, r.mask | 1 << rng.choice(outside)))
+    for m in (2, 3, 4, 5):
+        cases += [or_rel(m), nand_rel(m), even_rel(m), odd_rel(m)]
+    for arity, weights in ((3, {0, 3}), (4, {1, 2}), (4, {0, 2, 3}), (5, {2, 3}), (5, {0, 1, 5})):
+        cases.append(Relation.from_tuples(arity, [c for c in range(1 << arity) if c.bit_count() in weights]))
+    return cases
+
+
+def test_kernel_agrees_with_brute_force_on_closed_relations():
+    verdicts = []
+    for r in kernel_cases():
+        for f in CLONE_GENERATORS:
+            verdicts.append(is_polymorphism(f, r))
+            assert verdicts[-1] == brute_force_polymorphism(f, r), (str(f), str(r))
+    # the cases exercise both outcomes in bulk, not just the failing one
+    assert verdicts.count(True) > len(verdicts) // 4
+    assert verdicts.count(False) > len(verdicts) // 4
 
 
 class TestPropertyFlags:
