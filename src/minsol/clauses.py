@@ -31,8 +31,7 @@ def parity_rows(formula: Formula) -> tuple[tuple[int, int], ...]:
     codes of `Assignment.code()`, repeated variables cancelled."""
     n = formula.var_count
     out: set[tuple[frozenset[int], int]] = set()
-    for name, vars_ in formula.atoms:
-        rel = formula.relation(name)
+    for rel, (_, vars_) in zip(formula.bound, formula.atoms):
         for cl in cnf_decompose(rel, "parity"):
             support: set[int] = set()
             for i in cl.positives:
@@ -288,8 +287,8 @@ def _formula_clause_cache(formula: Formula, shape: str, k: int | None) -> tuple[
     """Every atom decomposed into the shape and mapped onto formula
     variables, tautologies dropped."""
     out: set[LitClause] = set()
-    for name, vars_ in formula.atoms:
-        for cl in cnf_decompose(formula.relation(name), shape, k):
+    for rel, (_, vars_) in zip(formula.bound, formula.atoms):
+        for cl in cnf_decompose(rel, shape, k):
             pos = {vars_[i] for i in cl.positives}
             neg = {vars_[i] for i in cl.negatives}
             if not pos & neg:

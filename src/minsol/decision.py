@@ -121,8 +121,11 @@ def another_sat_below_n(formula: Formula, m: Assignment) -> bool:
 
     The models of an affine formula are m plus its solution space V, so the
     answer is whether V holds a nonzero vector other than all ones.  For
-    the other Schaefer classes this fixes one flipped and one agreeing
-    variable per probe, so a distance-n-only second model cannot fool it.
+    the other Schaefer classes a probe fixes one flipped and one agreeing
+    variable, so a distance-n-only second model cannot fool it.  On 2-CNF
+    a set of literals is consistent iff the union of their implication
+    closures holds no complementary pair, so the bijunctive probes are
+    bitset ORs over the clause index.
     """
     if not satisfies(formula, m):
         raise NotAModel("another_sat_below_n needs a satisfying assignment")
@@ -131,9 +134,25 @@ def another_sat_below_n(formula: Formula, m: Assignment) -> bool:
     if "affine" in flags:
         _, basis = affine_solve(formula)
         return len(basis) >= 2 or (len(basis) == 1 and basis[0] != (1 << n) - 1)
+    if n == 1 and flags & set(SCHAEFER_FLAGS):
+        return False
+    if "bijunctive" in flags:
+        forced, index = clause_index(formula, "bijunctive").reduced
+
+        def consistent(lits: int) -> bool:
+            return index.setting(0, lits) is not None
+
+        # closure of each unforced variable kept at its value in m; a forced
+        # variable keeps its value whatever is flipped
+        keep = {v: index.reach(v if m.value(v) else -v) for v in range(1, n + 1) if v not in forced}
+        for i in keep:
+            flip = index.reach(-i if m.value(i) else i)
+            if consistent(flip) and (
+                len(keep) < n or any(consistent(flip | r) for j, r in keep.items() if j != i)
+            ):
+                return True
+        return False
     if flags & set(SCHAEFER_FLAGS):
-        if n == 1:
-            return False
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i == j:

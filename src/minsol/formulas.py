@@ -13,8 +13,10 @@ so ascending code order is lexicographic order on bitstrings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from math import comb
+from operator import ne
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -31,7 +33,6 @@ from .errors import (
 from .gf2 import popcount
 from .outcome import SolveOutcome, exact
 from .relations import (
-    BUILTIN_RELATIONS,
     Language,
     Relation,
     dualize,
@@ -40,7 +41,7 @@ from .relations import (
 )
 
 ORACLE_VAR_CAP = 24
-_BLOCK_BITS = 18
+_BLOCK_BITS = 16  # 2**16 codes per block: each cached bit column is 512 KiB
 _LOOKUPS = 1 << 20  # bitmap lookups per step of the MSD radius search
 
 NSOL = "NSOL"
@@ -87,41 +88,55 @@ def hamming(m1: Assignment, m2: Assignment) -> int:
     """Number of coordinates on which the two vectors disagree."""
     if len(m1) != len(m2):
         raise LengthMismatch(f"lengths {len(m1)} and {len(m2)} differ")
-    return sum(a != b for a, b in zip(m1.bits, m2.bits))
+    return sum(map(ne, m1.bits, m2.bits))
 
 
 @dataclass(frozen=True)
 class Formula:
-    """A conjunction of atoms over a language; variables are 1-based."""
+    """A conjunction of atoms over a language; variables are 1-based.
+
+    Construction validates the atoms and binds them: `bound[i]` is the
+    relation of `atoms[i]`, so no layer looks a name up again.  It takes no
+    part in equality, hashing or the repr.  It holds the relations alone,
+    not (relation, variables) pairs: cached formulas then keep one tuple
+    more each rather than one per atom for the garbage collector to scan.
+    """
 
     language: Language
     var_count: int
     atoms: tuple[tuple[str, tuple[int, ...]], ...]
+    bound: tuple[Relation, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.var_count < 1:
+        n = self.var_count
+        if n < 1:
             raise ParseError("formulas need at least one variable")
+        get = self.language.get
+        bound = []
         for name, vars_ in self.atoms:
-            rel = self.language.get(name)
+            rel = get(name)
             if len(vars_) != rel.arity:
                 raise ParseError(
                     f"atom {name}{vars_} has {len(vars_)} indices, arity is {rel.arity}"
                 )
-            if any(not 1 <= v <= self.var_count for v in vars_):
-                raise ParseError(f"atom {name}{vars_} uses an index outside 1..{self.var_count}")
+            if not (1 <= min(vars_) and max(vars_) <= n):
+                raise ParseError(f"atom {name}{vars_} uses an index outside 1..{n}")
+            bound.append(rel)
+        object.__setattr__(self, "bound", tuple(bound))
 
     def relation(self, name: str) -> Relation:
         return self.language.get(name)
 
     def effective_language(self) -> Language:
         """Declared relations plus any builtins the atoms reference."""
-        pairs = list(self.language.relations)
-        declared = {n for n, _ in pairs}
-        for name, _ in self.atoms:
-            if name not in declared and name in BUILTIN_RELATIONS:
-                pairs.append((name, BUILTIN_RELATIONS[name]))
-                declared.add(name)
-        return Language(tuple(pairs))
+        declared = self.language.index
+        extra: dict[str, Relation] = {}
+        for (name, _), rel in zip(self.atoms, self.bound):
+            if name not in declared:
+                extra.setdefault(name, rel)
+        if not extra:
+            return self.language
+        return Language(self.language.relations + tuple(extra.items()))
 
     def check_length(self, m: Assignment) -> None:
         if len(m) != self.var_count:
@@ -131,12 +146,12 @@ class Formula:
 def satisfies(formula: Formula, m: Assignment) -> bool:
     """True iff every atom's projected tuple is in its relation."""
     formula.check_length(m)
-    for name, vars_ in formula.atoms:
-        rel = formula.relation(name)
+    bits = m.bits
+    for rel, (_, vars_) in zip(formula.bound, formula.atoms):
         code = 0
         for v in vars_:
-            code = (code << 1) | m.bits[v - 1]
-        if not rel.contains(code):
+            code = (code << 1) | bits[v - 1]
+        if not (rel.mask >> code) & 1:
             return False
     return True
 
@@ -150,23 +165,38 @@ def dualize_formula(formula: Formula) -> Formula:
 # --- vectorized model enumeration ---------------------------------------------
 
 
+def _membership_table(rel: Relation) -> np.ndarray:
+    """Bool array over the relation's 2**arity tuple codes."""
+    size = 1 << rel.arity
+    packed = np.frombuffer(rel.mask.to_bytes(max(1, size // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(packed, bitorder="little")[:size].view(bool)
+
+
 def _model_blocks(formula: Formula) -> Iterator[np.ndarray]:
-    """Yield ascending arrays of model codes, in blocks."""
+    """Yield ascending arrays of model codes, in blocks.
+
+    Each distinct relation's table is built once per call, and each
+    variable's bit column once per block, however many atoms share them."""
     n = formula.var_count
-    atoms = [(formula.relation(name), vars_) for name, vars_ in formula.atoms]
-    tables = [np.frombuffer(
-        bytes((rel.mask >> i) & 1 for i in range(1 << rel.arity)), dtype=np.uint8
-    ) for rel, _ in atoms]
+    tables = {rel: _membership_table(rel) for rel in formula.bound}
     total = 1 << n
     step = 1 << min(_BLOCK_BITS, n)
     for start in range(0, total, step):
         codes = np.arange(start, min(start + step, total), dtype=np.int64)
+        columns: dict[int, np.ndarray] = {}
         ok = np.ones(len(codes), dtype=bool)
-        for (rel, vars_), table in zip(atoms, tables):
-            idx = np.zeros(len(codes), dtype=np.int64)
-            for pos, v in enumerate(vars_):
-                idx |= ((codes >> (n - v)) & 1) << (rel.arity - 1 - pos)
-            ok &= table[idx].astype(bool)
+        for rel, (_, vars_) in zip(formula.bound, formula.atoms):
+            idx = None
+            for v in vars_:
+                col = columns.get(v)
+                if col is None:
+                    col = columns[v] = (codes >> (n - v)) & 1
+                if idx is None:
+                    idx = col.copy()
+                else:
+                    idx <<= 1
+                    idx |= col
+            ok &= tables[rel][idx]
             if not ok.any():
                 break
         yield codes[ok]
@@ -334,48 +364,49 @@ def parse_formula(text: str, base_dir: str | Path | None = None) -> Formula:
     var_count: int | None = None
     atoms: list[tuple[str, tuple[int, ...]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0] if "#" in raw else raw
         parts = line.split()
-        if parts[0] == "lang":
+        if not parts:
+            continue
+        head = parts[0]
+        if head == "lang":
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'lang FILE|builtin'")
             if parts[1] == "builtin":
                 loaded = Language(())
             else:
-                path = Path(parts[1])
-                if base_dir is not None and not path.is_absolute():
-                    path = Path(base_dir) / path
+                path = parts[1]
+                if base_dir is not None and not os.path.isabs(path):
+                    path = os.path.join(base_dir, path)
                 loaded = load_language(path)
-            inline = lang.relations if lang is not None else ()
-            lang = Language.from_pairs(loaded.relations + inline)
-        elif parts[0] == "rel":
+            if lang is not None:  # inline declarations come after the file's
+                loaded = Language.from_pairs(loaded.relations + lang.relations)
+            lang = loaded
+        elif head == "rel":
             declared = lang.relations if lang is not None else ()
-            lang = Language.from_pairs(declared + (parse_relation_line(line, lineno),))
-        elif parts[0] == "vars":
+            lang = Language.from_pairs(declared + (parse_relation_line(line.strip(), lineno),))
+        elif head == "vars":
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError(f"line {lineno}: expected 'vars N'")
             var_count = int(parts[1])
         else:
             if lang is None or var_count is None:
                 raise ParseError(f"line {lineno}: atom before 'lang'/'rel'/'vars' header")
-            name = parts[0]
             try:
-                vars_ = tuple(int(p) for p in parts[1:])
+                vars_ = tuple(map(int, parts[1:]))
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: variable indices must be integers") from exc
-            if not lang.has(name):
-                raise ParseError(f"line {lineno}: unknown relation {name!r}")
-            atoms.append((name, vars_))
+            if not lang.has(head):
+                raise ParseError(f"line {lineno}: unknown relation {head!r}")
+            atoms.append((head, vars_))
     if lang is None or var_count is None:
         raise ParseError("formula file needs a 'lang' header or 'rel' lines, and 'vars'")
     return Formula(lang, var_count, tuple(atoms))
 
 
 def load_formula(path: str | Path) -> Formula:
-    p = Path(path)
-    return parse_formula(p.read_text(encoding="utf-8"), base_dir=p.parent)
+    with open(path, encoding="utf-8") as fh:
+        return parse_formula(fh.read(), base_dir=os.path.dirname(path))
 
 
 def make_formula(

@@ -372,6 +372,7 @@ _VERDICTS: dict[str, Callable[[CoCloneLabel], Verdict]] = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def verdict_for_label(label: CoCloneLabel, problem: str) -> Verdict:
     if problem not in _VERDICTS:
         raise ParseError(f"unknown problem {problem!r}")

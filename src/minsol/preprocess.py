@@ -58,7 +58,7 @@ def absorb_units(formula: Formula) -> ReducedFormula:
     """
     forced: dict[int, int] = {}
     atoms: list[tuple[Relation, tuple[int, ...], str] | None] = [
-        (formula.relation(name), vars_, name) for name, vars_ in formula.atoms
+        (rel, vars_, name) for rel, (name, vars_) in zip(formula.bound, formula.atoms)
     ]
     fresh: list[int] = []  # forced variables whose atoms may still mention them
 
@@ -99,11 +99,14 @@ def absorb_units(formula: Formula) -> ReducedFormula:
             for a in occurs.get(fresh.pop(), ()):
                 if atoms[a] is not None:
                     settle(a)
+    keys: dict[tuple[str, int, int], str] = {}  # one residual name per relation
     pairs: dict[str, Relation] = {}
     new_atoms: list[tuple[str, tuple[int, ...]]] = []
     for rel, vars_, name in filter(None, atoms):
-        key = f"{name}#{rel.arity}x{rel.mask:x}"
-        pairs.setdefault(key, rel)
+        key = keys.get((name, rel.arity, rel.mask))
+        if key is None:
+            key = keys[name, rel.arity, rel.mask] = f"{name}#{rel.arity}x{rel.mask:x}"
+            pairs[key] = rel
         new_atoms.append((key, vars_))
     residual = Formula(
         Language(tuple(pairs.items())), formula.var_count, tuple(new_atoms)

@@ -618,22 +618,25 @@ class Language:
             seen[name] = rel
         return cls(tuple(seen.items()))
 
+    @functools.cached_property
+    def index(self) -> dict[str, Relation]:
+        """Declared relations by name; the first declaration of a name wins."""
+        index: dict[str, Relation] = {}
+        for name, rel in self.relations:
+            index.setdefault(name, rel)
+        return index
+
     def get(self, name: str) -> Relation:
-        for n, r in self.relations:
-            if n == name:
-                return r
-        if name in BUILTIN_RELATIONS:
-            return BUILTIN_RELATIONS[name]
-        raise ParseError(f"unknown relation {name!r}")
+        rel = self.index.get(name) or BUILTIN_RELATIONS.get(name)
+        if rel is None:
+            raise ParseError(f"unknown relation {name!r}")
+        return rel
 
     def declared(self, name: str) -> Relation | None:
-        for n, r in self.relations:
-            if n == name:
-                return r
-        return None
+        return self.index.get(name)
 
     def has(self, name: str) -> bool:
-        return any(n == name for n, _ in self.relations) or name in BUILTIN_RELATIONS
+        return name in self.index or name in BUILTIN_RELATIONS
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.relations)
@@ -700,7 +703,8 @@ def _parse_language_text(text: str) -> Language:
 def load_language(path: str | Path) -> Language:
     """The language in a file.  The file is read on every call, so an edited
     file is never served stale; parsing is memoized on the text."""
-    return _parse_language_text(Path(path).read_text(encoding="utf-8"))
+    with open(path, "rb") as fh:
+        return _parse_language_text(fh.read().decode("utf-8"))
 
 
 def builtin_language(names: Iterable[str]) -> Language:

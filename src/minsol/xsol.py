@@ -108,9 +108,9 @@ def xsol_horn_turing(formula: Formula, m: Assignment) -> SolveOutcome:
     n = formula.var_count
     # m is a model, so a flip is one iff the atoms that mention the flipped variable hold
     touching: dict[int, list[tuple[Relation, tuple[int, ...]]]] = {}
-    for name, vs in formula.atoms:
+    for rel, (_, vs) in zip(formula.bound, formula.atoms):
         for v in set(vs):
-            touching.setdefault(v, []).append((formula.relation(name), vs))
+            touching.setdefault(v, []).append((rel, vs))
     flips = [m.bits[:i] + (1 - m.bits[i],) + m.bits[i + 1 :] for i in range(n)]
     neighbours = [
         w

@@ -5,6 +5,11 @@ small arity by closing under the primitive operations (permutation,
 identification, projection, join) plus equality; `fragment_contains` is the
 membership probe with early exit.  It is exponential and only meant for
 tests at arity <= 4.
+
+Inside the closure a relation is its `(arity, mask)` pair, as in
+`Relation`, and each stored one keeps its list of member codes.  Each
+dequeued relation is joined with the relations dequeued before it (and
+itself), looked up by arity, so every pair is joined once in each order.
 """
 
 from __future__ import annotations
@@ -15,62 +20,73 @@ from collections import deque
 from minsol.errors import InternalConsistencyError, ParseError
 from minsol.relations import EQ2, Language, Relation
 
+Rel = tuple[int, int]  # (arity, membership mask)
 
-def _join(r1: Relation, r2: Relation, overlap: int) -> Relation | None:
+
+def _members(rel: Rel) -> list[int]:
+    arity, mask = rel
+    return [c for c in range(1 << arity) if (mask >> c) & 1]
+
+
+def _heads(r2: Rel, t2s: list[int], overlap: int) -> list[int]:
+    """Per value of r2's first `overlap` coords, the mask of the values its
+    remaining coords take with it."""
+    tail = r2[0] - overlap
+    rests = [0] * (1 << overlap)
+    for t2 in t2s:
+        rests[t2 >> tail] |= 1 << (t2 & ((1 << tail) - 1))
+    return rests
+
+
+def _join(r1: Rel, t1s: list[int], r2: Rel, rests: list[int], overlap: int) -> Rel | None:
     """Conjoin, identifying the last `overlap` coords of r1 with the first
-    of r2; result arity n1 + n2 - overlap.  None if the join is empty."""
-    n1, n2 = r1.arity, r2.arity
-    tail = n2 - overlap
-    buckets: dict[int, list[int]] = {}
-    for t2 in r2.tuples():
-        buckets.setdefault(t2 >> tail, []).append(t2 & ((1 << tail) - 1))
+    of r2 (`rests` from `_heads`); result arity n1 + n2 - overlap.  None if
+    the join is empty."""
+    tail = r2[0] - overlap
     mask = 0
     lowmask = (1 << overlap) - 1
-    for t1 in r1.tuples():
-        for rest in buckets.get(t1 & lowmask, ()):
-            mask |= 1 << ((t1 << tail) | rest)
+    for t1 in t1s:
+        mask |= rests[t1 & lowmask] << (t1 << tail)
     if mask == 0:
         return None
-    return Relation(n1 + n2 - overlap, mask)
+    return r1[0] + tail, mask
 
 
-def _permutations_of(r: Relation) -> list[Relation]:
-    n = r.arity
+def _permutations_of(rel: Rel, ts: list[int]) -> list[Rel]:
+    n = rel[0]
+    rows = [[(t >> (n - 1 - i)) & 1 for i in range(n)] for t in ts]
     out = []
     for perm in itertools.permutations(range(n)):
         mask = 0
-        for t in r.tuples():
-            bits = [(t >> (n - 1 - i)) & 1 for i in range(n)]
+        for bits in rows:
             mask |= 1 << sum(bits[perm[i]] << (n - 1 - i) for i in range(n))
-        out.append(Relation(n, mask))
+        out.append((n, mask))
     return out
 
 
-def _identify_last_two(r: Relation) -> Relation | None:
-    n = r.arity
+def _identify_last_two(rel: Rel, ts: list[int]) -> Rel | None:
     mask = 0
-    for t in r.tuples():
+    for t in ts:
         if (t & 1) == ((t >> 1) & 1):
             mask |= 1 << ((t >> 2 << 1) | (t & 1))
-    return Relation(n - 1, mask) if mask else None
+    return (rel[0] - 1, mask) if mask else None
 
 
-def _project_last(r: Relation) -> Relation:
+def _project_last(rel: Rel, ts: list[int]) -> Rel:
     mask = 0
-    for t in r.tuples():
+    for t in ts:
         mask |= 1 << (t >> 1)
-    return Relation(r.arity - 1, mask)
+    return rel[0] - 1, mask
 
 
-def _project_coord(r: Relation, coord: int) -> Relation:
-    n = r.arity
-    shift = n - 1 - coord
+def _project_coord(rel: Rel, ts: list[int], coord: int) -> Rel:
+    shift = rel[0] - 1 - coord
     mask = 0
-    for t in r.tuples():
+    for t in ts:
         high = t >> (shift + 1)
         low = t & ((1 << shift) - 1)
         mask |= 1 << ((high << shift) | low)
-    return Relation(n - 1, mask)
+    return rel[0] - 1, mask
 
 
 def coclone_fragment(
@@ -93,60 +109,79 @@ def coclone_fragment(
         raise ParseError("fragment oracle capped at arity 4")
     seeds = list(gamma.members()) + [EQ2]
     w = working_arity or max(max_arity, max(r.arity for r in seeds))
-    seen: set[Relation] = set()
-    queue: deque[Relation] = deque()
+    goal = None if target is None else (target.arity, target.mask)
+    seen: dict[Rel, list[int]] = {}  # stored relation -> its member codes
+    queue: deque[Rel] = deque()
+    done: dict[int, list[Rel]] = {}  # dequeued relations by arity
+    heads: dict[tuple[Rel, int], list[int]] = {}
+    spent: set[Rel] = set()  # transient join results already projected
     found = False
 
-    def push(r: Relation | None) -> None:
+    def join(left: Rel, right: Rel, overlap: int) -> Rel | None:
+        rests = heads.get((right, overlap))
+        if rests is None:
+            rests = heads[right, overlap] = _heads(right, seen[right], overlap)
+        return _join(left, seen[left], right, rests, overlap)
+
+    def push(r: Rel | None) -> None:
         nonlocal found
-        if r is None or r.arity > w + 1 or found:
+        if r is None or r[0] > w + 1 or found:
             return
-        if r.arity > w:
+        if r[0] > w:
             # transient join result: quantify away each coordinate in turn
-            for i in range(r.arity):
-                push(_project_coord(r, i))
+            if r in spent:
+                return
+            spent.add(r)
+            ts = _members(r)
+            for i in range(r[0]):
+                push(_project_coord(r, ts, i))
             return
         if r not in seen:
-            seen.add(r)
+            seen[r] = _members(r)
             queue.append(r)
-            if target is not None and r == target:
+            if r == goal:
                 found = True
 
     for s in seeds:
         if s.arity <= w:
-            push(s)
+            push((s.arity, s.mask))
         else:
             # oversized seeds: feed in their projections/identifications
-            frontier = [s]
+            frontier = [(s.arity, s.mask)]
             while frontier:
                 cur = frontier.pop()
-                if cur.arity <= w:
+                if cur[0] <= w:
                     push(cur)
                     continue
-                for p in _permutations_of(cur):
-                    nxt = _identify_last_two(p)
+                for p in _permutations_of(cur, _members(cur)):
+                    ts = _members(p)
+                    nxt = _identify_last_two(p, ts)
                     if nxt is not None:
                         frontier.append(nxt)
-                    frontier.append(_project_last(p))
+                    frontier.append(_project_last(p, ts))
     while queue and not found:
         if len(seen) > state_cap:
             raise InternalConsistencyError("fragment closure exceeded its state cap")
         r = queue.popleft()
-        for p in _permutations_of(r):
+        rs = seen[r]
+        for p in _permutations_of(r, rs):
             push(p)
-            if p.arity >= 2:
-                push(_identify_last_two(p))
-                push(_project_last(p))
+            if p[0] >= 2:
+                ps = seen.get(p) or _members(p)
+                push(_identify_last_two(p, ps))
+                push(_project_last(p, ps))
             if found:
                 break
-        for other in list(seen):
-            if found:
-                break
-            for left, right in ((r, other), (other, r)):
-                for overlap in range(0, min(left.arity, right.arity) + 1):
-                    if left.arity + right.arity - overlap <= w + 1:
-                        push(_join(left, right, overlap))
-    return {r for r in seen if r.arity <= max_arity}
+        done.setdefault(r[0], []).append(r)
+        for arity, partners in done.items():
+            overlaps = range(max(0, r[0] + arity - w - 1), min(r[0], arity) + 1)
+            for other in partners:
+                if found:
+                    break
+                for left, right in ((r, other), (other, r)):
+                    for overlap in overlaps:
+                        push(join(left, right, overlap))
+    return {Relation(a, m) for a, m in seen if a <= max_arity}
 
 
 def fragment_contains(

@@ -88,6 +88,32 @@ class TestAnotherSatBelowN:
         f = make_formula(lang(nae3=NAE3), 3, [("nae3", [1, 2, 3])])
         assert another_sat_below_n(f, A("001"))
 
+    def test_bijunctive_failed_flips_beside_a_forced_variable(self):
+        # unit propagation forces only x3, yet flipping x1 or x2 fails
+        language = lang(impl=IMPL, nand2=BUILTIN_RELATIONS["nand2"], or2=OR2, t=T_REL)
+        atoms = [("impl", [1, 2]), ("nand2", [1, 2]), ("or2", [1, 2]), ("t", [3])]
+        f = make_formula(language, 3, atoms)
+        assert [str(m) for m in enumerate_models(f).assignments] == ["011"]
+        assert not another_sat_below_n(f, A("011"))
+
+    def test_bijunctive_closures_match_enumeration(self):
+        # unit atoms force variables, so some probes meet a forced variable
+        rng = random.Random(12)
+        names = {"x": XOR2, "or2": OR2, "impl": IMPL, "nand2": BUILTIN_RELATIONS["nand2"]}
+        language = lang(**names, t=T_REL, f=F_REL)
+        checked = 0
+        while checked < 300:
+            n = rng.randint(2, 8)
+            atoms = [(rng.choice(list(names)), [rng.randint(1, n), rng.randint(1, n)])
+                     for _ in range(rng.randint(1, 2 * n))]
+            atoms += [(rng.choice("tf"), [rng.randint(1, n)]) for _ in range(rng.randint(0, 2))]
+            f = make_formula(language, n, atoms)
+            models = enumerate_models(f).assignments
+            for m in models:
+                truth = any(x != m and hamming(x, m) < n for x in models)
+                assert another_sat_below_n(f, m) == truth
+                checked += 1
+
 
 class TestScaling:
     def test_tractable_routes_ignore_the_enumeration_cap(self):

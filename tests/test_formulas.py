@@ -3,11 +3,12 @@ import random
 import pytest
 
 from helpers import lang, random_formula, random_language, random_satisfiable
-from minsol import formulas
+from minsol import clauses, formulas
 from minsol.errors import (
     LengthMismatch,
     NoSecondModel,
     NotAModel,
+    ParseError,
     TooLarge,
     Unsatisfiable,
 )
@@ -16,13 +17,24 @@ from minsol.formulas import (
     dualize_formula,
     enumerate_models,
     hamming,
+    load_formula,
     make_formula,
     model_codes,
     oracle_optimize,
     parse_formula,
     satisfies,
 )
-from minsol.relations import BUILTIN_RELATIONS, DUP3, F_REL, OR2, T_REL, XOR2, even_rel, nand_rel
+from minsol.relations import (
+    BUILTIN_RELATIONS,
+    DUP3,
+    F_REL,
+    OR2,
+    T_REL,
+    XOR2,
+    Relation,
+    even_rel,
+    nand_rel,
+)
 
 A = Assignment.from_string
 
@@ -81,6 +93,23 @@ class TestEnumerateModels:
         f = make_formula(lang(or2=OR2), 30, [("or2", [1, 2])])
         with pytest.raises(TooLarge):
             enumerate_models(f)
+
+
+class TestModelCodes:
+    def test_one_relation_on_many_atoms_matches_satisfies(self, monkeypatch):
+        # tiny blocks, so a table built once per call serves every block
+        monkeypatch.setattr(formulas, "_BLOCK_BITS", 3)
+        rng = random.Random(21)
+        for _ in range(60):
+            arity = rng.randint(1, 5)
+            rel = Relation(arity, rng.randint(1, (1 << (1 << arity)) - 1))
+            n = rng.randint(1, 9)
+            atoms = [
+                ("r", [rng.randint(1, n) for _ in range(arity)]) for _ in range(rng.randint(4, 16))
+            ]
+            f = make_formula(lang(r=rel), n, atoms)
+            want = [c for c in range(1 << n) if satisfies(f, Assignment.from_code(c, n))]
+            assert model_codes(f).tolist() == want
 
 
 class TestOracle:
@@ -232,6 +261,25 @@ class TestOracleInvariants:
             assert len(model_codes(renamed)) == len(codes)
 
 
+class TestBinding:
+    TEXT = "lang builtin\nrel x 2 01,10\nvars 3\nx 1 2\nimpl 2 3\nor2 1 3\nx 3 3\n"
+
+    def test_atoms_are_bound_in_order(self):
+        f = parse_formula(self.TEXT)
+        assert f.bound == tuple(f.relation(name) for name, _ in f.atoms)
+        assert f.bound[0] == XOR2 and f.bound[2] == OR2
+
+    def test_equal_fields_mean_equal_formulas(self):
+        f, g = parse_formula(self.TEXT), parse_formula(self.TEXT)
+        assert f is not g and f.bound is not g.bound
+        assert f == g and hash(f) == hash(g) and str(f) == str(g)
+        assert "bound" not in repr(f)
+        first = clauses.cached_clauses(f, "bijunctive")
+        hits = clauses._formula_clause_cache.cache_info().hits
+        assert clauses.cached_clauses(g, "bijunctive") is first
+        assert clauses._formula_clause_cache.cache_info().hits == hits + 1
+
+
 class TestParsing:
     def test_formula_file(self, tmp_path):
         (tmp_path / "x.lang").write_text("rel xor2 2 01,10\n")
@@ -260,19 +308,31 @@ class TestParsing:
         assert f.relation("or2") == nand_rel(2)
         g = parse_formula("lang builtin\nrel x 2 01,10\nvars 3\nx 1 2\nimpl 2 3\n")
         assert g.relation("x") == XOR2 and g.effective_language().names() == ("x", "impl")
-        from minsol.errors import ParseError
-
         with pytest.raises(ParseError):
             parse_formula("rel x 2 01\nrel x 2 10\nvars 2\nx 1 2\n")
 
-    def test_errors(self):
-        from minsol.errors import ParseError
+    def test_load_formula_sees_an_edited_language_file(self, tmp_path):
+        (tmp_path / "x.lang").write_text("rel r 2 01,10\n")
+        path = tmp_path / "x.cf"
+        path.write_text("lang x.lang\nvars 2\nr 1 2\n")
+        assert load_formula(path).bound == (XOR2,)
+        (tmp_path / "x.lang").write_text("rel r 2 00,01,10\n")
+        assert load_formula(str(path)).bound == (nand_rel(2),)
 
-        with pytest.raises(ParseError):
-            parse_formula("vars 2\nor2 1 2\n")  # atom before lang header
-        with pytest.raises(ParseError):
-            parse_formula("lang builtin\nvars 2\nor2 1\n")  # arity mismatch
-        with pytest.raises(ParseError):
-            parse_formula("lang builtin\nvars 2\nor2 1 3\n")  # index out of range
-        with pytest.raises(ParseError):
-            parse_formula("lang builtin\nvars 2\nmystery 1 2\n")
+    def test_errors(self):
+        # line-level errors name their line; atom validation names the atom
+        cases = {
+            "# header\nor2 1 2\nlang builtin\nvars 2\n": (
+                "line 2: atom before 'lang'/'rel'/'vars' header"
+            ),
+            "lang builtin\nvars 2\nor2 1\n": "atom or2(1,) has 1 indices, arity is 2",
+            "lang builtin\nvars 2\nor2 1 3\n": "atom or2(1, 3) uses an index outside 1..2",
+            "lang builtin\nvars 2\n\nmystery 1 2\n": "line 4: unknown relation 'mystery'",
+            "lang builtin\nvars 2\nor2 1 x\n": "line 3: variable indices must be integers",
+            "lang builtin\nvars 2 3\nor2 1 2\n": "line 2: expected 'vars N'",
+            "lang builtin\nvars -2\n": "line 2: expected 'vars N'",
+        }
+        for text, message in cases.items():
+            with pytest.raises(ParseError) as caught:
+                parse_formula(text)
+            assert str(caught.value) == message

@@ -9,14 +9,17 @@ from minsol.errors import ParseError, ShapeUnavailable
 from minsol.postlattice import _LIMIT_CLONES, _PLAIN_NODES
 from minsol.relations import (
     AND2,
+    BUILTIN_RELATIONS,
     DUP3,
     F_REL,
     ID1,
     IMPL,
     NAE3,
     OR2,
+    Language,
     Relation,
     T_REL,
+    XOR2,
     XOR3,
     BoolFunction,
     cnf_decompose,
@@ -302,6 +305,19 @@ class TestLanguageParsing:
     def test_conflicting_redeclaration(self):
         with pytest.raises(ParseError):
             parse_language("rel a 1 1\nrel a 1 0")
+
+    def test_declared_name_shadows_builtin(self):
+        lang = Language.of(or2=XOR2)
+        assert lang.get("or2") == XOR2 and lang.has("or2") and lang.declared("or2") == XOR2
+        assert lang.get("impl") == IMPL and lang.has("impl") and lang.declared("impl") is None
+        assert BUILTIN_RELATIONS["or2"] == OR2 and "impl" not in lang.index
+        assert not lang.has("mystery") and lang.declared("mystery") is None
+        with pytest.raises(ParseError):
+            lang.get("mystery")
+
+    def test_first_declaration_wins_in_a_raw_language(self):
+        lang = Language((("r", XOR2), ("r", OR2)))
+        assert lang.get("r") == XOR2 and lang.declared("r") == XOR2 and lang.has("r")
 
     def test_flags_intersection(self):
         lang = parse_language("rel a 2 01,10\nrel b 1 1")
