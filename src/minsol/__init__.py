@@ -50,7 +50,6 @@ from .relations import (
     is_polymorphism,
     load_language,
     parse_language,
-    property_flags,
 )
 from .xsol import solve_xsol
 

@@ -109,10 +109,10 @@ class ClauseIndex:
                         return None
         return assign
 
-    def probe(self, lit: int) -> set[int] | None:
-        """The literals unit propagation forces from `lit`, itself included;
-        None if it conflicts."""
-        forced = self._spread([lit, *self.units])
+    def probe(self, *lits: int) -> set[int] | None:
+        """The literals unit propagation forces from `lits`, themselves
+        included; None if they conflict."""
+        forced = self._spread([*lits, *self.units])
         return None if forced is None else {v if b else -v for v, b in forced.items()}
 
     @functools.cached_property

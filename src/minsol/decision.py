@@ -1,9 +1,10 @@
 """Decision procedures the optimization solvers lean on.
 
-Every routine dispatches on the language's verdict: tractable classes get
-their constructive polynomial algorithm, everything else falls back to
+Every routine dispatches on the language's verdict tag: tractable classes
+get their constructive polynomial algorithm, everything else falls back to
 model enumeration, which refuses with `TooLarge` beyond `ORACLE_VAR_CAP`
-variables.
+variables.  SAT under unit assumptions is SAT over the language plus the
+constant relations t and f, whose SAT tag is never a constant one.
 """
 
 from __future__ import annotations
@@ -15,44 +16,43 @@ from .clauses import affine_solve, clause_index, horn_model, twosat_model
 from .errors import NotAModel
 from .formulas import Assignment, Formula, enumerate_models, hamming, model_codes, satisfies
 from .gf2 import popcount
-from .postlattice import verdict
+from .postlattice import CoCloneLabel, classify, label_leq, verdict_for_label
+from .relations import F_REL, T_REL, Language
 
-SCHAEFER_FLAGS = ("bijunctive", "horn", "dual_horn", "affine")
+_AFFINE, _BIJUNCTIVE, _HORN = CoCloneLabel("iL2"), CoCloneLabel("iD2"), CoCloneLabel("iE2")
 
 
 @functools.lru_cache(maxsize=64)
-def _language_flags(formula: Formula) -> frozenset[str]:
-    """Flags of the formula's language, memoised for the n or n^2 probes of
-    `another_sat` and `another_sat_below_n` (one formula at a time)."""
-    return formula.effective_language().flags
+def _label(formula: Formula, constants: bool = False) -> CoCloneLabel:
+    """The label of the formula's language, plus t and f if `constants`;
+    memoised for the n or n^2 probes of `another_sat` and
+    `another_sat_below_n` (one formula at a time)."""
+    lang = formula.effective_language()
+    if constants:
+        lang = Language(lang.relations + (("t", T_REL), ("f", F_REL)))
+    return classify(lang)
+
+
+def _tag(formula: Formula, problem: str, constants: bool = False) -> str:
+    return verdict_for_label(_label(formula, constants), problem).algorithm_tag
 
 
 def sat_solve(formula: Formula, assumptions: dict[int, int] | None = None) -> Assignment | None:
-    """A model or None, via the strongest routine the class admits.
-
-    Assumptions are extra unit constraints the model must meet; they keep
-    the four Schaefer classes tractable, but not the 0-/1-valid shortcuts.
-    Beyond those classes it falls back to model enumeration.
-    """
+    """A model or None, via the engine of the language's SAT tag; unit
+    `assumptions` read the tag of the language plus t and f."""
     n = formula.var_count
-    if not assumptions:
-        tag = verdict(formula.effective_language(), "SAT").algorithm_tag
-        if tag == "const_zero":
-            return Assignment((0,) * n)
-        if tag == "const_one":
-            return Assignment((1,) * n)
-    flags = _language_flags(formula)
-    if "horn" in flags:
-        return horn_model(clause_index(formula, "horn"), assumptions, default=0)
-    if "dual_horn" in flags:
-        return horn_model(clause_index(formula, "dual_horn"), assumptions, default=1)
-    if "bijunctive" in flags:
+    tag = _tag(formula, "SAT", bool(assumptions))
+    if tag in ("const_zero", "const_one"):
+        return Assignment((int(tag == "const_one"),) * n)
+    if tag in ("horn_prop", "dualhorn_prop"):
+        shape, default = ("horn", 0) if tag == "horn_prop" else ("dual_horn", 1)
+        return horn_model(clause_index(formula, shape), assumptions, default)
+    if tag == "twosat":
         return twosat_model(clause_index(formula, "bijunctive"), assumptions)
-    if "affine" in flags:
+    if tag == "affine_gauss":
         solved = affine_solve(formula, assumptions)
         return None if solved is None else Assignment.from_code(solved[0], n)
-    models = enumerate_models(formula, cap=None if assumptions else 1).assignments
-    for m in models:
+    for m in enumerate_models(formula, cap=None if assumptions else 1).assignments:
         if all(m.value(v) == b for v, b in (assumptions or {}).items()):
             return m
     return None
@@ -62,9 +62,8 @@ def another_sat(formula: Formula, m: Assignment) -> Assignment | None:
     """Some model different from m, or None iff m is the unique model."""
     if not satisfies(formula, m):
         raise NotAModel("another_sat needs a satisfying assignment")
-    lang = formula.effective_language()
-    flags = lang.flags
-    if flags & set(SCHAEFER_FLAGS):
+    tag = _tag(formula, "ANOTHERSAT")
+    if tag == "flip_resolve":
         best: Assignment | None = None
         for v in range(1, formula.var_count + 1):
             cand = sat_solve(formula, {v: 1 - m.value(v)})
@@ -73,7 +72,6 @@ def another_sat(formula: Formula, m: Assignment) -> Assignment | None:
             if best is None or (hamming(m, cand), cand.bits) < (hamming(m, best), best.bits):
                 best = cand
         return best
-    tag = verdict(lang, "ANOTHERSAT").algorithm_tag
     if tag == "complement":
         return m.complement()
     if tag == "both_valid":
@@ -99,8 +97,7 @@ class TwoModels:
 
 def tssat(formula: Formula) -> TwoModels:
     """Does the formula have two distinct models?"""
-    lang = formula.effective_language()
-    if verdict(lang, "TSSAT").complexity == "P":
+    if _tag(formula, "TSSAT") == "sat_then_anothersat":
         first = sat_solve(formula)
         if first is None:
             return TwoModels(False, None)
@@ -125,18 +122,19 @@ def another_sat_below_n(formula: Formula, m: Assignment) -> bool:
     variable, so a distance-n-only second model cannot fool it.  On 2-CNF
     a set of literals is consistent iff the union of their implication
     closures holds no complementary pair, so the bijunctive probes are
-    bitset ORs over the clause index.
+    bitset ORs over the clause index.  On Horn and dual-Horn clauses unit
+    propagation is complete, so each pair is one propagation.
     """
     if not satisfies(formula, m):
         raise NotAModel("another_sat_below_n needs a satisfying assignment")
     n = formula.var_count
-    flags = _language_flags(formula)
-    if "affine" in flags:
+    if n == 1:
+        return False  # any other model differs in the one variable
+    label = _label(formula)
+    if label_leq(label, _AFFINE):
         _, basis = affine_solve(formula)
         return len(basis) >= 2 or (len(basis) == 1 and basis[0] != (1 << n) - 1)
-    if n == 1 and flags & set(SCHAEFER_FLAGS):
-        return False
-    if "bijunctive" in flags:
+    if label_leq(label, _BIJUNCTIVE):
         forced, index = clause_index(formula, "bijunctive").reduced
 
         def consistent(lits: int) -> bool:
@@ -152,14 +150,12 @@ def another_sat_below_n(formula: Formula, m: Assignment) -> bool:
             ):
                 return True
         return False
-    if flags & set(SCHAEFER_FLAGS):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                fixed = {i: 1 - m.value(i), j: m.value(j)}
-                if sat_solve(formula, fixed) is not None:
-                    return True
-        return False
+    if _tag(formula, "ANOTHERSAT") == "flip_resolve":
+        index = clause_index(formula, "horn" if label_leq(label, _HORN) else "dual_horn")
+        kept = [v if m.value(v) else -v for v in range(1, n + 1)]
+        return any(
+            index.probe(-a) is not None and any(index.probe(-a, b) is not None for b in kept if b != a)
+            for a in kept
+        )
     distances = popcount(model_codes(formula) ^ m.code())
     return bool(((distances > 0) & (distances < n)).any())

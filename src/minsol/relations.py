@@ -16,6 +16,19 @@ classifier uses is at most ternary, so this costs |r|**(k-1) word
 pairs rather than |r|**k tuples times the arity.  Threshold functions on
 or/nand-type relations and weight-determined relations take shortcuts
 first.
+
+Closure questions have one answer, the polymorphism test: a relation
+admits a clause shape iff the shape's clone generators preserve it
+(`_SHAPE_CLONES`: horn by and, dual_horn by or, bijunctive by majority,
+monotone by and and or, parity by xor3, ihsb_pos by x | (y & z) and
+ihsb_neg by x & (y | z), the last two with projection width at most k).
+A disjunctive decomposition is the shape's prime implicates, found by one
+subcube transform.  Over the 3**n partial assignments (each coordinate 0,
+1 or free) a table marks those some member matches: the free slice of each
+axis is the OR of its 0- and 1-slices.  A clause is an implicate iff its
+falsifying partial assignment is unmarked, and prime iff freeing any one
+of its coordinates gives a marked one.  Every shape's clause set is closed
+under taking subclauses, so its primes are its minimal implicates.
 """
 
 from __future__ import annotations
@@ -28,23 +41,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import gf2
 from .errors import InternalConsistencyError, ParseError, ShapeUnavailable
 
 MAX_RELATION_ARITY = 16
 # Bound on truth-table arity; the classifier itself needs arity 3 at most.
 MAX_FUNCTION_ARITY = 18
-
-FLAG_NAMES = (
-    "zero_valid",
-    "one_valid",
-    "horn",
-    "dual_horn",
-    "monotone",
-    "bijunctive",
-    "affine",
-    "complementive",
-)
 
 
 def tuple_code(bits: Sequence[int]) -> int:
@@ -113,8 +117,7 @@ class Relation:
     def restrict(self, coord: int, value: int) -> "Relation | None":
         """Pin one 0-based coordinate to a value; None if that empties it.
 
-        The result keeps the remaining coordinates in order (arity - 1),
-        or, for arity 1, returns None/"full" degenerately via the caller.
+        The result keeps the remaining coordinates in order (arity - 1).
         """
         if self.arity == 1:
             raise InternalConsistencyError("cannot restrict a unary relation further")
@@ -259,7 +262,7 @@ BUILTIN_RELATIONS: dict[str, Relation] = {
 }
 
 
-# --- polymorphisms and flags -------------------------------------------------
+# --- polymorphisms -----------------------------------------------------------
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -366,29 +369,6 @@ def is_polymorphism(f: BoolFunction, r: Relation) -> bool:
     return _is_poly_cached(f.arity, f.table, r.arity, r.mask)
 
 
-@functools.lru_cache(maxsize=None)
-def _flags_cached(arity: int, mask: int) -> frozenset[str]:
-    r = Relation(arity, mask)
-    flags = set()
-    if r.contains(0):
-        flags.add("zero_valid")
-    if r.contains((1 << arity) - 1):
-        flags.add("one_valid")
-    if is_polymorphism(AND2, r):
-        flags.add("horn")
-    if is_polymorphism(OR2F, r):
-        flags.add("dual_horn")
-    if "horn" in flags and "dual_horn" in flags:
-        flags.add("monotone")
-    if is_polymorphism(MAJ3, r):
-        flags.add("bijunctive")
-    if is_polymorphism(XOR3, r):
-        flags.add("affine")
-    if is_polymorphism(NOT1, r):
-        flags.add("complementive")
-    return frozenset(flags)
-
-
 def projection_width(r: Relation) -> int:
     """Least k >= 2 such that r is the join of its k-ary projections.  A
     coordinate set is a bit mask s, and `t & s` projects the tuple code t.
@@ -407,11 +387,6 @@ def projection_width(r: Relation) -> int:
     if n > 2 and not joins(n - 1):
         return n
     return next((k for k in range(2, n) if joins(k)), 2)
-
-
-def property_flags(r: Relation) -> frozenset[str]:
-    """The eight closure/validity flags of a relation."""
-    return _flags_cached(r.arity, r.mask)
 
 
 def dualize(r: Relation) -> Relation:
@@ -473,26 +448,24 @@ class Clause:
         return frozenset(i + 1 for i in self.positives) | frozenset(-(i + 1) for i in self.negatives)
 
 
-_SHAPES = ("horn", "dual_horn", "bijunctive", "monotone", "parity", "ihsb_pos", "ihsb_neg")
+# The clone generators that must preserve a relation for it to admit each
+# decomposition shape; the two hitting-set shapes also need projection
+# width at most k.
+_SHAPE_CLONES: dict[str, tuple[BoolFunction, ...]] = {
+    "horn": (AND2,),
+    "dual_horn": (OR2F,),
+    "bijunctive": (MAJ3,),
+    "monotone": (AND2, OR2F),
+    "parity": (XOR3,),
+    "ihsb_pos": (OR_AND3,),
+    "ihsb_neg": (AND_OR3,),
+}
 
 
 def _shape_admits(r: Relation, shape: str, k: int | None) -> bool:
-    flags = property_flags(r)
-    if shape == "horn":
-        return "horn" in flags
-    if shape == "dual_horn":
-        return "dual_horn" in flags
-    if shape == "bijunctive":
-        return "bijunctive" in flags
-    if shape == "monotone":
-        return "monotone" in flags
-    if shape == "parity":
-        return "affine" in flags
-    if shape == "ihsb_pos":
-        return is_polymorphism(OR_AND3, r) and projection_width(r) <= k
-    if shape == "ihsb_neg":
-        return is_polymorphism(AND_OR3, r) and projection_width(r) <= k
-    raise ParseError(f"unknown decomposition shape {shape!r}")
+    return all(is_polymorphism(f, r) for f in _SHAPE_CLONES[shape]) and (
+        k is None or projection_width(r) <= k
+    )
 
 
 def _clause_allowed(shape: str, k: int | None, pos: tuple[int, ...], neg: tuple[int, ...]) -> bool:
@@ -509,9 +482,7 @@ def _clause_allowed(shape: str, k: int | None, pos: tuple[int, ...], neg: tuple[
         return np_ <= 1 and nn <= 1
     if shape == "ihsb_pos":
         return (nn == 0 and 2 <= np_ <= k) or (np_ == 1 and nn == 1)
-    if shape == "ihsb_neg":
-        return (np_ == 0 and 2 <= nn <= k) or (np_ == 1 and nn == 1)
-    raise ParseError(f"unknown decomposition shape {shape!r}")
+    return (np_ == 0 and 2 <= nn <= k) or (np_ == 1 and nn == 1)  # ihsb_neg
 
 
 def _parity_decompose(r: Relation) -> tuple[Clause, ...]:
@@ -537,46 +508,48 @@ def _decompose_cached(arity: int, mask: int, shape: str, k: int | None) -> tuple
     r = Relation(arity, mask)
     if not _shape_admits(r, shape, k):
         raise ShapeUnavailable(f"{r} admits no {shape}{'' if k is None else f'_{k}'} decomposition")
-    if shape == "parity":
-        clauses = _parity_decompose(r)
-    else:
-        clauses = _minimal_implicates(r, shape, k)
+    clauses = _parity_decompose(r) if shape == "parity" else _minimal_implicates(r, shape, k)
     _verify_decomposition(r, clauses)
     return clauses
 
 
 def _minimal_implicates(r: Relation, shape: str, k: int | None) -> tuple[Clause, ...]:
+    """The shape's prime implicates of r, shortest first, then by signed
+    literals.  `hit[e]` over e in {0, 1, 2}**n (2 = free) is whether some
+    member agrees with e on its fixed coordinates; a clause is falsified
+    exactly by its positives at 0 and its negatives at 1."""
     n = r.arity
-    tuples = r.tuples()
-    implicates: list[tuple[frozenset[int], Clause]] = []
-    # signs per coordinate: absent / positive / negative
-    for signs in itertools.product((0, 1, 2), repeat=n):
-        pos = tuple(i for i in range(n) if signs[i] == 1)
-        neg = tuple(i for i in range(n) if signs[i] == 2)
-        if not pos and not neg:
-            continue
-        if not _clause_allowed(shape, k, pos, neg):
-            continue
-        cl = Clause(pos, neg)
-        if all(cl.holds(code_bits(t, n)) for t in tuples):
-            implicates.append((cl.literals(), cl))
-    implicates.sort(key=lambda item: (len(item[0]), sorted(item[0])))
-    kept: list[tuple[frozenset[int], Clause]] = []
-    for lits, cl in implicates:
-        if any(prev <= lits for prev, _ in kept):
-            continue
-        kept.append((lits, cl))
-    return tuple(cl for _, cl in kept)
+    hit = np.empty((3,) * n, dtype=bool)
+    hit[(slice(0, 2),) * n] = np.frombuffer(_members(n, r.mask)[1], dtype=bool).reshape((2,) * n)
+    for axis in range(n):  # the later axes are not freed yet
+        v = np.moveaxis(hit[(slice(None),) * (axis + 1) + (slice(0, 2),) * (n - 1 - axis)], axis, 0)
+        np.logical_or(v[:1], v[1:2], out=v[2:])
+    prime = ~hit
+    for axis in range(n):  # freeing a fixed coordinate must give a hit
+        p, free = np.moveaxis(prime, axis, 0), np.moveaxis(hit, axis, 0)[2:]
+        p[:1] &= free  # one slice at a time keeps numpy's inner loop long
+        p[1:2] &= free
+    clauses = []
+    for digits in zip(*np.unravel_index(np.flatnonzero(prime), (3,) * n)):
+        pos = tuple(i for i, d in enumerate(digits) if d == 0)
+        neg = tuple(i for i, d in enumerate(digits) if d == 1)
+        if _clause_allowed(shape, k, pos, neg):
+            clauses.append(Clause(pos, neg))
+    return tuple(sorted(clauses, key=lambda cl: (len(cl.literals()), sorted(cl.literals()))))
 
 
 def _verify_decomposition(r: Relation, clauses: tuple[Clause, ...]) -> None:
     n = r.arity
-    for code in range(1 << n):
-        bits = code_bits(code, n)
-        if all(cl.holds(bits) for cl in clauses) != r.contains(code):
-            raise InternalConsistencyError(
-                f"decomposition of {r} does not reproduce its model set"
-            )
+    codes = np.arange(1 << n)
+    models = np.ones(1 << n, dtype=bool)
+    for cl in clauses:
+        support = sum(1 << (n - 1 - i) for i in cl.positives + cl.negatives)
+        if cl.parity_bit is None:  # falsified by its positives at 0, its negatives at 1
+            models &= (codes & support) != sum(1 << (n - 1 - i) for i in cl.negatives)
+        else:
+            models &= gf2.popcount(codes & support) % 2 == cl.parity_bit
+    if not np.array_equal(models, np.frombuffer(_members(n, r.mask)[1], dtype=bool)):
+        raise InternalConsistencyError(f"decomposition of {r} does not reproduce its model set")
 
 
 def cnf_decompose(r: Relation, shape: str, k: int | None = None) -> tuple[Clause, ...]:
@@ -584,9 +557,10 @@ def cnf_decompose(r: Relation, shape: str, k: int | None = None) -> tuple[Clause
 
     Shapes: horn, dual_horn, bijunctive, monotone, parity, ihsb_pos,
     ihsb_neg (the latter two take the hitting-set width k >= 2).
-    Raises ShapeUnavailable when r's flags do not admit the shape.
+    Raises ShapeUnavailable when the shape's clone generators do not
+    preserve r.
     """
-    if shape not in _SHAPES:
+    if shape not in _SHAPE_CLONES:
         raise ParseError(f"unknown decomposition shape {shape!r}")
     if shape in ("ihsb_pos", "ihsb_neg"):
         if k is None or k < 2:
@@ -643,19 +617,6 @@ class Language:
 
     def members(self) -> tuple[Relation, ...]:
         return tuple(r for _, r in self.relations)
-
-    @functools.cached_property
-    def flags(self) -> frozenset[str]:
-        """Flags holding for every member relation."""
-        sets = [property_flags(r) for r in self.members()]
-        if not sets:
-            return frozenset(FLAG_NAMES)
-        out = set(sets[0])
-        for s in sets[1:]:
-            out &= s
-        if "horn" in out and "dual_horn" in out:
-            out.add("monotone")
-        return frozenset(out)
 
     @property
     def max_arity(self) -> int:

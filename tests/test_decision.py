@@ -1,16 +1,20 @@
+import itertools
 import random
 import time as time_module
 
 import pytest
 
 from helpers import lang
+from minsol.clauses import clause_index, horn_model
 from minsol.decision import another_sat, another_sat_below_n, sat_solve, tssat
 from minsol.errors import NotAModel, TooLarge
 from minsol.formulas import Assignment, enumerate_models, hamming, make_formula, satisfies
 from minsol.msd import solve_msd
 from minsol.nsol import solve_nsol
+from minsol.postlattice import CoCloneLabel, classify, verdict
 from minsol.relations import (
     BUILTIN_RELATIONS,
+    DUALHORN3,
     DUP3,
     F_REL,
     IMPL,
@@ -37,6 +41,48 @@ class TestSatSolve:
     def test_contradiction(self):
         f = make_formula(lang(t=T_REL, f=F_REL), 1, [("t", [1]), ("f", [1])])
         assert sat_solve(f) is None
+
+
+def all_assumptions(n: int):
+    """Every assignment of one or two of the variables 1..n."""
+    for size in (1, 2):
+        for vs in itertools.combinations(range(1, n + 1), size):
+            for bits in itertools.product((0, 1), repeat=size):
+                yield dict(zip(vs, bits))
+
+
+class TestSatUnderAssumptions:
+    def test_dualhorn3_is_constant_only_without_assumptions(self):
+        # x | y | -z is 0- and 1-valid, so plain SAT answers all zeros; under
+        # unit assumptions the language gains t and f and turns dual-Horn
+        atoms = [("d", [1, 2, 3]), ("d", [3, 4, 1]), ("d", [2, 4, 5]), ("d", [5, 1, 4])]
+        f = make_formula(lang(d=DUALHORN3), 5, atoms)
+        assert verdict(f.effective_language(), "SAT").algorithm_tag == "const_zero"
+        assert sat_solve(f) == Assignment((0,) * 5)
+        index = clause_index(f, "dual_horn")
+        models = enumerate_models(f).assignments
+        for assumptions in all_assumptions(5):
+            got = sat_solve(f, assumptions)
+            assert got == horn_model(index, assumptions, default=1)
+            consistent = [m for m in models if all(m.value(v) == b for v, b in assumptions.items())]
+            assert (got is None) == (not consistent)
+
+    def test_iI0_honours_assumptions_by_enumeration(self):
+        # {dup3, impl, f} is 0-valid but in no Schaefer class: plain SAT
+        # answers all zeros, SAT under assumptions enumerates
+        language = lang(dup3=DUP3, impl=IMPL, f=F_REL)
+        assert classify(language) == CoCloneLabel("iI0")
+        rng = random.Random(0)
+        for _ in range(20):
+            n = rng.randint(3, 6)
+            atoms = [("dup3", rng.sample(range(1, n + 1), 3)) for _ in range(rng.randint(1, 3))]
+            atoms += [("impl", rng.sample(range(1, n + 1), 2)), ("f", [rng.randint(1, n)])]
+            f = make_formula(language, n, atoms)
+            models = enumerate_models(f).assignments
+            assert sat_solve(f) == Assignment((0,) * n)
+            for assumptions in all_assumptions(n):
+                consistent = [m for m in models if all(m.value(v) == b for v, b in assumptions.items())]
+                assert sat_solve(f, assumptions) == (consistent[0] if consistent else None)
 
 
 class TestAnotherSat:

@@ -5,23 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from implicate_oracle import minimal_implicates
 from minsol.errors import ParseError, ShapeUnavailable
-from minsol.postlattice import _LIMIT_CLONES, _PLAIN_NODES
+from minsol.postlattice import _LIMIT_CLONES, _PLAIN_NODES, CoCloneLabel, classify, label_leq
 from minsol.relations import (
     AND2,
+    AND_OR3,
     BUILTIN_RELATIONS,
     DUP3,
     F_REL,
     ID1,
     IMPL,
+    MAJ3,
     NAE3,
+    NOT1,
     OR2,
+    OR2F,
+    OR_AND3,
+    Clause,
     Language,
     Relation,
     T_REL,
     XOR2,
     XOR3,
     BoolFunction,
+    _minimal_implicates,
     cnf_decompose,
     code_bits,
     dualize,
@@ -31,7 +39,6 @@ from minsol.relations import (
     odd_rel,
     or_rel,
     parse_language,
-    property_flags,
     tuple_code,
 )
 
@@ -131,33 +138,45 @@ def test_kernel_agrees_with_brute_force_on_closed_relations():
     assert verdicts.count(False) > len(verdicts) // 4
 
 
+# horn, dual-Horn, bijunctive, affine and complementive closure, in order
+PROPERTY_GENERATORS = (AND2, OR2F, MAJ3, XOR3, NOT1)
+
+
+def preserved_by(r: Relation) -> list[bool]:
+    return [is_polymorphism(f, r) for f in PROPERTY_GENERATORS]
+
+
 class TestPropertyFlags:
     def test_even4(self):
         # the all-ones tuple has even weight, so even^4 is also 1-valid
-        assert property_flags(even_rel(4)) == frozenset(
-            {"zero_valid", "one_valid", "affine", "complementive"}
-        )
+        r = even_rel(4)
+        assert r.contains(0) and r.contains(0b1111)
+        assert preserved_by(r) == [False, False, False, True, True]
 
     def test_nae3_complementive_not_affine(self):
-        flags = property_flags(NAE3)
-        assert "complementive" in flags
-        assert "affine" not in flags
+        assert is_polymorphism(NOT1, NAE3)
+        assert not is_polymorphism(XOR3, NAE3)
 
     def test_unit_relation(self):
-        assert property_flags(T_REL) == frozenset(
-            {"one_valid", "horn", "dual_horn", "monotone", "bijunctive", "affine"}
-        )
+        assert T_REL.contains(1) and not T_REL.contains(0)
+        assert preserved_by(T_REL) == [True, True, True, True, False]
 
     @settings(max_examples=80, deadline=None)
     @given(relations)
     def test_monotone_is_conjunction(self, r):
-        flags = property_flags(r)
-        assert ("monotone" in flags) == ({"horn", "dual_horn"} <= flags)
+        def admits(shape: str) -> bool:
+            try:
+                cnf_decompose(r, shape)
+            except ShapeUnavailable:
+                return False
+            return True
+
+        assert admits("monotone") == (admits("horn") and admits("dual_horn"))
 
     @settings(max_examples=80, deadline=None)
     @given(relations)
     def test_affine_implies_power_of_two_models(self, r):
-        if "affine" in property_flags(r):
+        if is_polymorphism(XOR3, r):
             assert r.size & (r.size - 1) == 0
 
 
@@ -175,11 +194,12 @@ class TestDualize:
     @settings(max_examples=80, deadline=None)
     @given(relations)
     def test_flag_symmetry(self, r):
-        flags = property_flags(r)
-        dual_flags = property_flags(dualize(r))
-        swap = {"horn": "dual_horn", "dual_horn": "horn",
-                "zero_valid": "one_valid", "one_valid": "zero_valid"}
-        assert dual_flags == frozenset(swap.get(f, f) for f in flags)
+        # and and or swap under complement; majority, xor3 and not are self-dual
+        and_, or_, maj, xor3, not_ = preserved_by(r)
+        assert preserved_by(dualize(r)) == [or_, and_, maj, xor3, not_]
+        top = (1 << r.arity) - 1
+        assert dualize(r).contains(top) == r.contains(0)
+        assert dualize(r).contains(0) == r.contains(top)
 
 
 def models_of_clauses(arity, clauses):
@@ -211,17 +231,11 @@ class TestCnfDecompose:
     @settings(max_examples=100, deadline=None)
     @given(relations)
     def test_decomposition_reproduces_model_set(self, r):
-        flags = property_flags(r)
-        for shape, flag in (
-            ("horn", "horn"),
-            ("dual_horn", "dual_horn"),
-            ("bijunctive", "bijunctive"),
-            ("monotone", "monotone"),
-            ("parity", "affine"),
-        ):
-            if flag not in flags:
+        for shape in ("horn", "dual_horn", "bijunctive", "monotone", "parity"):
+            try:
+                clauses = cnf_decompose(r, shape)
+            except ShapeUnavailable:
                 continue
-            clauses = cnf_decompose(r, shape)
             assert models_of_clauses(r.arity, clauses) == set(r.tuples())
 
     def test_ihsb_shapes(self):
@@ -243,6 +257,79 @@ class TestCnfDecompose:
             widths = [len(cl.positives if shape == "ihsb_pos" else cl.negatives)
                       for cl in clauses if cl.kind in ("OR_K", "GENERAL")]
             assert all(w <= k for w in widths)
+
+
+# the clone generators that close a relation into each disjunctive shape
+SHAPE_GENERATORS = {
+    "horn": (AND2,),
+    "dual_horn": (OR2F,),
+    "bijunctive": (MAJ3,),
+    "monotone": (AND2, OR2F),
+    "ihsb_pos": (OR_AND3,),
+    "ihsb_neg": (AND_OR3,),
+}
+
+
+def implicate_cases() -> list[tuple[Relation, str, int | None]]:
+    """Per arity 1-7, shape and width: random relations, and relations
+    closed under the shape's generators (ternary ones up to arity 5)."""
+    rng = random.Random(20151109)
+    cases = []
+    for arity in range(1, 8):
+        for shape, gens in SHAPE_GENERATORS.items():
+            for k in (2, 3, 4) if shape.startswith("ihsb") else (None,):
+                for _ in range(3):
+                    cases.append((Relation(arity, rng.randint(1, (1 << (1 << arity)) - 1)), shape, k))
+                    if arity > 5 and any(g.arity > 2 for g in gens):
+                        continue
+                    r = Relation.from_tuples(arity, rng.sample(range(1 << arity), min(arity, 3)))
+                    while not all(is_polymorphism(g, r) for g in gens):
+                        for g in gens:
+                            r = closed_under(g, arity, set(r.tuples()))
+                    cases.append((r, shape, k))
+    return cases
+
+
+def test_transform_matches_the_enumeration_oracle():
+    admitted = 0
+    for r, shape, k in implicate_cases():
+        expected = minimal_implicates(r, shape, k)
+        assert _minimal_implicates(r, shape, k) == expected, (str(r), shape, k)
+        try:
+            assert cnf_decompose(r, shape, k) == expected
+            admitted += 1
+        except ShapeUnavailable:
+            pass
+    assert admitted > 200
+
+
+def horn_closure(arity: int, rng: random.Random) -> Relation:
+    """The models of 3 * arity random Horn 3-clauses (never empty: the
+    all-zero tuple satisfies every one)."""
+    models = set(range(1 << arity))
+    for _ in range(3 * arity):
+        a, b, c = rng.sample(range(arity), 3)
+        models = {t for t in models if not (t >> (arity - 1 - a)) & (t >> (arity - 1 - b)) & 1
+                  or (t >> (arity - 1 - c)) & 1}
+    return Relation.from_tuples(arity, models)
+
+
+class TestWideDecompositions:
+    def test_or_and_nand_of_arity_12_are_one_clause(self):
+        assert cnf_decompose(or_rel(12), "dual_horn") == (Clause(tuple(range(12))),)
+        assert cnf_decompose(nand_rel(12), "horn") == (Clause((), tuple(range(12))),)
+
+    def test_horn_closure_of_arity_12_reproduces_its_models(self):
+        r = horn_closure(12, random.Random(12))
+        clauses = cnf_decompose(r, "horn")
+        assert all(len(cl.positives) <= 1 for cl in clauses)
+        # a clause is falsified exactly by its positives at 0 and its negatives at 1
+        codes = range(1 << 12)
+        for cl in clauses:
+            support = sum(1 << (11 - i) for i in cl.positives + cl.negatives)
+            falsified = sum(1 << (11 - i) for i in cl.negatives)
+            codes = [t for t in codes if t & support != falsified]
+        assert codes == list(r.tuples())
 
 
 class TestRelationBasics:
@@ -320,5 +407,7 @@ class TestLanguageParsing:
         assert lang.get("r") == XOR2 and lang.declared("r") == XOR2 and lang.has("r")
 
     def test_flags_intersection(self):
-        lang = parse_language("rel a 2 01,10\nrel b 1 1")
-        assert "affine" in lang.flags and "complementive" not in lang.flags
+        # xor2 is affine and complementive, t only affine: the language is affine only
+        label = classify(parse_language("rel a 2 01,10\nrel b 1 1"))
+        assert label == CoCloneLabel("iD1")
+        assert label_leq(label, CoCloneLabel("iL2")) and not label_leq(label, CoCloneLabel("iN2"))
