@@ -1,33 +1,43 @@
 """Post's lattice of co-clones: classification and per-problem verdicts.
 
-The lattice ships as static data: each node carries a generating set for
-its polymorphism clone and a base set of relations.  A language lies in a
-node iff every clone-base function preserves every member relation, and
-the node order is decided the same way, so classification reduces to
-picking the minimum of the feasible up-set.  The clone of a hitting-set
-chain member fam^k adds a (k+1)-ary threshold, a near-unanimity function,
-to the chain's limit clone, so a relation r lies in fam^k iff the limit
-clone preserves r and r's projection width is at most k.  Only if: r is
-then the join of its k-ary projections (Baker and Pixley, Math. Z. 143,
-1975).  If: every limit clone contains x | (y & z) (dually x & (y | z)).
-Given k+1 tuples of a relation of arity <= k in the limit co-clone,
-pigeonhole yields a tuple t that is 0 wherever their threshold u is, so
+Each node is one fact, a base of relations that generates it.  Its
+signature is the set of `_GENERATORS` that preserve the whole base,
+computed once at import for the 30 plain nodes and for fam^2 and fam^3 of
+the eight hitting-set chains.  A language has the signature of the node it
+generates, and no two nodes share one, so classification is one lookup.
+The order is inclusion: lower <= upper iff every generator preserving
+upper's base preserves lower's.  That needs each clone to be generated by
+the generators it contains.  The clone bases of Boehler, Creignou, Reith
+and Vollmer (SIGACT News 34(4), 2003) give this with these 16 functions;
+their other three ternary bases are composites: x & (y <-> z) =
+x & xor3(x, y, z), maj(x, -y, -z) lies in [maj, -] and maj(x, y, -z) in
+[maj, xor3].
+
+The clone of fam^k adds a (k+1)-ary threshold, a near-unanimity function,
+to the chain's limit clone; for k >= 3 it is no generator, so fam^k
+shares fam^3's signature.  A relation r lies in fam^k iff the limit clone
+preserves r and r's projection width is at most k.  Only if: r is then the
+join of its k-ary projections (Baker and Pixley, Math. Z. 143, 1975).
+If: every limit clone contains x | (y & z) (dually x & (y | z)).  Given
+k+1 tuples of a relation of arity <= k in the limit co-clone, pigeonhole
+yields a tuple t that is 0 wherever their threshold u is, so
 u = t | (a & b) | ... over all pairs a, b of the tuples lies in the
-relation.  The k-ary projections of r are such relations.
+relation.  The k-ary projections of r are such relations.  Hence a fam^3
+signature classifies to fam^w, w the largest projection width, and a node
+lies below fam^k only if its width is at most k.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import InternalConsistencyError, ParseError
 from .relations import (
     AND2,
     AND_OR3,
     AND_ORNOT3,
-    AND_XNOR3,
     ANDNOT2,
     CONST0,
     CONST1,
@@ -45,11 +55,8 @@ from .relations import (
     OR2F,
     OR_AND3,
     OR_ANDNOT3,
-    BoolFunction,
     Language,
     Relation,
-    SELFDUAL3,
-    SELFDUAL_MONOTONE3,
     T_REL,
     XNOR2F,
     XNOR3,
@@ -110,41 +117,45 @@ class Verdict:
 
 # --- static node table -----------------------------------------------------
 
-_PLAIN_NODES: dict[str, tuple[tuple[BoolFunction, ...], tuple[Relation, ...], str]] = {
-    # name: (clone base functions, co-clone base relations, dual name)
-    "iBF": ((AND2, NOT1), (EQ2,), "iBF"),
-    "iR0": ((AND2, XOR2F), (F_REL,), "iR1"),
-    "iR1": ((OR2F, XNOR2F), (T_REL,), "iR0"),
-    "iR2": ((OR2F, AND_XNOR3), (F_REL, T_REL), "iR2"),
-    "iM": ((AND2, OR2F, CONST0, CONST1), (IMPL,), "iM"),
-    "iM0": ((AND2, OR2F, CONST0), (IMPL, F_REL), "iM1"),
-    "iM1": ((AND2, OR2F, CONST1), (IMPL, T_REL), "iM0"),
-    "iM2": ((AND2, OR2F), (IMPL, F_REL, T_REL), "iM2"),
-    "iD": ((SELFDUAL3,), (XOR2,), "iD"),
-    "iD1": ((SELFDUAL_MONOTONE3,), (XOR2, T_REL), "iD1"),
-    "iD2": ((MAJ3,), (XOR2, IMPL), "iD2"),
-    "iL": ((XOR2F, CONST1), (even_rel(4),), "iL"),
-    "iL0": ((XOR2F,), (even_rel(3),), "iL1"),
-    "iL1": ((XNOR2F,), (odd_rel(3),), "iL0"),
-    "iL2": ((XOR3,), (even_rel(3), odd_rel(3)), "iL2"),
-    "iL3": ((XNOR3,), (even_rel(4), XOR2), "iL3"),
-    "iV": ((OR2F, CONST0, CONST1), (DUALHORN3,), "iE"),
-    "iV0": ((OR2F, CONST0), (DUALHORN3, F_REL), "iE1"),
-    "iV1": ((OR2F, CONST1), (DUALHORN3, T_REL), "iE0"),
-    "iV2": ((OR2F,), (DUALHORN3, F_REL, T_REL), "iE2"),
-    "iE": ((AND2, CONST0, CONST1), (HORN3,), "iV"),
-    "iE0": ((AND2, CONST0), (HORN3, F_REL), "iV1"),
-    "iE1": ((AND2, CONST1), (HORN3, T_REL), "iV0"),
-    "iE2": ((AND2,), (HORN3, F_REL, T_REL), "iV2"),
-    "iN": ((NOT1, CONST0), (DUP3,), "iN"),
-    "iN2": ((NOT1,), (NAE3,), "iN2"),
+_GENERATORS = (
+    AND2, NOT1, XOR2F, OR2F, XNOR2F, CONST0, CONST1, MAJ3,
+    XOR3, XNOR3, IMPL2F, ANDNOT2, OR_ANDNOT3, AND_ORNOT3, OR_AND3, AND_OR3,
+)
+
+_PLAIN_NODES: dict[str, tuple[Relation, ...]] = {
+    "iBF": (EQ2,),
+    "iR0": (F_REL,),
+    "iR1": (T_REL,),
+    "iR2": (F_REL, T_REL),
+    "iM": (IMPL,),
+    "iM0": (IMPL, F_REL),
+    "iM1": (IMPL, T_REL),
+    "iM2": (IMPL, F_REL, T_REL),
+    "iD": (XOR2,),
+    "iD1": (XOR2, T_REL),
+    "iD2": (XOR2, IMPL),
+    "iL": (even_rel(4),),
+    "iL0": (even_rel(3),),
+    "iL1": (odd_rel(3),),
+    "iL2": (even_rel(3), odd_rel(3)),
+    "iL3": (even_rel(4), XOR2),
+    "iV": (DUALHORN3,),
+    "iV0": (DUALHORN3, F_REL),
+    "iV1": (DUALHORN3, T_REL),
+    "iV2": (DUALHORN3, F_REL, T_REL),
+    "iE": (HORN3,),
+    "iE0": (HORN3, F_REL),
+    "iE1": (HORN3, T_REL),
+    "iE2": (HORN3, F_REL, T_REL),
+    "iN": (DUP3,),
+    "iN2": (NAE3,),
     # {dup3, x->y} generates iI (both relations are 0- and 1-valid), and the
     # unit-extended variants pin down iI0/iI1; these arity-3 bases keep the
     # closure oracle cheap and are validated by the base-fixpoint test.
-    "iI": ((CONST0, CONST1), (DUP3, IMPL), "iI"),
-    "iI0": ((CONST0,), (DUP3, IMPL, F_REL), "iI1"),
-    "iI1": ((CONST1,), (DUP3, IMPL, T_REL), "iI0"),
-    "BR": ((), (ONE_IN_THREE,), "BR"),
+    "iI": (DUP3, IMPL),
+    "iI0": (DUP3, IMPL, F_REL),
+    "iI1": (DUP3, IMPL, T_REL),
+    "BR": (ONE_IN_THREE,),
 }
 
 _FAMILY_BASES: dict[str, Callable[[int], tuple[Relation, ...]]] = {
@@ -158,42 +169,35 @@ _FAMILY_BASES: dict[str, Callable[[int], tuple[Relation, ...]]] = {
     "iS10": lambda m: (nand_rel(m), IMPL, F_REL, T_REL),
 }
 
-_FAMILY_DUALS = {
-    "iS0": "iS1",
-    "iS1": "iS0",
-    "iS02": "iS12",
-    "iS12": "iS02",
-    "iS01": "iS11",
-    "iS11": "iS01",
-    "iS00": "iS10",
-    "iS10": "iS00",
+
+def _signature(relations: tuple[Relation, ...]) -> int:
+    """Bit i is set iff `_GENERATORS[i]` preserves every relation."""
+    return sum(
+        1 << i
+        for i, f in enumerate(_GENERATORS)
+        if all(is_polymorphism(f, r) for r in relations)
+    )
+
+
+def _node(label: CoCloneLabel) -> tuple[str, int | None]:
+    """A label's key in the signature table."""
+    return label.name, None if label.param is None else min(label.param, 3)
+
+
+_SIGNATURES: dict[tuple[str, int | None], int] = {
+    **{(name, None): _signature(base) for name, base in _PLAIN_NODES.items()},
+    **{(fam, k): _signature(base(k)) for fam, base in _FAMILY_BASES.items() for k in (2, 3)},
 }
-
-# Clone generators of the unbounded hitting-set chains: a relation lies in
-# family^k iff these preserve it and its projection width is at most k.
-_LIMIT_CLONES: dict[str, tuple[BoolFunction, ...]] = {
-    "iS0": (IMPL2F,),
-    "iS1": (ANDNOT2,),
-    "iS02": (OR_ANDNOT3,),
-    "iS12": (AND_ORNOT3,),
-    "iS01": (OR_AND3, CONST1),
-    "iS11": (AND_OR3, CONST0),
-    "iS00": (OR_AND3,),
-    "iS10": (AND_OR3,),
-}
+_NODES = {sig: node for node, sig in _SIGNATURES.items()}
+if len(_NODES) != len(_SIGNATURES):
+    raise InternalConsistencyError("two lattice nodes share a generator signature")
+_WIDTHS = {name: max(map(projection_width, base)) for name, base in _PLAIN_NODES.items()}
 
 
-@functools.lru_cache(maxsize=None)
 def relation_base(label: CoCloneLabel) -> tuple[Relation, ...]:
     if label.param is not None:
         return _FAMILY_BASES[label.name](label.param)
-    return _PLAIN_NODES[label.name][1]
-
-
-def dual_label(label: CoCloneLabel) -> CoCloneLabel:
-    if label.param is not None:
-        return CoCloneLabel(_FAMILY_DUALS[label.name], label.param)
-    return CoCloneLabel(_PLAIN_NODES[label.name][2])
+    return _PLAIN_NODES[label.name]
 
 
 def all_labels(max_param: int) -> tuple[CoCloneLabel, ...]:
@@ -203,47 +207,32 @@ def all_labels(max_param: int) -> tuple[CoCloneLabel, ...]:
     return tuple(out)
 
 
-def _preserves_all(functions: Iterable[BoolFunction], relations: Iterable[Relation]) -> bool:
-    return all(is_polymorphism(f, r) for f in functions for r in relations)
-
-
-@functools.lru_cache(maxsize=None)
 def label_leq(lower: CoCloneLabel, upper: CoCloneLabel) -> bool:
-    """Co-clone inclusion, decided through the Galois connection; below the
+    """Co-clone inclusion: every generator that preserves upper's base
+    preserves lower's, and below fam^k the width is at most k.  Below the
     top chain member fam^MAX_FAMILY_PARAM means below some member."""
-    if upper.param is None:
-        return _preserves_all(_PLAIN_NODES[upper.name][0], relation_base(lower))
-    base = relation_base(lower)
-    return _preserves_all(_LIMIT_CLONES[upper.name], base) and chain_width(lower) <= upper.param
+    if _SIGNATURES[_node(upper)] & ~_SIGNATURES[_node(lower)]:
+        return False
+    return upper.param is None or chain_width(lower) <= upper.param
 
 
-@functools.lru_cache(maxsize=None)
 def chain_width(label: CoCloneLabel) -> int:
     """Least k with label <= fam^k for a chain fam the label lies below: the
     largest projection width among its base relations."""
-    return max(map(projection_width, relation_base(label)))
+    return _WIDTHS[label.name] if label.param is None else label.param
 
 
 def _classify_relations(relations: tuple[Relation, ...]) -> CoCloneLabel:
-    feasible = [
-        CoCloneLabel(name)
-        for name, (clone, _, _) in _PLAIN_NODES.items()
-        if _preserves_all(clone, relations)
-    ]
-    chains = [fam for fam in PARAM_FAMILIES if _preserves_all(_LIMIT_CLONES[fam], relations)]
-    if chains:
-        width = max(map(projection_width, relations))
-        feasible += [CoCloneLabel(fam, width) for fam in chains]
-    minima = [
-        lab
-        for lab in feasible
-        if all(label_leq(lab, other) for other in feasible)
-    ]
-    if len(minima) != 1:
-        raise InternalConsistencyError(
-            f"classification found {len(minima)} minimal co-clones: {list(map(str, minima))}"
-        )
-    return minima[0]
+    sig = _signature(relations)
+    node = _NODES.get(sig)
+    if node is None:
+        raise InternalConsistencyError(f"no lattice node has generator signature {sig:#06x}")
+    name, param = node
+    if param == 3:
+        param = max(map(projection_width, relations))
+        if param < 3:
+            raise InternalConsistencyError(f"{name}^3 signature at projection width {param}")
+    return CoCloneLabel(name, param)
 
 
 @functools.lru_cache(maxsize=None)

@@ -189,13 +189,6 @@ OR_AND3 = BoolFunction.from_callable(3, lambda x, y, z: x | (y & z), "or_and")
 OR_ANDNOT3 = BoolFunction.from_callable(3, lambda x, y, z: x | (y & (1 - z)), "or_andnot")
 AND_OR3 = BoolFunction.from_callable(3, lambda x, y, z: x & (y | z), "and_or")
 AND_ORNOT3 = BoolFunction.from_callable(3, lambda x, y, z: x & (y | (1 - z)), "and_ornot")
-AND_XNOR3 = BoolFunction.from_callable(3, lambda x, y, z: x & ((y + z + 1) % 2), "and_xnor")
-SELFDUAL3 = BoolFunction.from_callable(
-    3, lambda x, y, z: (x & (1 - y)) | (x & (1 - z)) | ((1 - y) & (1 - z)), "selfdual3"
-)
-SELFDUAL_MONOTONE3 = BoolFunction.from_callable(
-    3, lambda x, y, z: (x & y) | (x & (1 - z)) | (y & (1 - z)), "selfdual_mon3"
-)
 
 
 # --- named relations --------------------------------------------------------

@@ -21,6 +21,7 @@ from helpers import (
     random_model,
     random_satisfiable,
 )
+from lattice_oracle import dual_label
 from minsol import postlattice as pl
 from minsol.cli import run as cli_run
 from minsol.decision import another_sat, another_sat_below_n, sat_solve, tssat
@@ -147,7 +148,7 @@ def test_criterion_3_classifier_conformance():
     for language, expected in CONFORMANCE_ROWS:
         label = pl.CoCloneLabel.parse(expected)
         assert pl.classify(language) == label, expected
-        assert pl.classify(language.dualized()) == pl.dual_label(label), expected
+        assert pl.classify(language.dualized()) == dual_label(label), expected
         rows += 1
         spot = VERDICT_SPOT_TABLE.get(expected)
         if spot is not None:

@@ -8,35 +8,39 @@ import pytest
 
 from closure_oracle import coclone_fragment, fragment_contains
 from helpers import lang, random_language
+from lattice_oracle import (
+    AND_XNOR3,
+    FAMILY_CLONES,
+    LIMIT_CLONES,
+    SELFDUAL3,
+    SELFDUAL_MONOTONE3,
+    clone_base,
+    dual_label,
+    preserves,
+)
 from minsol import postlattice as pl
 from minsol.errors import ParseError
 from minsol.relations import (
-    AND_OR3,
-    AND_ORNOT3,
-    ANDNOT2,
-    CONST0,
-    CONST1,
+    AND2,
     DUALHORN3,
     DUP3,
     EQ2,
     F_REL,
     HORN3,
     IMPL,
-    IMPL2F,
+    MAJ3,
     NAE3,
     NAND2,
+    NOT1,
     ONE_IN_THREE,
     OR2,
-    OR_AND3,
-    OR_ANDNOT3,
-    BoolFunction,
     Language,
     Relation,
     T_REL,
     XOR2,
+    XOR3,
     even_rel,
     nand_rel,
-    is_polymorphism,
     odd_rel,
     or_rel,
     projection_width,
@@ -104,41 +108,6 @@ CONFORMANCE_ROWS = [
     (lang(even4=even_rel(4), impl=IMPL, t=T_REL), "iI1"),
     (lang(one_in_three=ONE_IN_THREE), "BR"),
 ]
-
-
-
-def near_unanimity(m: int) -> BoolFunction:
-    """(m+1)-ary threshold: true iff at least m arguments are true."""
-    return BoolFunction.from_callable(m + 1, lambda *xs: sum(xs) >= m, f"nu{m}")
-
-
-def dual_near_unanimity(m: int) -> BoolFunction:
-    """(m+1)-ary threshold: true iff at least two arguments are true."""
-    return BoolFunction.from_callable(m + 1, lambda *xs: sum(xs) >= 2, f"dual_nu{m}")
-
-
-# Clone bases of the hitting-set chain members by definition: the oracle
-# for the projection-width membership test of the library.
-FAMILY_CLONES = {
-    "iS0": lambda m: (IMPL2F, dual_near_unanimity(m)),
-    "iS1": lambda m: (ANDNOT2, near_unanimity(m)),
-    "iS02": lambda m: (OR_ANDNOT3, dual_near_unanimity(m)),
-    "iS12": lambda m: (AND_ORNOT3, near_unanimity(m)),
-    "iS01": lambda m: (dual_near_unanimity(m), CONST1),
-    "iS11": lambda m: (near_unanimity(m), CONST0),
-    "iS00": lambda m: (OR_AND3, dual_near_unanimity(m)),
-    "iS10": lambda m: (AND_OR3, near_unanimity(m)),
-}
-
-
-def clone_base(label: pl.CoCloneLabel) -> tuple[BoolFunction, ...]:
-    if label.param is None:
-        return pl._PLAIN_NODES[label.name][0]
-    return FAMILY_CLONES[label.name](label.param)
-
-
-def preserves(functions, relations) -> bool:
-    return all(is_polymorphism(f, r) for f in functions for r in relations)
 
 
 def closure(codes: set[int], op) -> set[int]:
@@ -211,7 +180,7 @@ class TestClassify:
                              ids=[row[1] + "/" + "-".join(row[0].names()) for row in CONFORMANCE_ROWS])
     def test_dual_conformance(self, language, expected):
         label = pl.CoCloneLabel.parse(expected)
-        assert pl.classify(language.dualized()) == pl.dual_label(label)
+        assert pl.classify(language.dualized()) == dual_label(label)
 
     def test_base_fixpoint(self):
         # every stored base generates exactly its node
@@ -241,7 +210,7 @@ class TestClassify:
 class TestLatticeTable:
     def test_duality_involution(self):
         for label in pl.all_labels(6):
-            assert pl.dual_label(pl.dual_label(label)) == label
+            assert dual_label(dual_label(label)) == label
 
     def test_order_reflexive_antisymmetric(self):
         labels = pl.all_labels(4)
@@ -282,7 +251,7 @@ class TestLatticeTable:
         rng = random.Random(5)
         for _ in range(300):
             a, b = rng.choice(labels), rng.choice(labels)
-            assert pl.label_leq(a, b) == pl.label_leq(pl.dual_label(a), pl.dual_label(b))
+            assert pl.label_leq(a, b) == pl.label_leq(dual_label(a), dual_label(b))
 
     def test_order_matches_near_unanimity_galois_test(self):
         labels = pl.all_labels(5)
@@ -308,12 +277,44 @@ class TestLatticeTable:
             width = projection_width(r)
             for fam, k in itertools.product(pl.PARAM_FAMILIES, (2, 3, 4)):
                 member = preserves(FAMILY_CLONES[fam](k), [r])
-                if preserves(pl._LIMIT_CLONES[fam], [r]):
+                if preserves(LIMIT_CLONES[fam], [r]):
                     assert (width <= k) == member, (str(r), fam, k)
                     outcomes.add((r.arity, member))
                 else:
                     assert not member, (str(r), fam, k)
         assert outcomes == {(1, True), (2, True), (3, True), (3, False), (4, True), (4, False)}
+
+    def test_signatures_distinct(self):
+        # 30 plain nodes plus fam^2 and fam^3 of the eight chains
+        assert len(pl._SIGNATURES) == 46
+        assert len(set(pl._SIGNATURES.values())) == 46
+
+    def test_chain_signature_stops_at_three(self):
+        # the (k+1)-ary near-unanimity function fam^k adds is not ternary
+        # for k >= 3, so no generator tells fam^3 from fam^k
+        for fam in pl.PARAM_FAMILIES:
+            want = pl._SIGNATURES[fam, 3]
+            for k in range(3, 17):
+                assert pl._signature(pl.relation_base(pl.CoCloneLabel(fam, k))) == want, (fam, k)
+
+    def test_dropped_generators_are_redundant(self):
+        # each clone base function the signature leaves out lies in the clone
+        # of a pair it keeps, so it preserves whatever the pair preserves
+        replaced = {
+            AND_XNOR3: (AND2, XOR3),  # x & (y <-> z) = x & xor3(x, y, z)
+            SELFDUAL3: (MAJ3, NOT1),  # maj(x, -y, -z)
+            SELFDUAL_MONOTONE3: (MAJ3, XOR3),  # maj(x, y, -z)
+        }
+        relations = [Relation(a, m) for a in (1, 2, 3) for m in range(1, 1 << (1 << a))]
+        rng = random.Random(16)
+        relations += [Relation(4, rng.randrange(1, 1 << 16)) for _ in range(300)]
+        relations += [Relation.from_tuples(4, closure(set(rng.sample(range(16), 3)), op))
+                      for op in (lambda x, y, z: (x & y) | (x & z) | (y & z), lambda x, y, z: x ^ y ^ z)
+                      for _ in range(50)]
+        for dropped, pair in replaced.items():
+            kept = [r for r in relations if preserves(pair, [r])]
+            assert len(kept) > 20, str(dropped)
+            assert all(preserves([dropped], [r]) for r in kept), str(dropped)
 
     def test_parameter_validation(self):
         with pytest.raises(ParseError):
@@ -324,10 +325,12 @@ class TestLatticeTable:
 
 class TestVerdicts:
     def test_totality(self):
-        for label in pl.all_labels(6):
+        for label in pl.all_labels(pl.MAX_FAMILY_PARAM):
             for problem in pl.PROBLEMS:
                 v = pl.verdict_for_label(label, problem)
                 assert v.complexity and v.algorithm_tag
+        for fam in pl.PARAM_FAMILIES:
+            assert pl.chain_width(pl.CoCloneLabel(fam, pl.MAX_FAMILY_PARAM)) == pl.MAX_FAMILY_PARAM
 
     @pytest.mark.parametrize("name,expected", sorted(VERDICT_SPOT_TABLE.items()))
     def test_spot_table(self, name, expected):

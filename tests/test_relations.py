@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implicate_oracle import minimal_implicates
+from lattice_oracle import LIMIT_CLONES, PLAIN_CLONES
 from minsol.errors import ParseError, ShapeUnavailable
-from minsol.postlattice import _LIMIT_CLONES, _PLAIN_NODES, CoCloneLabel, classify, label_leq
+from minsol.postlattice import CoCloneLabel, classify, label_leq
 from minsol.relations import (
     AND2,
     AND_OR3,
@@ -81,11 +82,12 @@ class TestIsPolymorphism:
         assert is_polymorphism(f, r) == brute_force_polymorphism(f, r)
 
 
-# every clone generator the classifier tests, once each
+# every clone base function of the lattice oracle, once each: the classifier's
+# 16 generators and the three composites it leaves out
 CLONE_GENERATORS = tuple(
     {
         (f.arity, f.table): f
-        for clone in [c for c, _, _ in _PLAIN_NODES.values()] + list(_LIMIT_CLONES.values())
+        for clone in [c for c, _ in PLAIN_CLONES.values()] + list(LIMIT_CLONES.values())
         for f in clone
     }.values()
 )
