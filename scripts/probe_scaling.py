@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Wall time of XSOL and MSD on planted instances at n in the hundreds to
-thousands.
+"""Wall time of NSOL, XSOL and MSD on planted instances at n in the
+hundreds to thousands.
 
 For each of the eight acceptance-suite families (`tests/helpers.
 FAMILY_LANGUAGES`) and each size, one planted formula comes from
 `dispatch_golden.planted` (2n, 4n or 8n atoms that two or three random
 models satisfy) with a seed derived from `--seed`, the family and n.
-XSOL runs from the first planted model, MSD on the formula alone, both
-in `auto` mode.  Before each solve the per-formula caches of
-`minsol.clauses` and `minsol.decision` are emptied, so neither solve
-reuses the other's clause sets.  One line per solve: family, problem, n,
-atoms, seconds, and the method, guarantee and value (or the error
-class).  Instance generation is not timed.
+NSOL runs from a random point drawn after the formula (almost never a
+model, as in `dispatch_golden.large_records`), XSOL from the first
+planted model, MSD on the formula alone, all in `auto` mode.  Before
+each solve the per-formula caches of `minsol.clauses` and
+`minsol.decision` are emptied, so no solve reuses another's clause sets.
+One line per solve: family, problem, n, atoms, seconds, and the method,
+guarantee and value (or the error class).  Instance generation is not
+timed.
 
 Usage: PYTHONPATH=src python scripts/probe_scaling.py [--sizes 300 1000] [--seed 1]
 """
@@ -31,7 +33,9 @@ from dispatch_golden import planted  # noqa: E402
 from helpers import FAMILY_LANGUAGES  # noqa: E402  (dispatch_golden puts tests/ on the path)
 from minsol import clauses, decision  # noqa: E402
 from minsol.errors import MinsolError  # noqa: E402
+from minsol.formulas import Assignment  # noqa: E402
 from minsol.msd import solve_msd  # noqa: E402
+from minsol.nsol import solve_nsol  # noqa: E402
 from minsol.xsol import solve_xsol  # noqa: E402
 
 
@@ -52,7 +56,9 @@ def main() -> None:
         for family, language in FAMILY_LANGUAGES.items():
             rng = random.Random(f"probe-scaling/{args.seed}/{family}/{n}")
             formula, model = planted(language, rng, n)
+            point = Assignment.from_code(rng.getrandbits(n), n)
             for problem, solve in (
+                ("NSOL", lambda: solve_nsol(formula, point)),
                 ("XSOL", lambda: solve_xsol(formula, model)),
                 ("MSD", lambda: solve_msd(formula)),
             ):

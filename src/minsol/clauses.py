@@ -5,11 +5,12 @@ Clauses over a formula are frozensets of signed 1-based literals
 equations are bit-packed (row, bit) pairs with repeated variables
 cancelled out.  A `ClauseIndex`, cached per formula and shape, serves
 every propagation: counter-based unit propagation, linear in the clauses
-it touches, and for binary clauses the implication graph, condensed into
-strongly connected components whose bitset closure gives every
-literal's probe at once.  The engines (unit propagation,
-implication-graph 2-SAT, Horn propagation) are deterministic so every
-solver built on them is reproducible.
+it touches, and for binary clauses the implication graph with one
+numbering of its strongly connected components.  That numbering serves
+every 2-SAT question: models are read off it, and its bitset closure
+gives every literal's probe and closure at once.  The engines (unit
+propagation, implication-graph 2-SAT, Horn propagation) are deterministic
+so every solver built on them is reproducible.
 """
 
 from __future__ import annotations
@@ -145,27 +146,28 @@ class ClauseIndex:
         return 1 << (self.n - lit if lit > 0 else 2 * self.n + lit)
 
     @functools.cached_property
-    def closure(self) -> tuple[dict[int, int], list[int]]:
+    def components(self) -> dict[int, int]:
         """Each literal's strongly connected component in `succ` (Aspvall,
-        Plass and Tarjan, IPL 8(3), 1979), and per component the bitset of
-        the literals it reaches, ORed up in Tarjan's order, successors
-        first.  On clauses of exactly two literals a literal's set is its
-        unit-propagation probe, which fails iff it holds the negation."""
-        succ, bit = self.succ, self.bit
-        comp = _tarjan_scc(succ, succ)  # from every literal with a successor
+        Plass and Tarjan, IPL 8(3), 1979), from the roots 1, -1, ..., n, -n:
+        every arc leads to the same or a smaller number."""
+        return _tarjan_scc([l for v in range(1, self.n + 1) for l in (v, -v)], self.succ)
+
+    @functools.cached_property
+    def closure(self) -> list[int]:
+        """Per component the bitset of the literals it reaches, ORed up in
+        component order, successors first.  On clauses of exactly two
+        literals a literal's set is its unit-propagation probe, which fails
+        iff it holds the negation."""
+        succ, bit, comp = self.succ, self.bit, self.components
         reach = [0] * (max(comp.values(), default=-1) + 1)
         for lit, c in comp.items():  # in numbering order, components contiguous
             reach[c] |= bit(lit)
             for nxt in succ.get(lit, ()):
                 reach[c] |= reach[comp[nxt]]
-        for lit in (l for v in range(1, self.n + 1) for l in (v, -v) if l not in comp):
-            comp[lit] = len(reach)
-            reach.append(bit(lit))
-        return comp, reach
+        return reach
 
     def reach(self, lit: int) -> int:
-        comp, reach = self.closure
-        return reach[comp[lit]]
+        return self.closure[self.components[lit]]
 
     def setting(self, code: int, lits: int) -> int | None:
         """The assignment code `code` with every literal of the bitset
@@ -209,19 +211,15 @@ def unit_propagate(
 def twosat_model(
     index: ClauseIndex, assumptions: dict[int, int] | None = None
 ) -> Assignment | None:
-    """Deterministic 2-SAT model via the implication graph, or None.
-
-    Clauses must have one or two literals.
-    """
+    """Deterministic 2-SAT model read off the SCC numbering, or None; unit
+    `assumptions` join the clauses, which must have one or two literals."""
     if any(not 0 < len(c) <= 2 for c in index.clauses):
         raise InternalConsistencyError("twosat_model got a clause with >2 literals")
-    adj = index.succ
     if assumptions:
-        adj = dict(adj)
-        for lit in (v if b else -v for v, b in assumptions.items()):
-            adj[-lit] = [*adj.get(-lit, ()), lit]
+        units = (frozenset({v if b else -v}) for v, b in assumptions.items())
+        index = ClauseIndex((*index.clauses, *units), index.n)
+    comp = index.components
     variables = range(1, index.n + 1)
-    comp = _tarjan_scc([l for v in variables for l in (v, -v)], adj)
     if any(comp[v] == comp[-v] for v in variables):
         return None
     # Tarjan numbers components in reverse topological order, so the

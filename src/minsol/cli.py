@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from typing import NoReturn
 
 from .decision import another_sat, another_sat_below_n, sat_solve, tssat
 from .dispatch import checked
@@ -214,8 +215,16 @@ def _cmd_dualize(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise `ParseError`, so they
+    exit 1 and honour `--json` like every other input error."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minsol",
         description="Hamming-distance optimization over Boolean conjunctive formulas",
     )
@@ -248,13 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    as_json = any(len(a) > 2 and "--json".startswith(a) for a in argv)  # or an abbreviation
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    as_json = getattr(args, "json", False)
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "classify":
             return _cmd_classify(args)
         if args.command == "solve":
@@ -267,6 +273,8 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "dualize":
             return _cmd_dualize(args)
         raise ParseError(f"unknown command {args.command!r}")
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (ParseError, LengthMismatch, NotAModel, OSError, ValueError) as exc:
         _emit({"schema": 1, "error": _reason(exc), "detail": str(exc)}, as_json,
               [f"error: {exc}"])

@@ -1,10 +1,12 @@
 """Decision procedures the optimization solvers lean on.
 
-Every routine dispatches on the language's verdict tag: tractable classes
-get their constructive polynomial algorithm, everything else falls back to
-model enumeration, which refuses with `TooLarge` beyond `ORACLE_VAR_CAP`
-variables.  SAT under unit assumptions is SAT over the language plus the
-constant relations t and f, whose SAT tag is never a constant one.
+Every routine dispatches on the language's verdict tag, except that
+`another_sat_below_n` first tests the co-clone label against iL2 and iD2.
+Tractable classes get their constructive polynomial algorithm, everything
+else falls back to model enumeration, which refuses with `TooLarge` beyond
+`ORACLE_VAR_CAP` variables.  SAT under unit assumptions is SAT over the
+language plus the constant relations t and f, whose SAT tag is never a
+constant one.
 """
 
 from __future__ import annotations

@@ -253,22 +253,18 @@ def oracle_optimize(problem: str, formula: Formula, m: Assignment | None = None)
     codes = model_codes(formula)
     if len(codes) == 0:
         raise Unsatisfiable("formula has no model")
-    if problem == NSOL:
+    if problem in (NSOL, XSOL):
+        if problem == XSOL:
+            if not satisfies(formula, m):
+                raise NotAModel("XSOL input assignment must satisfy the formula")
+            codes = codes[codes != m.code()]
+            if len(codes) == 0:
+                raise NoSecondModel("the given model is the only one")
         dist = popcount((codes ^ m.code()).astype(np.int64))
         best = int(dist.argmin())
         # argmin returns the first (lexicographically smallest) optimum
         witness = Assignment.from_code(int(codes[best]), n)
-        return SolveOutcome(NSOL, int(dist[best]), witness, guarantee=exact(), method="oracle")
-    if problem == XSOL:
-        if not satisfies(formula, m):
-            raise NotAModel("XSOL input assignment must satisfy the formula")
-        others = codes[codes != m.code()]
-        if len(others) == 0:
-            raise NoSecondModel("the given model is the only one")
-        dist = popcount((others ^ m.code()).astype(np.int64))
-        best = int(dist.argmin())
-        witness = Assignment.from_code(int(others[best]), n)
-        return SolveOutcome(XSOL, int(dist[best]), witness, guarantee=exact(), method="oracle")
+        return SolveOutcome(problem, int(dist[best]), witness, guarantee=exact(), method="oracle")
     # MSD
     if len(codes) < 2:
         raise NoSecondModel("fewer than two models")

@@ -63,7 +63,7 @@ def msd_bijunctive(formula: Formula) -> SolveOutcome:
     its negation implies, read off the closure bitsets."""
     n = formula.var_count
     forced, index = clause_index(formula, "bijunctive").reduced
-    comp, _ = index.closure
+    comp = index.components
     probed = [s * v for v in range(1, n + 1) if v not in forced for s in (1, -1)]
     failed = [lit for lit in probed if index.reach(lit) & index.bit(-lit)]
     forced, residual = _force_failed(forced, index, failed)

@@ -168,40 +168,28 @@ def half_integral_lp(
 
 
 def _twosat_toward(m: Assignment, variables: set[int], index: ClauseIndex) -> dict[int, int]:
-    """A model over `variables` of the satisfiable binary clauses of `index`
-    that mention only `variables`, near m.
+    """A model over `variables` of the satisfiable clauses of `index` that
+    mention only `variables`, near m.
 
-    Each variable in ascending order takes m's value and every literal it
-    implies; if that conflicts with the literals set so far, it takes the
-    other value, which cannot conflict: a consistent propagation in 2-CNF
-    leaves a subset of the clauses, so each step keeps them satisfiable.
+    Each unset variable in ascending order takes m's literal with its
+    closure in those clauses or, if that conflicts with the literals set so
+    far, its negation's closure, which cannot conflict: a consistent closure
+    in 2-CNF leaves a subset of the clauses, so each step keeps them
+    satisfiable.
     """
-    model: dict[int, int] = {}
-
-    def implied(lit: int) -> set[int] | None:
-        seen, stack = {lit}, [lit]
-        while stack:
-            for nxt in index.succ.get(stack.pop(), ()):
-                if abs(nxt) not in variables:
-                    continue
-                if abs(nxt) in model:
-                    if model[abs(nxt)] != (nxt > 0):
-                        return None
-                elif nxt not in seen:
-                    if -nxt in seen:
-                        return None
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
+    sub = ClauseIndex((c for c in index.clauses if all(abs(l) in variables for l in c)), index.n)
+    true = 0  # the bitset of the literals set so far
     for v in sorted(variables):
-        if v not in model:
-            lit = v if m.value(v) else -v
-            forced = implied(lit) or implied(-lit)
-            if forced is None:
-                raise InternalConsistencyError("half-variable 2-SAT residue unsatisfiable")
-            model.update((abs(l), int(l > 0)) for l in forced)
-    return model
+        if true & (sub.bit(v) | sub.bit(-v)):
+            continue
+        lit = v if m.value(v) else -v
+        for t in (true | sub.reach(lit), true | sub.reach(-lit)):
+            if sub.setting(0, t) is not None:
+                true = t
+                break
+        else:
+            raise InternalConsistencyError("half-variable 2-SAT residue unsatisfiable")
+    return {v: int(bool(true & sub.bit(v))) for v in variables}
 
 
 def nsol_bijunctive_2approx(formula: Formula, m: Assignment) -> SolveOutcome:

@@ -85,6 +85,8 @@ class CoCloneLabel:
     param: int | None = None
 
     def __post_init__(self) -> None:
+        if self.name not in _PLAIN_NODES and self.name not in PARAM_FAMILIES:
+            raise ParseError(f"{self.name!r} is not a co-clone of the lattice")
         if (self.name in PARAM_FAMILIES) != (self.param is not None):
             raise ParseError(f"parameter presence inconsistent for {self.name}")
         if self.param is not None and not 2 <= self.param <= MAX_FAMILY_PARAM:
@@ -97,7 +99,10 @@ class CoCloneLabel:
     def parse(cls, text: str) -> "CoCloneLabel":
         if "^" in text:
             name, _, p = text.partition("^")
-            return cls(name, int(p))
+            try:
+                return cls(name, int(p))
+            except ValueError:
+                raise ParseError(f"family parameter {p!r} is not an integer") from None
         return cls(text)
 
 

@@ -37,7 +37,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -393,43 +393,22 @@ def dualize(r: Relation) -> Relation:
 
 # --- clause shapes and CNF decomposition -------------------------------------
 
-UNIT_POS = "UNIT_POS"
-UNIT_NEG = "UNIT_NEG"
-IMPL_KIND = "IMPL"
-OR_K = "OR_K"
-PARITY = "PARITY"
-GENERAL = "GENERAL"
-
-
 @dataclass(frozen=True)
 class Clause:
     """One clause over 0-based coordinate indices.
 
     Disjunctive clauses carry positive/negative index tuples; parity
-    clauses carry their support in `positives` plus the target bit.
+    clauses carry their support in `positives` plus the target bit.  Which
+    disjunctive clauses a shape admits is decided by `_clause_allowed`.
     """
 
     positives: tuple[int, ...]
     negatives: tuple[int, ...] = ()
     parity_bit: int | None = None
-    kind: str = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.parity_bit is not None:
-            if self.negatives or self.parity_bit not in (0, 1):
-                raise ParseError("parity clauses carry a bit and unsigned support only")
-            kind = PARITY
-        elif len(self.positives) == 1 and not self.negatives:
-            kind = UNIT_POS
-        elif len(self.negatives) == 1 and not self.positives:
-            kind = UNIT_NEG
-        elif len(self.positives) == 1 and len(self.negatives) == 1:
-            kind = IMPL_KIND
-        elif len(self.positives) >= 2 and not self.negatives:
-            kind = OR_K
-        else:
-            kind = GENERAL
-        object.__setattr__(self, "kind", kind)
+        if self.parity_bit is not None and (self.negatives or self.parity_bit not in (0, 1)):
+            raise ParseError("parity clauses carry a bit and unsigned support only")
 
     def holds(self, bits: Sequence[int]) -> bool:
         if self.parity_bit is not None:

@@ -1,12 +1,22 @@
-"""The clause index against the pass-until-fixpoint propagation oracle."""
+"""The clause index against the pass-until-fixpoint propagation oracle and
+the reference 2-SAT engines."""
 
 from __future__ import annotations
 
 import random
 
-from propagation_oracle import rescan_probe, rescan_propagate
+import pytest
+from propagation_oracle import (
+    reference_twosat_model,
+    reference_twosat_toward,
+    rescan_probe,
+    rescan_propagate,
+)
 
-from minsol.clauses import ClauseIndex, unit_propagate
+from minsol.clauses import ClauseIndex, twosat_model, unit_propagate
+from minsol.errors import InternalConsistencyError
+from minsol.formulas import Assignment
+from minsol.nsol import _twosat_toward
 
 
 def _random_clauses(rng: random.Random, n: int) -> list[frozenset[int]]:
@@ -78,12 +88,48 @@ def test_closure_on_a_chain_longer_than_the_recursion_limit():
     n = 5000
     chain = [frozenset({-v, v + 1}) for v in range(1, n)]
     index = ClauseIndex(chain, n)
-    comp, _ = index.closure
+    comp = index.components
     assert len(set(comp.values())) == 2 * n
     assert index.reach(1) == sum(index.bit(v) for v in range(1, n + 1))
     assert index.reach(-n) == sum(index.bit(-v) for v in range(1, n + 1))
     assert len(index.probe(1)) == n
     cycle = ClauseIndex([*chain, frozenset({-n, 1})], n)
-    comp, _ = cycle.closure
+    comp = cycle.components
     assert len({comp[v] for v in range(1, n + 1)}) == 1
     assert comp[1] != comp[-1]
+
+
+def _random_2cnf(rng: random.Random, n: int) -> list[frozenset[int]]:
+    clauses = []
+    for _ in range(rng.randint(0, 2 * n)):
+        vs = rng.sample(range(1, n + 1), min(rng.choice((1, 2, 2, 2)), n))
+        clauses.append(frozenset(v if rng.random() < 0.5 else -v for v in vs))
+    return clauses
+
+
+def test_twosat_engines_match_the_reference_models():
+    """Byte-identical 2-SAT models with and without assumptions, and the
+    same half-variable completions and failures, on random 2-CNFs."""
+    rng = random.Random(14_000)
+    unsat = failed = 0
+    for _ in range(3_000):
+        n = rng.randint(1, 14)
+        clauses = _random_2cnf(rng, n)
+        fixed = rng.sample(range(1, n + 1), rng.randint(0, min(3, n)))
+        assumptions = {v: rng.randint(0, 1) for v in fixed}
+        expected = reference_twosat_model(clauses, n, assumptions)
+        assert twosat_model(ClauseIndex(clauses, n), assumptions) == expected
+        unsat += expected is None
+        m = Assignment(tuple(rng.randint(0, 1) for _ in range(n)))
+        variables = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        try:
+            expected_toward = reference_twosat_toward(m, variables, clauses)
+        except InternalConsistencyError:
+            failed += 1
+            with pytest.raises(InternalConsistencyError):
+                _twosat_toward(m, variables, ClauseIndex(clauses, n))
+            continue
+        got = _twosat_toward(m, variables, ClauseIndex(clauses, n))
+        assert sorted(got.items()) == sorted(expected_toward.items())
+    # satisfiable and unsatisfiable inputs are both well represented
+    assert 300 < unsat < 2_700 and failed > 100

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -186,3 +187,78 @@ class TestDualize:
             assert dual_value == value
             assert sorted(dual_witnesses) == sorted(flip(w) for w in witnesses)
         assert solve("mixed.cf", "msd") == (1, ["100", "101"])
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("solve", "nsol", "--json"),  # no --formula
+        ("dualize", "--formula", "f.cf", "--assignment", "0", "--json"),  # unknown option
+        ("decide", "maybe", "--formula", "f.cf", "--json"),  # invalid choice
+        ("--json",),  # no command
+        ("solve", "msd", "--js"),  # abbreviated --json
+    ])
+    def test_exit_one_with_one_json_error(self, capsys, argv):
+        code, out = call(capsys, *argv)
+        assert code == 1
+        payload = json.loads(out)  # exactly one JSON object
+        assert payload["schema"] == 1 and payload["error"] == "ParseError"
+
+    def test_plain_usage_error_exits_one(self, capsys):
+        code, out = call(capsys, "solve", "nsol")
+        assert code == 1 and out.startswith("error: minsol solve:")
+
+    def test_help_exits_zero(self, capsys):
+        code, out = call(capsys, "--help")
+        assert code == 0 and "usage: minsol" in out
+
+
+def test_fuzzed_inputs_keep_the_exit_and_json_contract(tmp_path, capsys):
+    """Seeded well-formed formula files and command lines, half of each
+    corrupted by a line or token edit: one JSON line and an exit code in
+    0-4 for each."""
+    rng = random.Random(2_024)
+    (tmp_path / "ok.lang").write_text("rel r 2 01,10,11\n")
+    arities = {"or2": 2, "impl": 2, "nand2": 2, "even3": 3, "odd3": 3, "nae3": 3,
+               "one_in_three": 3, "dup3": 3, "t": 1, "f": 1}
+    bad_lines = ["lang", "lang missing.lang", "vars x", "vars -2", "vars 2 3", "rel s 2 012",
+                 "rel s x 01", "rel s 3", "or2 1", "or2 1 9", "or2 0 1", "zz 1", "even3 a b c"]
+    bad_tokens = ["extra", "--formula", "--assignment", "0x1", "--mode", "fast", "--lang",
+                  "bogus", "nsol", str(tmp_path / "missing.cf")]
+    codes = set()
+    for trial in range(300):
+        n = rng.randint(1, 5)
+        lines = [rng.choice(("lang builtin", "lang ok.lang")), f"vars {n}"]
+        for name in rng.choices(list(arities), k=rng.randint(0, 4)):
+            lines.append(" ".join([name, *(str(rng.randint(1, n)) for _ in range(arities[name]))]))
+        if rng.random() < 0.5:
+            lines[rng.randrange(len(lines))] = rng.choice(bad_lines)
+        path = tmp_path / f"f{trial}.cf"
+        path.write_text("\n".join(lines) + "\n")
+        bits = "".join(rng.choice("01") for _ in range(rng.choice((n, n, n + 1))))
+        command = rng.choice(("solve", "oracle", "decide", "dualize", "classify"))
+        if command in ("solve", "oracle"):
+            argv = [command, rng.choice(("nsol", "xsol", "msd")), "--formula", str(path)]
+            argv += ["--assignment", bits] if rng.random() < 0.8 else []
+            argv += ["--mode", rng.choice(("auto", "exact", "approx"))] if command == "solve" else []
+        elif command == "decide":
+            argv = [command, rng.choice(("sat", "anothersat", "tssat", "anothersat-lt-n")),
+                    "--formula", str(path), "--assignment", bits]
+        elif command == "dualize":
+            argv = [command, "--formula", str(path)]
+        else:
+            argv = [command, "--lang", str(tmp_path / "ok.lang")]
+        if rng.random() < 0.5:
+            edit = rng.randrange(3)
+            at = rng.randrange(len(argv) + (edit == 0))
+            if edit == 0:
+                argv.insert(at, rng.choice(bad_tokens))
+            elif edit == 1:
+                del argv[at]
+            else:
+                argv[at] = rng.choice(bad_tokens)
+        code = run([*argv, "--json"])
+        out = capsys.readouterr().out
+        assert code in range(5), argv
+        assert len(out.splitlines()) == 1 and json.loads(out)["schema"] == 1, argv
+        codes.add(code)
+    assert codes >= {0, 1, 2}

@@ -322,6 +322,17 @@ class TestLatticeTable:
         with pytest.raises(ParseError):
             pl.CoCloneLabel("iM2", 3)  # parameter on a plain node
 
+    @pytest.mark.parametrize("text", ["bogus", "iS0^x", "iS0^", "iS0^2.5", "iX^3", "iM2^"])
+    def test_labels_off_the_lattice_are_parse_errors(self, text):
+        with pytest.raises(ParseError):
+            pl.CoCloneLabel.parse(text)
+
+    def test_every_constructible_label_has_verdicts(self):
+        with pytest.raises(ParseError):
+            pl.CoCloneLabel("bogus")
+        for label in map(pl.CoCloneLabel.parse, ("iBF", "iM2", "iS00^5", "iS12^17")):
+            assert all(pl.verdict_for_label(label, p).problem == p for p in pl.PROBLEMS)
+
 
 class TestVerdicts:
     def test_totality(self):

@@ -222,13 +222,13 @@ class TestCnfDecompose:
         clauses = cnf_decompose(IMPL, "bijunctive")
         assert len(clauses) == 1
         (cl,) = clauses
-        assert cl.kind == "IMPL" and cl.positives == (1,) and cl.negatives == (0,)
+        assert cl.parity_bit is None and cl.positives == (1,) and cl.negatives == (0,)
 
     def test_even3_parity(self):
         clauses = cnf_decompose(even_rel(3), "parity")
         assert len(clauses) == 1
         (cl,) = clauses
-        assert cl.kind == "PARITY" and cl.positives == (0, 1, 2) and cl.parity_bit == 0
+        assert cl.positives == (0, 1, 2) and not cl.negatives and cl.parity_bit == 0
 
     @settings(max_examples=100, deadline=None)
     @given(relations)
@@ -243,7 +243,10 @@ class TestCnfDecompose:
     def test_ihsb_shapes(self):
         clauses = cnf_decompose(or_rel3 := Relation.from_tuples(3, range(1, 8)), "ihsb_pos", 3)
         assert models_of_clauses(3, clauses) == set(or_rel3.tuples())
-        assert all(cl.kind in ("OR_K", "IMPL", "UNIT_POS", "UNIT_NEG") for cl in clauses)
+        # positive clauses, implications and units only
+        assert all(cl.parity_bit is None for cl in clauses)
+        assert all(not cl.negatives or (len(cl.negatives), len(cl.positives)) in ((1, 0), (1, 1))
+                   for cl in clauses)
         with pytest.raises(ShapeUnavailable):
             cnf_decompose(or_rel3, "ihsb_pos", 2)
 
@@ -257,7 +260,7 @@ class TestCnfDecompose:
                 continue
             assert models_of_clauses(r.arity, clauses) == set(r.tuples())
             widths = [len(cl.positives if shape == "ihsb_pos" else cl.negatives)
-                      for cl in clauses if cl.kind in ("OR_K", "GENERAL")]
+                      for cl in clauses]
             assert all(w <= k for w in widths)
 
 
