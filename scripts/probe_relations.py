@@ -15,8 +15,8 @@ before the call.  Building the relation is not timed.
 The second table times `classify` plus `all_verdicts` on a one-relation
 language, again one fresh process per case: `or_rel`, `nand_rel` and the
 Horn closure at arity 8, 10 and 12; `or_rel(8)` without the tuple of code
-1; x0 -> x1 padded with free coordinates to arity 8 and x0 = x1 padded to
-arity 9; and random arity-10 relations of 300 and 900 members (seed
+1; x0 -> x1 padded with free coordinates to arity 8 and 10 and x0 = x1
+padded to arity 9; and random arity-10 relations of 300 and 900 members (seed
 fixed).  One line per case: relation, arity, members, the label and the
 milliseconds of the two calls.
 
@@ -83,7 +83,8 @@ CLASSIFY_BUILDERS = {
     "random_900": lambda arity: random_rel(arity, 900),
 }
 CLASSIFY_CASES = [(name, arity) for name in ("or_rel", "nand_rel", "horn_closure") for arity in (8, 10, 12)]
-CLASSIFY_CASES += [("or_minus_1", 8), ("impl_padded", 8), ("eq_padded", 9), ("random_300", 10), ("random_900", 10)]
+CLASSIFY_CASES += [("or_minus_1", 8), ("impl_padded", 8), ("impl_padded", 10), ("eq_padded", 9),
+                   ("random_300", 10), ("random_900", 10)]
 
 
 def peak_mb() -> float:

@@ -60,7 +60,11 @@ def rank(vectors: Sequence[int], cols: int) -> int:
 def nullspace(rows: Sequence[int], cols: int) -> list[int]:
     """Basis of {x : row·x = 0 for all rows}, one vector per free column,
     in coordinate order."""
-    reduced, pivots = _eliminate(list(rows), cols)
+    return _free_basis(*_eliminate(list(rows), cols), cols)
+
+
+def _free_basis(reduced: list[int], pivots: list[int], cols: int) -> list[int]:
+    """`nullspace` of rows already in reduced row echelon form."""
     pivot_set = set(pivots)
     basis = []
     for free in reversed(range(cols)):
@@ -88,8 +92,7 @@ def solve_affine(equations: Sequence[tuple[int, int]], cols: int) -> tuple[int, 
             return None  # row 0 = 1
         if r & 1:
             particular |= 1 << (p - 1)
-    basis = nullspace([r >> 1 for r in reduced], cols)
-    return particular, basis
+    return particular, _free_basis([r >> 1 for r in reduced], [p - 1 for p in pivots], cols)
 
 
 def popcount(arr: np.ndarray) -> np.ndarray:

@@ -13,6 +13,18 @@ their other three ternary bases are composites: x & (y <-> z) =
 x & xor3(x, y, z), maj(x, -y, -z) lies in [maj, -] and maj(x, y, -z) in
 [maj, xor3].
 
+The generators preserving a language form a clone, closed under minors
+(identifying arguments) and composition, so a signature skips some tests
+(`_CLONE_FACTS`): a generator fails untested once one of its minors has
+failed, and maj, x | (y & z) and x & (y | z), which lie in [&, |], hold
+untested once & and | both hold.  `_GENERATORS` lists every minor and
+composer first.
+
+The verdicts of the six case analyses depend on a label only through its
+node, and the ihsb params on its chain width, so they are computed once at
+import on one representative label per node, and a lookup puts the
+label's width into the param.
+
 The clone of fam^k adds a (k+1)-ary threshold, a near-unanimity function,
 to the chain's limit clone; for k >= 3 it is no generator, so fam^k
 shares fam^3's signature.  A relation r lies in fam^k iff the limit clone
@@ -30,7 +42,7 @@ lies below fam^k only if its width is at most k.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .errors import InternalConsistencyError, ParseError
@@ -55,6 +67,7 @@ from .relations import (
     OR2F,
     OR_AND3,
     OR_ANDNOT3,
+    BoolFunction,
     Language,
     Relation,
     T_REL,
@@ -175,13 +188,38 @@ _FAMILY_BASES: dict[str, Callable[[int], tuple[Relation, ...]]] = {
 }
 
 
-def _signature(relations: tuple[Relation, ...]) -> int:
-    """Bit i is set iff `_GENERATORS[i]` preserves every relation."""
-    return sum(
-        1 << i
-        for i, f in enumerate(_GENERATORS)
-        if all(is_polymorphism(f, r) for r in relations)
+def _bits(*functions: BoolFunction) -> int:
+    return sum(1 << _GENERATORS.index(f) for f in functions)
+
+
+# Clone facts, keyed by generator index: (minor, composers).  The generator
+# holds only if its minor does, and holds whenever all its composers do.
+_CLONE_FACTS: dict[int, tuple[int, int]] = {
+    _GENERATORS.index(f): (_bits(*minor), _bits(*composers))
+    for f, minor, composers in (
+        (MAJ3, (), (AND2, OR2F)),
+        (XNOR3, (NOT1,), ()),  # xnor3(x, x, x) = -x
+        (OR_ANDNOT3, (OR2F,), ()),  # or_andnot(x, y, x) = x | y
+        (AND_ORNOT3, (AND2,), ()),  # and_ornot(x, y, x) = x & y
+        (OR_AND3, (OR2F,), (AND2, OR2F)),  # or_and(x, y, y) = x | y
+        (AND_OR3, (AND2,), (AND2, OR2F)),  # and_or(x, y, y) = x & y
     )
+}
+
+
+def _signature(relations: tuple[Relation, ...]) -> int:
+    """Bit i is set iff `_GENERATORS[i]` preserves every relation; the
+    clone facts settle some bits without a test."""
+    sig = 0
+    for i, f in enumerate(_GENERATORS):
+        minor, composers = _CLONE_FACTS.get(i, (0, 0))
+        if sig & minor != minor:
+            continue
+        if (composers and sig & composers == composers) or all(
+            is_polymorphism(f, r) for r in relations
+        ):
+            sig |= 1 << i
+    return sig
 
 
 def _node(label: CoCloneLabel) -> tuple[str, int | None]:
@@ -366,11 +404,18 @@ _VERDICTS: dict[str, Callable[[CoCloneLabel], Verdict]] = {
 }
 
 
-@functools.lru_cache(maxsize=None)
+_TABLE: dict[tuple[str, int | None], dict[str, Verdict]] = {
+    node: {p: analysis(CoCloneLabel(*node)) for p, analysis in _VERDICTS.items()}
+    for node in _SIGNATURES
+}
+
+
 def verdict_for_label(label: CoCloneLabel, problem: str) -> Verdict:
-    if problem not in _VERDICTS:
+    verdicts = _TABLE[_node(label)]
+    if problem not in verdicts:
         raise ParseError(f"unknown problem {problem!r}")
-    return _VERDICTS[problem](label)
+    v = verdicts[problem]
+    return v if v.param in (None, label.param) else replace(v, param=chain_width(label))
 
 
 def verdict(gamma: Language, problem: str) -> Verdict:

@@ -30,6 +30,24 @@ class TestSolveAffine:
     def test_inconsistent(self):
         assert gf2.solve_affine([(0b11, 1), (0b11, 0)], 2) is None
 
+    def test_random_systems_match_nullspace(self):
+        # the basis read off the augmented elimination is the nullspace of
+        # the bare rows; a dependent row with a flipped bit is inconsistent
+        rng = random.Random(15)
+        for _ in range(300):
+            cols = rng.randint(1, 12)
+            rows = [rng.randrange(1 << cols) for _ in range(rng.randint(0, cols + 3))]
+            x = rng.randrange(1 << cols)
+            equations = [(row, (row & x).bit_count() % 2) for row in rows]
+            particular, basis = gf2.solve_affine(equations, cols)
+            assert basis == gf2.nullspace(rows, cols)
+            assert all((row & particular).bit_count() % 2 == b for row, b in equations)
+            if rows:
+                row = b = 0
+                for r, bit in [e for e in equations if rng.random() < 0.5] or equations[:1]:
+                    row, b = row ^ r, b ^ bit
+                assert gf2.solve_affine(equations + [(row, b ^ 1)], cols) is None
+
 
 class TestMinWeight:
     def test_single_vector(self):

@@ -22,6 +22,8 @@ from minsol import postlattice as pl
 from minsol.errors import ParseError
 from minsol.relations import (
     AND2,
+    AND_OR3,
+    AND_ORNOT3,
     DUALHORN3,
     DUP3,
     EQ2,
@@ -34,16 +36,22 @@ from minsol.relations import (
     NOT1,
     ONE_IN_THREE,
     OR2,
+    OR2F,
+    OR_AND3,
+    OR_ANDNOT3,
     Language,
     Relation,
     T_REL,
+    XNOR3,
     XOR2,
     XOR3,
+    code_bits,
     even_rel,
     nand_rel,
     odd_rel,
     or_rel,
     projection_width,
+    tuple_code,
 )
 
 CLASSIFY_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "classify_pool.json"
@@ -316,6 +324,64 @@ class TestLatticeTable:
             assert len(kept) > 20, str(dropped)
             assert all(preserves([dropped], [r]) for r in kept), str(dropped)
 
+    def test_minor_facts_hold_on_truth_tables(self):
+        # identifying arguments of a generator yields the minor the clone
+        # facts name, and the minor comes first in the generator order
+        identities = [
+            (AND_OR3, (0, 1, 1), AND2),
+            (AND_ORNOT3, (0, 1, 0), AND2),
+            (OR_AND3, (0, 1, 1), OR2F),
+            (OR_ANDNOT3, (0, 1, 0), OR2F),
+            (XNOR3, (0, 0, 0), NOT1),
+        ]
+        for f, args, minor in identities:
+            table = sum(
+                f.value(tuple_code([code_bits(c, minor.arity)[j] for j in args])) << c
+                for c in range(1 << minor.arity)
+            )
+            assert table == minor.table, str(f)
+        index = pl._GENERATORS.index
+        want = {(index(f), index(minor)) for f, _, minor in identities}
+        got = {(i, j) for i, (minor, _) in pl._CLONE_FACTS.items() for j in range(16) if minor >> j & 1}
+        assert got == want and all(j < i for i, j in got)
+
+    def test_composition_facts_hold(self):
+        # a generator whose composers all preserve a relation preserves it
+        # too: it lies in the clone they generate
+        relations = [Relation(a, m) for a in (1, 2, 3) for m in range(1, 1 << (1 << a))]
+        rng = random.Random(17)
+        relations += [Relation(4, rng.randrange(1, 1 << 16)) for _ in range(300)]
+        relations += [Relation.from_tuples(4, closure(set(rng.sample(range(16), 3)), op))
+                      for op in (lambda x, y, z: x & y, lambda x, y, z: x | y, lambda x, y, z: x & (y | z))
+                      for _ in range(50)]
+        composed = {i: c for i, (_, c) in pl._CLONE_FACTS.items() if c}
+        assert {pl._GENERATORS[i] for i in composed} == {MAJ3, OR_AND3, AND_OR3}
+        for i, composers in composed.items():
+            pair = [f for j, f in enumerate(pl._GENERATORS) if composers >> j & 1]
+            assert max(map(pl._GENERATORS.index, pair)) < i
+            kept = [r for r in relations if preserves(pair, [r])]
+            assert len(kept) > 20, str(pl._GENERATORS[i])
+            assert all(preserves([pl._GENERATORS[i]], [r]) for r in kept), str(pl._GENERATORS[i])
+
+    def test_pruned_signature_matches_every_test(self):
+        # the clone facts skip tests but never change a bit
+        rng = random.Random(18)
+        languages = [(Relation(a, m),) for a in (1, 2, 3) for m in range(1, 1 << (1 << a))]
+        languages += [(Relation(a, rng.randrange(1, 1 << (1 << a))),) for a in (4, 5, 6) for _ in range(150)]
+        languages += [(Relation.from_tuples(4, closure(set(rng.sample(range(16), 3)), op)),)
+                      for op in (lambda x, y, z: x & y, lambda x, y, z: x | y, lambda x, y, z: x | (y & z),
+                                 lambda x, y, z: (x & y) | (x & z) | (y & z), lambda x, y, z: x ^ y ^ z)
+                      for _ in range(30)]
+        singles = [r for (r,) in languages]
+        languages += [tuple(rng.sample(singles, 2)) for _ in range(600)]
+        languages += [pl.relation_base(label) for label in pl.all_labels(6)]
+        seen = set()
+        for rels in languages:
+            want = sum(1 << i for i, f in enumerate(pl._GENERATORS) if preserves([f], rels))
+            assert pl._signature(rels) == want, [str(r) for r in rels]
+            seen.add(want)
+        assert seen == set(pl._SIGNATURES.values())
+
     def test_parameter_validation(self):
         with pytest.raises(ParseError):
             pl.CoCloneLabel("iS00")  # family without parameter
@@ -364,6 +430,14 @@ class TestVerdicts:
         assert pl.verdict(lang(nae3=NAE3), "ANOTHERSAT").complexity == "P"
         assert pl.verdict(lang(nae3=NAE3), "TSSAT").complexity == "NP_complete"
         assert pl.verdict(lang(even4=even_rel(4), impl=IMPL, f=F_REL), "ANOTHERSAT").complexity == "NP_complete"
+
+
+    def test_table_matches_case_analyses(self):
+        for label in pl.all_labels(pl.MAX_FAMILY_PARAM):
+            for p in pl.PROBLEMS:
+                assert pl.verdict_for_label(label, p) == pl._VERDICTS[p](label), (str(label), p)
+        with pytest.raises(ParseError):
+            pl.verdict_for_label(pl.CoCloneLabel("iM2"), "MAXSAT")
 
 
 class TestFragment:
