@@ -13,12 +13,13 @@ of the clauses), the peak RSS of the process and its growth over the peak
 before the call.  Building the relation is not timed.
 
 The second table times `classify` plus `all_verdicts` on a one-relation
-language, again one fresh process per case: `or_rel`, `nand_rel` and the
-Horn closure at arity 8, 10 and 12; `or_rel(8)` without the tuple of code
-1; x0 -> x1 padded with free coordinates to arity 8 and 10 and x0 = x1
-padded to arity 9; and random arity-10 relations of 300 and 900 members (seed
-fixed).  One line per case: relation, arity, members, the label and the
-milliseconds of the two calls.
+language, again one fresh process per case: `or_rel` at arity 8, 10 and
+12, and `nand_rel` and the Horn closure at arity 8, 10, 12, 14 and 16;
+`or_rel(k)` without the tuple of code 1 at arity 8, 10, 12, 14 and 16;
+x0 -> x1 padded with free coordinates to arity 8, 10, 12, 14 and 16 and
+x0 = x1 padded to arity 9, 11, 13 and 15; and random arity-10 relations of
+300 and 900 members (seed fixed).  One line per case: relation, arity,
+members, the label and the milliseconds of the two calls.
 
 Usage: PYTHONPATH=src python scripts/probe_relations.py
 """
@@ -82,9 +83,11 @@ CLASSIFY_BUILDERS = {
     "random_300": lambda arity: random_rel(arity, 300),
     "random_900": lambda arity: random_rel(arity, 900),
 }
-CLASSIFY_CASES = [(name, arity) for name in ("or_rel", "nand_rel", "horn_closure") for arity in (8, 10, 12)]
-CLASSIFY_CASES += [("or_minus_1", 8), ("impl_padded", 8), ("impl_padded", 10), ("eq_padded", 9),
-                   ("random_300", 10), ("random_900", 10)]
+CLASSIFY_CASES = [("or_rel", arity) for arity in (8, 10, 12)]
+CLASSIFY_CASES += [(name, arity) for name in ("nand_rel", "horn_closure") for arity in ARITIES]
+CLASSIFY_CASES += [(name, arity) for name in ("or_minus_1", "impl_padded") for arity in ARITIES]
+CLASSIFY_CASES += [("eq_padded", arity) for arity in (9, 11, 13, 15)]
+CLASSIFY_CASES += [("random_300", 10), ("random_900", 10)]
 
 
 def peak_mb() -> float:

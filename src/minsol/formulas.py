@@ -37,6 +37,7 @@ from .relations import (
     Relation,
     dualize,
     load_language,
+    membership_table,
     parse_relation_line,
 )
 
@@ -100,12 +101,14 @@ class Formula:
     part in equality, hashing or the repr.  It holds the relations alone,
     not (relation, variables) pairs: cached formulas then keep one tuple
     more each rather than one per atom for the garbage collector to scan.
+    The hash is computed once, as every cached layer looks formulas up.
     """
 
     language: Language
     var_count: int
     atoms: tuple[tuple[str, tuple[int, ...]], ...]
     bound: tuple[Relation, ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.var_count
@@ -123,6 +126,13 @@ class Formula:
                 raise ParseError(f"atom {name}{vars_} uses an index outside 1..{n}")
             bound.append(rel)
         object.__setattr__(self, "bound", tuple(bound))
+        object.__setattr__(self, "_hash", hash((self.language, self.var_count, self.atoms)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuilds the hash, as string hashes differ between processes
+        return Formula, (self.language, self.var_count, self.atoms)
 
     def relation(self, name: str) -> Relation:
         return self.language.get(name)
@@ -165,20 +175,13 @@ def dualize_formula(formula: Formula) -> Formula:
 # --- vectorized model enumeration ---------------------------------------------
 
 
-def _membership_table(rel: Relation) -> np.ndarray:
-    """Bool array over the relation's 2**arity tuple codes."""
-    size = 1 << rel.arity
-    packed = np.frombuffer(rel.mask.to_bytes(max(1, size // 8), "little"), dtype=np.uint8)
-    return np.unpackbits(packed, bitorder="little")[:size].view(bool)
-
-
 def _model_blocks(formula: Formula) -> Iterator[np.ndarray]:
     """Yield ascending arrays of model codes, in blocks.
 
     Each distinct relation's table is built once per call, and each
     variable's bit column once per block, however many atoms share them."""
     n = formula.var_count
-    tables = {rel: _membership_table(rel) for rel in formula.bound}
+    tables = {rel: membership_table(rel.arity, rel.mask) for rel in formula.bound}
     total = 1 << n
     step = 1 << min(_BLOCK_BITS, n)
     for start in range(0, total, step):

@@ -15,10 +15,10 @@ x & xor3(x, y, z), maj(x, -y, -z) lies in [maj, -] and maj(x, y, -z) in
 
 The generators preserving a language form a clone, closed under minors
 (identifying arguments) and composition, so a signature skips some tests
-(`_CLONE_FACTS`): a generator fails untested once one of its minors has
-failed, and maj, x | (y & z) and x & (y | z), which lie in [&, |], hold
-untested once & and | both hold.  `_GENERATORS` lists every minor and
-composer first.
+(`_CLONE_FACTS`): a generator fails untested once one of its minors (or
+xnor3's xor3) has failed, and holds untested once its composers hold:
+maj, x | (y & z) and x & (y | z) lie in [&, |], and xnor3 in [-, xor3].
+`_GENERATORS` lists every minor and composer first.
 
 The verdicts of the six case analyses depend on a label only through its
 node, and the ihsb params on its chain width, so they are computed once at
@@ -36,7 +36,8 @@ yields a tuple t that is 0 wherever their threshold u is, so
 u = t | (a & b) | ... over all pairs a, b of the tuples lies in the
 relation.  The k-ary projections of r are such relations.  Hence a fam^3
 signature classifies to fam^w, w the largest projection width, and a node
-lies below fam^k only if its width is at most k.
+lies below fam^k only if its width is at most k.  The width of such r is
+that of its widest prime positive clause (`relations.projection_width`).
 """
 
 from __future__ import annotations
@@ -192,13 +193,13 @@ def _bits(*functions: BoolFunction) -> int:
     return sum(1 << _GENERATORS.index(f) for f in functions)
 
 
-# Clone facts, keyed by generator index: (minor, composers).  The generator
-# holds only if its minor does, and holds whenever all its composers do.
+# Clone facts, keyed by generator index: (needs, composers).  The generator
+# holds only if all it needs do, and holds whenever all its composers do.
 _CLONE_FACTS: dict[int, tuple[int, int]] = {
-    _GENERATORS.index(f): (_bits(*minor), _bits(*composers))
-    for f, minor, composers in (
+    _GENERATORS.index(f): (_bits(*needs), _bits(*composers))
+    for f, needs, composers in (
         (MAJ3, (), (AND2, OR2F)),
-        (XNOR3, (NOT1,), ()),  # xnor3(x, x, x) = -x
+        (XNOR3, (NOT1, XOR3), (NOT1, XOR3)),  # xnor3 = -xor3, xnor3(x, x, x) = -x
         (OR_ANDNOT3, (OR2F,), ()),  # or_andnot(x, y, x) = x | y
         (AND_ORNOT3, (AND2,), ()),  # and_ornot(x, y, x) = x & y
         (OR_AND3, (OR2F,), (AND2, OR2F)),  # or_and(x, y, y) = x | y
@@ -212,8 +213,8 @@ def _signature(relations: tuple[Relation, ...]) -> int:
     clone facts settle some bits without a test."""
     sig = 0
     for i, f in enumerate(_GENERATORS):
-        minor, composers = _CLONE_FACTS.get(i, (0, 0))
-        if sig & minor != minor:
+        needs, composers = _CLONE_FACTS.get(i, (0, 0))
+        if sig & needs != needs:
             continue
         if (composers and sig & composers == composers) or all(
             is_polymorphism(f, r) for r in relations
@@ -234,7 +235,8 @@ _SIGNATURES: dict[tuple[str, int | None], int] = {
 _NODES = {sig: node for node, sig in _SIGNATURES.items()}
 if len(_NODES) != len(_SIGNATURES):
     raise InternalConsistencyError("two lattice nodes share a generator signature")
-_WIDTHS = {name: max(map(projection_width, base)) for name, base in _PLAIN_NODES.items()}
+_WIDTHS = {name: max(map(projection_width, base)) for name, base in _PLAIN_NODES.items()
+           if _SIGNATURES[name, None] & _bits(OR_AND3, AND_OR3)}
 
 
 def relation_base(label: CoCloneLabel) -> tuple[Relation, ...]:

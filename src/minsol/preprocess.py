@@ -81,8 +81,9 @@ def absorb_units(formula: Formula) -> ReducedFormula:
                 continue
             i += 1
         if rel.arity == 1 and rel.size == 1:
-            # no coordinate is forced any more, so vars_[0] is new
-            forced[vars_[0]] = rel.tuples()[0]
+            # no coordinate is forced any more, so vars_[0] is new; the mask
+            # of a one-member unary relation is 0b01 or 0b10
+            forced[vars_[0]] = rel.mask >> 1
             fresh.append(vars_[0])
             atoms[a] = None
         else:

@@ -7,15 +7,20 @@ for truth tables of Boolean functions, for assignment bitstrings and for
 GF(2) vectors, so lexicographic order on bitstrings is numeric order on
 codes everywhere.
 
-Whether a k-ary function f preserves a relation is decided bit-sliced: a
-tuple code is a word of coordinates, so fixing f's first k-1 arguments to
-member tuples leaves two words, the coordinates where f(prefix, 0) = 1 and
-those where f(prefix, 1) = 1, and the image of each last member is a few
-whole-word operations and one membership lookup.  Every clone base the
-classifier uses is at most ternary, so this costs |r|**(k-1) word
-pairs rather than |r|**k tuples times the arity.  Threshold functions on
-or/nand-type relations and weight-determined relations take shortcuts
-first.
+Whether f preserves r is decided on sets of codes, ints with bit c for
+code c as `Relation.mask` is: r is closed under a clone generator iff it
+holds the images of the generator's clone on r (the clones of Boehler,
+Creignou, Reith and Vollmer, SIGACT News 34(4), 2003), a few tests of
+O(n**2) whole-set operations whatever |r| is (`_GENERATOR_TESTS`).  Under
+| the images are the joins of the members below them; under xor3 r is
+affine (once shifted by its least member, each upper half of a linear
+subspace is its lower half shifted); under maj r is the join of its binary
+projections (Baker and Pixley, Math. Z. 143, 1975).  With column j the
+members whose bit j is set, the images under S0 = [->], the functions
+above one of their arguments, are the codes above a member constant on
+equal columns; under S02 = [x | (y & -z)] = S0 & R2 also 0 on all-zero
+columns, and under S00 = [x | (y & z)] = S02 & M also ordered as their
+columns are.  Duals run on the complemented tuples.
 
 Closure questions have one answer, the polymorphism test: a relation
 admits a clause shape iff the shape's clone generators preserve it
@@ -35,11 +40,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -99,7 +103,7 @@ class Relation:
 
     def tuples(self) -> tuple[int, ...]:
         """Member tuple codes in ascending (lexicographic) order."""
-        return _members(self.arity, self.mask)[0]
+        return tuple(np.flatnonzero(membership_table(self.arity, self.mask)).tolist())
 
     def bit_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(code_bits(c, self.arity) for c in self.tuples())
@@ -121,17 +125,11 @@ class Relation:
         """
         if self.arity == 1:
             raise InternalConsistencyError("cannot restrict a unary relation further")
-        shift = self.arity - 1 - coord
-        mask = 0
-        for c in self.tuples():
-            if (c >> shift) & 1 != value:
-                continue
-            high = c >> (shift + 1)
-            low = c & ((1 << shift) - 1)
-            mask |= 1 << ((high << shift) | low)
-        if mask == 0:
-            return None
-        return Relation(self.arity - 1, mask)
+        lows, j = _low(self.arity), self.arity - 1 - coord
+        mask = (self.mask >> (value << j)) & lows[j]
+        for k in range(j + 1, self.arity):  # bit k of each code moves to bit k - 1
+            mask = (mask & lows[k]) | ((mask & ~lows[k]) >> (1 << (k - 1)))
+        return Relation(self.arity - 1, mask) if mask else None
 
     def __str__(self) -> str:
         rows = ",".join("".join(map(str, r)) for r in self.bit_rows())
@@ -258,137 +256,137 @@ BUILTIN_RELATIONS: dict[str, Relation] = {
 # --- polymorphisms -----------------------------------------------------------
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+def membership_table(arity: int, mask: int) -> np.ndarray:
+    """A mask as a bool array over the 2**arity codes."""
+    packed = np.frombuffer(mask.to_bytes(max(1, (1 << arity) // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(packed, bitorder="little")[: 1 << arity].view(bool)
 
 
-@functools.lru_cache(maxsize=256)
-def _members(arity: int, mask: int) -> tuple[tuple[int, ...], bytes, frozenset[int] | None]:
-    """A relation's member codes in ascending order, its membership as one
-    byte per code, and its weight set if membership depends on weight only.
-    Kept for few relations: a 16-ary one has up to 65,536 members."""
-    bits = bin(mask)[:1:-1].ljust(1 << arity, "0")
-    rows = tuple(c for c, b in enumerate(bits) if b == "1")
-    counts = [0] * (arity + 1)
-    for c in rows:
-        counts[c.bit_count()] += 1
-    wset = None
-    if all(m in (0, math.comb(arity, w)) for w, m in enumerate(counts)):
-        wset = frozenset(w for w, m in enumerate(counts) if m)
-    return rows, bits.encode().translate(_BIT_BYTES), wset
+@functools.lru_cache(maxsize=None)
+def _low(n: int) -> tuple[int, ...]:
+    """`_low(n)[j]` is the set of codes whose bit j is clear: 2**j ones then
+    2**j zeros, repeated, so the full set over 2**(2**(j+1)) - 1 times 2**(2**j) - 1."""
+    full = (1 << (1 << n)) - 1
+    return tuple(full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) for j in range(n))
 
 
-@functools.lru_cache(maxsize=256)
-def _function_facts(
-    arity: int, table: int
-) -> tuple[bool, int | None, tuple[int, ...], tuple[int, ...]]:
-    """Whether f is symmetric; t with f = [weight >= t] and 1 <= t <= arity,
-    else None; and f's minterms split by the last argument: the prefix codes
-    p with f(p, 0) = 1, then those with f(p, 1) = 1."""
-    minterms = [c for c in range(1 << arity) if (table >> c) & 1]
-    weights = {c.bit_count() for c in minterms}
-    symmetric = all(((table >> c) & 1) == (c.bit_count() in weights) for c in range(1 << arity))
-    threshold = None
-    if symmetric and weights and sorted(weights) == list(range(min(weights), arity + 1)):
-        threshold = min(weights) or None
-    lo = tuple(m >> 1 for m in minterms if not m & 1)
-    hi = tuple(m >> 1 for m in minterms if m & 1)
-    return symmetric, threshold, lo, hi
+def _flip(m: int, n: int, v: int) -> int:
+    """{c ^ v : c in m}."""
+    for j, low in enumerate(_low(n)):
+        if v >> j & 1:
+            m = ((m & low) << (1 << j)) | ((m >> (1 << j)) & low)
+    return m
 
 
-# Bit-sliced kernel: a tuple code is a word whose bits are the coordinates.
-# With every argument but the last fixed to a prefix of member tuples, the
-# prefix splits the coordinates into cells by their bit pattern, and f's
-# minterms give two words: `lo`, the coordinates where f(prefix, 0) = 1, and
-# `hi`, those where f(prefix, 1) = 1.  The image of a last tuple c is then
-# (c & hi) | (lo & ~c), one lookup per member c; prefixes that give a (lo,
-# hi) pair already tested are skipped.  A symmetric f needs only the
-# multisets of prefix tuples.  The threshold and weight-set shortcuts come
-# first, because on wide or/nand-type and weight-determined relations they
-# avoid the |r|**(k-1) prefixes.
-@functools.lru_cache(maxsize=200_000)
-def _is_poly_cached(f_arity: int, f_table: int, r_arity: int, r_mask: int) -> bool:
-    n, k = r_arity, f_arity
-    rows, member, wset = _members(n, r_mask)
-    symmetric, t, lo_prefixes, hi_prefixes = _function_facts(k, f_table)
-    full = (1 << n) - 1
+def _above(m: int, n: int) -> int:
+    """The codes above some member of m."""
+    for j, low in enumerate(_low(n)):
+        m |= (m & low) << (1 << j)
+    return m
 
-    # threshold functions on or/nand-type relations admit a packing argument:
-    # a counterexample spreads one violating entry per row across the columns
-    if t is not None and len(rows) == full:
-        if not member[0]:  # [weight >= 1]
-            return k > n * (t - 1)
-        if not member[full]:  # [weight <= n-1]
-            return k > n * (k - t)
 
-    # weight-determined relations: counterexamples are column multisets.  A
-    # column packs its k row bits and its image bit into 5-bit fields, so the
-    # sum of a multiset holds its row weights and its image's weight.
-    if wset is not None and math.comb((1 << k) + n - 1, n) <= min(500_000, len(rows) ** k):
-        cols = [
-            sum(((p >> (k - 1 - i)) & 1) << (5 * i) for i in range(k))
-            | ((f_table >> p) & 1) << (5 * k)
-            for p in range(1 << k)
-        ]
-        bad = {o << (5 * k) for o in range(n + 1) if o not in wset}
-        for i in range(k):
-            bad = {x | w << (5 * i) for x in bad for w in wset}
-        return not bad or bad.isdisjoint(map(sum, itertools.combinations_with_replacement(cols, n)))
+def _join_closed(m: int, n: int) -> bool:
+    joins = _above(m, n)  # the codes that are the join of the members below them
+    for low in _low(n):
+        joins &= _above(m & ~low, n) | low
+    return not joins & ~m
 
-    if symmetric:
-        prefixes: Iterable[tuple[int, ...]] = itertools.combinations_with_replacement(rows, k - 1)
-    else:
-        prefixes = itertools.product(rows, repeat=k - 1)
-    seen = set()
-    for prefix in prefixes:
-        cells = [full]
-        for a in prefix:
-            cells = [x for cell in cells for x in (cell & ~a, cell & a)]
-        lo = hi = 0
-        for p in lo_prefixes:
-            lo |= cells[p]
-        for p in hi_prefixes:
-            hi |= cells[p]
-        if (lo, hi) in seen:
-            continue
-        seen.add((lo, hi))
-        for c in rows:
-            if not member[(c & hi) | (lo & ~c)]:
-                return False
+
+def _affine(m: int, n: int) -> bool:
+    m = _flip(m, n, (m & -m).bit_length() - 1)  # a linear subspace if m is affine
+    for j in reversed(range(n)):
+        lower, upper = m & ((1 << (1 << j)) - 1), m >> (1 << j)
+        if upper and upper != _flip(lower, j, (upper & -upper).bit_length() - 1):
+            return False
+        m = lower
     return True
 
 
+def _zero(m: int, n: int) -> bool:
+    return bool(m & 1)
+
+
+def _self_dual(m: int, n: int) -> bool:
+    return _flip(m, n, (1 << n) - 1) == m
+
+
+def _binary_join(m: int, n: int) -> bool:
+    full = (1 << (1 << n)) - 1
+    sides = [side for low in _low(n) for side in (low, full ^ low)]
+    covered = m  # the members and the codes showing a pattern no member shows
+    for a, b in itertools.combinations_with_replacement(sides, 2):
+        if not m & a & b:
+            covered |= a & b
+    return covered == full
+
+
+def _s0_closed(m: int, n: int, reproducing: bool = False, monotone: bool = False) -> bool:
+    """m holds its images under S0, under S02 with `reproducing`, and under
+    S00 with both."""
+    images = _above(m, n)
+    for low_i in _low(n):
+        if reproducing and not m & ~low_i:
+            images &= low_i
+        for low_j in _low(n):
+            # column i lies within column j (and, unless monotone, equals it)
+            if not m & ~low_i & low_j and (monotone or not m & low_i & ~low_j):
+                images &= low_i | ~low_j
+    return not images & ~m
+
+
+def _dual(test: Callable[[int, int], bool]) -> Callable[[int, int], bool]:
+    return lambda m, n: test(_flip(m, n, (1 << n) - 1), n)
+
+
+_S02 = functools.partial(_s0_closed, reproducing=True)
+_S00 = functools.partial(_s0_closed, reproducing=True, monotone=True)
+_GENERATOR_TESTS: dict[tuple[int, int], tuple[Callable[[int, int], bool], ...]] = {
+    (f.arity, f.table): tuple(parts)  # the generator holds iff all its parts do
+    for f, *parts in (
+        (CONST0, _zero), (CONST1, _dual(_zero)), (NOT1, _self_dual), (XOR3, _affine),
+        (XOR2F, _zero, _affine), (XNOR2F, _dual(_zero), _affine), (XNOR3, _self_dual, _affine),
+        (MAJ3, _binary_join), (OR2F, _join_closed), (AND2, _dual(_join_closed)),
+        (IMPL2F, _s0_closed), (OR_ANDNOT3, _S02), (OR_AND3, _S00),
+        (ANDNOT2, _dual(_s0_closed)), (AND_ORNOT3, _dual(_S02)), (AND_OR3, _dual(_S00)),
+    )
+}
+
+
+@functools.lru_cache(maxsize=200_000)
+def _is_poly_cached(f_arity: int, f_table: int, r_arity: int, r_mask: int) -> bool:
+    if (f_arity, f_table) not in _GENERATOR_TESTS:
+        raise ValueError(f"fn{f_arity}:{f_table:x} is none of the 16 clone generators")
+    return all(part(r_mask, r_arity) for part in _GENERATOR_TESTS[f_arity, f_table])
+
+
 def is_polymorphism(f: BoolFunction, r: Relation) -> bool:
-    """True iff applying f coordinatewise to tuples of r stays inside r."""
+    """True iff applying f coordinatewise to tuples of r stays inside r.
+    f must be one of the 16 clone generators; any other raises ValueError."""
     return _is_poly_cached(f.arity, f.table, r.arity, r.mask)
 
 
 def projection_width(r: Relation) -> int:
-    """Least k >= 2 such that r is the join of its k-ary projections.  A
-    coordinate set is a bit mask s, and `t & s` projects the tuple code t.
-    The width is usually the arity, so k = arity - 1 is tried first."""
-    n = r.arity
-    members, member, _ = _members(n, r.mask)
-
-    def joins(k: int) -> bool:
-        left = [t for t, b in enumerate(member) if not b]
-        for coords in itertools.combinations(range(n), k):
-            s = sum(1 << i for i in coords)
-            seen = {t & s for t in members}
-            left = [t for t in left if t & s in seen]
-        return not left
-
-    if n > 2 and not joins(n - 1):
-        return n
-    return next((k for k in range(2, n) if joins(k)), 2)
+    """Least k >= 2 such that r is the join of its k-ary projections, for r
+    preserved by x | (y & z), or dually by x & (y | z): the width of its
+    widest prime positive clause.  A code stands for the clause of its 0
+    bits, which is an implicate iff the code lies above no member, and
+    prime iff setting any one of those bits gives a code above a member."""
+    n, m = r.arity, r.mask
+    if not is_polymorphism(OR_AND3, r):
+        if not is_polymorphism(AND_OR3, r):
+            raise InternalConsistencyError(f"neither x | (y & z) nor x & (y | z) preserves {r}")
+        m = _flip(m, n, (1 << n) - 1)
+    covered = _above(m, n)
+    primes = (1 << (1 << n)) - 1 & ~covered
+    for j, low in enumerate(_low(n)):
+        primes &= ~low | covered >> (1 << j)
+    lightest = min(map(int.bit_count, np.flatnonzero(membership_table(n, primes)).tolist()), default=n)
+    return max(2, n - lightest)  # the lightest prime code has the most 0 bits
 
 
 def dualize(r: Relation) -> Relation:
     """Complement every tuple; an involution."""
-    full = (1 << r.arity) - 1
-    mask = 0
-    for c in r.tuples():
-        mask |= 1 << (c ^ full)
-    return Relation(r.arity, mask)
+    return Relation(r.arity, _flip(r.mask, r.arity, (1 << r.arity) - 1))
 
 
 # --- clause shapes and CNF decomposition -------------------------------------
@@ -434,12 +432,6 @@ _SHAPE_CLONES: dict[str, tuple[BoolFunction, ...]] = {
 }
 
 
-def _shape_admits(r: Relation, shape: str, k: int | None) -> bool:
-    return all(is_polymorphism(f, r) for f in _SHAPE_CLONES[shape]) and (
-        k is None or projection_width(r) <= k
-    )
-
-
 def _clause_allowed(shape: str, k: int | None, pos: tuple[int, ...], neg: tuple[int, ...]) -> bool:
     np_, nn = len(pos), len(neg)
     if np_ + nn == 1:
@@ -478,7 +470,8 @@ def _parity_decompose(r: Relation) -> tuple[Clause, ...]:
 @functools.lru_cache(maxsize=None)
 def _decompose_cached(arity: int, mask: int, shape: str, k: int | None) -> tuple[Clause, ...]:
     r = Relation(arity, mask)
-    if not _shape_admits(r, shape, k):
+    admits = all(is_polymorphism(f, r) for f in _SHAPE_CLONES[shape])
+    if not admits or (k is not None and projection_width(r) > k):
         raise ShapeUnavailable(f"{r} admits no {shape}{'' if k is None else f'_{k}'} decomposition")
     clauses = _parity_decompose(r) if shape == "parity" else _minimal_implicates(r, shape, k)
     _verify_decomposition(r, clauses)
@@ -492,7 +485,7 @@ def _minimal_implicates(r: Relation, shape: str, k: int | None) -> tuple[Clause,
     exactly by its positives at 0 and its negatives at 1."""
     n = r.arity
     hit = np.empty((3,) * n, dtype=bool)
-    hit[(slice(0, 2),) * n] = np.frombuffer(_members(n, r.mask)[1], dtype=bool).reshape((2,) * n)
+    hit[(slice(0, 2),) * n] = membership_table(n, r.mask).reshape((2,) * n)
     for axis in range(n):  # the later axes are not freed yet
         v = np.moveaxis(hit[(slice(None),) * (axis + 1) + (slice(0, 2),) * (n - 1 - axis)], axis, 0)
         np.logical_or(v[:1], v[1:2], out=v[2:])
@@ -520,7 +513,7 @@ def _verify_decomposition(r: Relation, clauses: tuple[Clause, ...]) -> None:
             models &= (codes & support) != sum(1 << (n - 1 - i) for i in cl.negatives)
         else:
             models &= gf2.popcount(codes & support) % 2 == cl.parity_bit
-    if not np.array_equal(models, np.frombuffer(_members(n, r.mask)[1], dtype=bool)):
+    if not np.array_equal(models, membership_table(n, r.mask)):
         raise InternalConsistencyError(f"decomposition of {r} does not reproduce its model set")
 
 

@@ -12,6 +12,7 @@ induces.
 
 from __future__ import annotations
 
+import polymorphism_oracle
 from minsol import postlattice as pl
 from minsol.relations import (
     AND2,
@@ -31,7 +32,6 @@ from minsol.relations import (
     XOR2F,
     XOR3,
     BoolFunction,
-    is_polymorphism,
 )
 
 AND_XNOR3 = BoolFunction.from_callable(3, lambda x, y, z: x & ((y + z + 1) % 2), "and_xnor")
@@ -138,4 +138,4 @@ def dual_label(label: pl.CoCloneLabel) -> pl.CoCloneLabel:
 
 
 def preserves(functions, relations) -> bool:
-    return all(is_polymorphism(f, r) for f in functions for r in relations)
+    return all(polymorphism_oracle.is_polymorphism(f, r) for f in functions for r in relations)

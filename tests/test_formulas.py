@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -278,6 +279,20 @@ class TestBinding:
         hits = clauses._formula_clause_cache.cache_info().hits
         assert clauses.cached_clauses(g, "bijunctive") is first
         assert clauses._formula_clause_cache.cache_info().hits == hits + 1
+
+    def test_hash_is_computed_once(self):
+        atoms = [("x", [1, 2]), ("impl", [2, 3]), ("or2", [1, 3]), ("x", [3, 4]), ("nand2", [4, 5])]
+        f, g = (make_formula(lang(x=XOR2), 5, atoms) for _ in range(2))
+        assert f.language is not g.language and f.atoms is not g.atoms
+        assert f == g and hash(f) == hash(g) == hash((f.language, f.var_count, f.atoms))
+        assert "_hash" not in repr(f)
+        first = clauses.cached_clauses(f, "bijunctive")
+        hits = clauses._formula_clause_cache.cache_info().hits
+        assert clauses.cached_clauses(g, "bijunctive") is first
+        assert clauses._formula_clause_cache.cache_info().hits == hits + 1
+        # unpickling rebuilds the hash rather than copying it
+        h = pickle.loads(pickle.dumps(f))
+        assert h == f and hash(h) == hash(f) and h.bound == f.bound
 
 
 class TestParsing:

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,23 @@ class TestClassify:
                 wrong.append((rels, entry["label"]))
         assert len(pool) == 3032 and not wrong
 
+    def test_wide_relations(self):
+        # each classified cold within 2 s: the generator tests and the width
+        # are whole-set operations on the membership mask, whatever |r| is
+        def padded(base: Relation, arity: int) -> Relation:
+            """base on the first coordinates, every other coordinate free."""
+            free = arity - base.arity
+            return Relation(arity, sum(((1 << (1 << free)) - 1) << (c << free) for c in base.tuples()))
+
+        cases = [(Relation(k, or_rel(k).mask & ~0b10), f"iS0^{k - 1}") for k in (12, 14, 16)]
+        cases += [(padded(IMPL, 14), "iM"), (padded(EQ2, 13), "iBF"), (nand_rel(16), "iS1^16")]
+        for r, expected in cases:
+            clear_library_caches()
+            t0 = time.perf_counter()
+            label = pl.classify(Language((("r", r),)))
+            assert time.perf_counter() - t0 < 2.0, expected
+            assert str(label) == expected
+
 
 class TestLatticeTable:
     def test_duality_involution(self):
@@ -282,11 +300,10 @@ class TestLatticeTable:
             relations.append(Relation.from_tuples(4, codes))
         outcomes = set()
         for r in relations:
-            width = projection_width(r)
             for fam, k in itertools.product(pl.PARAM_FAMILIES, (2, 3, 4)):
                 member = preserves(FAMILY_CLONES[fam](k), [r])
                 if preserves(LIMIT_CLONES[fam], [r]):
-                    assert (width <= k) == member, (str(r), fam, k)
+                    assert (projection_width(r) <= k) == member, (str(r), fam, k)
                     outcomes.add((r.arity, member))
                 else:
                     assert not member, (str(r), fam, k)
@@ -340,8 +357,11 @@ class TestLatticeTable:
                 for c in range(1 << minor.arity)
             )
             assert table == minor.table, str(f)
+        # xnor3 also needs xor3, which it composes: xnor3(xnor3(x, y, z), z, z)
+        composed = sum(XNOR3.value(tuple_code([XNOR3.value(c), c & 1, c & 1])) << c for c in range(8))
+        assert composed == XOR3.table
         index = pl._GENERATORS.index
-        want = {(index(f), index(minor)) for f, _, minor in identities}
+        want = {(index(f), index(minor)) for f, _, minor in identities} | {(index(XNOR3), index(XOR3))}
         got = {(i, j) for i, (minor, _) in pl._CLONE_FACTS.items() for j in range(16) if minor >> j & 1}
         assert got == want and all(j < i for i, j in got)
 
@@ -352,10 +372,11 @@ class TestLatticeTable:
         rng = random.Random(17)
         relations += [Relation(4, rng.randrange(1, 1 << 16)) for _ in range(300)]
         relations += [Relation.from_tuples(4, closure(set(rng.sample(range(16), 3)), op))
-                      for op in (lambda x, y, z: x & y, lambda x, y, z: x | y, lambda x, y, z: x & (y | z))
+                      for op in (lambda x, y, z: x & y, lambda x, y, z: x | y, lambda x, y, z: x & (y | z),
+                                 lambda x, y, z: 15 ^ x ^ y ^ z)
                       for _ in range(50)]
         composed = {i: c for i, (_, c) in pl._CLONE_FACTS.items() if c}
-        assert {pl._GENERATORS[i] for i in composed} == {MAJ3, OR_AND3, AND_OR3}
+        assert {pl._GENERATORS[i] for i in composed} == {MAJ3, OR_AND3, AND_OR3, XNOR3}
         for i, composers in composed.items():
             pair = [f for j, f in enumerate(pl._GENERATORS) if composers >> j & 1]
             assert max(map(pl._GENERATORS.index, pair)) < i

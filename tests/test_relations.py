@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polymorphism_oracle as oracle
 from implicate_oracle import minimal_implicates
 from lattice_oracle import LIMIT_CLONES, PLAIN_CLONES
-from minsol.errors import ParseError, ShapeUnavailable
-from minsol.postlattice import CoCloneLabel, classify, label_leq
+from minsol.errors import InternalConsistencyError, ParseError, ShapeUnavailable
+from minsol.postlattice import _GENERATORS, CoCloneLabel, classify, label_leq
 from minsol.relations import (
     AND2,
     AND_OR3,
@@ -40,6 +41,7 @@ from minsol.relations import (
     odd_rel,
     or_rel,
     parse_language,
+    projection_width,
     tuple_code,
 )
 
@@ -63,7 +65,15 @@ def brute_force_polymorphism(f: BoolFunction, r: Relation) -> bool:
 class TestIsPolymorphism:
     def test_identity_always(self):
         for r in (OR2, DUP3, NAE3, even_rel(4)):
-            assert is_polymorphism(ID1, r)
+            assert oracle.is_polymorphism(ID1, r)
+
+    def test_only_the_clone_generators_are_tested(self):
+        with pytest.raises(ValueError):
+            is_polymorphism(ID1, OR2)
+        with pytest.raises(ValueError):
+            is_polymorphism(BoolFunction(3, MAJ3.table ^ 1), OR2)
+        # the test is looked up by truth table, not by name
+        assert is_polymorphism(BoolFunction(2, AND2.table), nand_rel(3))
 
     def test_and_fails_on_or(self):
         # 01 and 10 meet to 00, which is not in [x or y]
@@ -79,7 +89,7 @@ class TestIsPolymorphism:
     def test_agrees_with_brute_force(self, r, f_arity):
         table = hash((r.arity, r.mask, f_arity)) % (1 << (1 << f_arity))
         f = BoolFunction(f_arity, table)
-        assert is_polymorphism(f, r) == brute_force_polymorphism(f, r)
+        assert oracle.is_polymorphism(f, r) == brute_force_polymorphism(f, r)
 
 
 # every clone base function of the lattice oracle, once each: the classifier's
@@ -130,14 +140,62 @@ def kernel_cases() -> list[Relation]:
 
 
 def test_kernel_agrees_with_brute_force_on_closed_relations():
+    # the library's 16 generator tests, and the oracle kernel on every clone
+    # base function; the cases add every relation of arity <= 3
+    small = [Relation(a, m) for a in (1, 2, 3) for m in range(1, 1 << (1 << a))]
     verdicts = []
-    for r in kernel_cases():
+    for r in kernel_cases() + small:
         for f in CLONE_GENERATORS:
-            verdicts.append(is_polymorphism(f, r))
-            assert verdicts[-1] == brute_force_polymorphism(f, r), (str(f), str(r))
+            want = brute_force_polymorphism(f, r)
+            assert oracle.is_polymorphism(f, r) == want, (str(f), str(r))
+            if f in _GENERATORS:
+                verdicts.append(is_polymorphism(f, r))
+                assert verdicts[-1] == want, (str(f), str(r))
+    assert len(set(_GENERATORS) & set(CLONE_GENERATORS)) == 16
     # the cases exercise both outcomes in bulk, not just the failing one
     assert verdicts.count(True) > len(verdicts) // 4
     assert verdicts.count(False) > len(verdicts) // 4
+
+
+def width_cases() -> list[Relation]:
+    """Per arity 1-7, or/nand and conjunctions of random positive clauses,
+    implications and negative units, which x | (y & z) preserves, and their
+    duals, which x & (y | z) preserves."""
+    rng = random.Random(20031204)
+    cases = []
+    for arity in range(1, 8):
+        cases += [or_rel(arity), nand_rel(arity)]
+        for _ in range(40):
+            codes = set(range(1 << arity))
+            for _ in range(rng.randint(1, 2 * arity)):
+                roll = rng.random()
+                if roll < 0.6:  # a positive clause
+                    support = rng.sample(range(arity), rng.randint(1, arity))
+                    codes = {c for c in codes if any(code_bits(c, arity)[i] for i in support)}
+                elif roll < 0.9 and arity > 1:  # an implication
+                    i, j = rng.sample(range(arity), 2)
+                    codes = {c for c in codes if code_bits(c, arity)[i] <= code_bits(c, arity)[j]}
+                else:  # a negative unit
+                    i = rng.randrange(arity)
+                    codes = {c for c in codes if not code_bits(c, arity)[i]}
+            if codes:
+                r = Relation.from_tuples(arity, codes)
+                cases += [r, dualize(r)]
+    return cases
+
+
+def test_prime_clause_width_matches_the_subset_scan():
+    widths = set()
+    for r in width_cases():
+        assert is_polymorphism(OR_AND3, r) or is_polymorphism(AND_OR3, r), str(r)
+        widths.add(projection_width(r))
+        assert projection_width(r) == oracle.projection_width(r), str(r)
+    assert widths == set(range(2, 8))
+
+
+def test_width_refuses_relations_outside_both_limits():
+    with pytest.raises(InternalConsistencyError):
+        projection_width(XOR2)
 
 
 # horn, dual-Horn, bijunctive, affine and complementive closure, in order
