@@ -3,14 +3,20 @@
 Clauses over a formula are frozensets of signed 1-based literals
 (+v / -v); tautologies are dropped at extraction time.  Parity
 equations are bit-packed (row, bit) pairs with repeated variables
-cancelled out.  A `ClauseIndex`, cached per formula and shape, serves
-every propagation: counter-based unit propagation, linear in the clauses
-it touches, and for binary clauses the implication graph with one
-numbering of its strongly connected components.  That numbering serves
-every 2-SAT question: models are read off it, and its bitset closure
-gives every literal's probe and closure at once.  The engines (unit
-propagation, implication-graph 2-SAT, Horn propagation) are deterministic
-so every solver built on them is reproducible.
+cancelled out.  A `ClauseIndex` serves every propagation: counter-based
+unit propagation, linear in the clauses it touches, and for binary
+clauses the implication graph with one numbering of its strongly
+connected components.  That numbering serves every 2-SAT question: models
+are read off it, and its bitset closure gives every literal's probe and
+closure at once.  The engines (unit propagation, implication-graph 2-SAT,
+Horn propagation) are deterministic so every solver built on them is
+reproducible.
+
+One 64-entry cache holds the index per formula, shape and width, and
+`cached_clauses` reads its clauses.  A larger cache only added clause
+sets that every full garbage collection rescans: on the benchmark's
+`ladder` stream a 4,096-entry one was never hit past the 64 most recent
+formulas.
 """
 
 from __future__ import annotations
@@ -86,11 +92,13 @@ class ClauseIndex:
     def _spread(self, lits: Iterable[int]) -> dict[int, int] | None:
         """The assignment that sets `lits` and every literal they force, or
         None on conflict."""
-        clauses, occurs = self.clauses, self.occurs
         assign: dict[int, int] = {}
         for lit in lits:
             if assign.setdefault(abs(lit), int(lit > 0)) != (lit > 0):
                 return None
+        if not assign:  # nothing to spread: `occurs` is not built
+            return assign
+        clauses, occurs = self.clauses, self.occurs
         queue = [v if b else -v for v, b in assign.items()]
         left: dict[int, int] = {}  # touched clause -> literals not yet processed as false
         while queue:
@@ -158,12 +166,13 @@ class ClauseIndex:
         component order, successors first.  On clauses of exactly two
         literals a literal's set is its unit-propagation probe, which fails
         iff it holds the negation."""
-        succ, bit, comp = self.succ, self.bit, self.components
+        succ, comp, bit = self.succ, self.components, self.bit
         reach = [0] * (max(comp.values(), default=-1) + 1)
         for lit, c in comp.items():  # in numbering order, components contiguous
-            reach[c] |= bit(lit)
+            r = reach[c] | bit(lit)
             for nxt in succ.get(lit, ()):
-                reach[c] |= reach[comp[nxt]]
+                r |= reach[comp[nxt]]
+            reach[c] = r
         return reach
 
     def reach(self, lit: int) -> int:
@@ -176,10 +185,9 @@ class ClauseIndex:
         return None if ones & zeros else (code | ones) & ~zeros
 
 
-@functools.lru_cache(maxsize=64)
 def clause_index(formula: Formula, shape: str, k: int | None = None) -> ClauseIndex:
     """The index of `cached_clauses(formula, shape, k)`, built once."""
-    return ClauseIndex(cached_clauses(formula, shape, k), formula.var_count)
+    return _formula_clause_cache(formula, shape, k)
 
 
 def unit_propagate(
@@ -280,19 +288,25 @@ def horn_model(
     return Assignment(model)
 
 
-@functools.lru_cache(maxsize=4096)
-def _formula_clause_cache(formula: Formula, shape: str, k: int | None) -> tuple[LitClause, ...]:
-    """Every atom decomposed into the shape and mapped onto formula
-    variables, tautologies dropped."""
-    out: set[LitClause] = set()
+@functools.lru_cache(maxsize=64)
+def _formula_clause_cache(formula: Formula, shape: str, k: int | None) -> ClauseIndex:
+    """The index of every atom decomposed into the shape and mapped onto
+    formula variables: each distinct clause once, tautologies dropped,
+    shortest first, then by sorted variables, then by sorted literals.
+    Each relation's clauses are read once, as signed 1-based coordinates."""
+    templates: dict[int, list[tuple[int, ...]]] = {}
+    distinct: set[tuple[int, ...]] = set()
     for rel, (_, vars_) in zip(formula.bound, formula.atoms):
-        for cl in cnf_decompose(rel, shape, k):
-            pos = {vars_[i] for i in cl.positives}
-            neg = {vars_[i] for i in cl.negatives}
-            if not pos & neg:
-                out.add(frozenset(pos | {-v for v in neg}))
-    return tuple(sorted(out, key=lambda c: (len(c), sorted(abs(l) for l in c), sorted(c))))
+        template = templates.get(id(rel))
+        if template is None:
+            template = templates[id(rel)] = [tuple(cl.literals()) for cl in cnf_decompose(rel, shape, k)]
+        for t in template:
+            c = {vars_[l - 1] if l > 0 else -vars_[-l - 1] for l in t}
+            if len({abs(l) for l in c}) == len(c):
+                distinct.add(tuple(sorted(c)))
+    keyed = sorted([(len(lits), sorted(map(abs, lits)), lits) for lits in distinct])
+    return ClauseIndex([frozenset(lits) for _, _, lits in keyed], formula.var_count)
 
 
 def cached_clauses(formula: Formula, shape: str, k: int | None = None) -> tuple[LitClause, ...]:
-    return _formula_clause_cache(formula, shape, k)
+    return _formula_clause_cache(formula, shape, k).clauses

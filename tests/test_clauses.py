@@ -1,11 +1,16 @@
 """The clause index against the pass-until-fixpoint propagation oracle and
-the reference 2-SAT engines."""
+the reference 2-SAT engines; clause extraction against the reference
+extraction, and what the clause cache keeps."""
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
+from clause_oracle import reference_clauses
+from helpers import lang
 from propagation_oracle import (
     reference_twosat_model,
     reference_twosat_toward,
@@ -13,10 +18,15 @@ from propagation_oracle import (
     rescan_propagate,
 )
 
+from minsol import clauses, decision
 from minsol.clauses import ClauseIndex, twosat_model, unit_propagate
-from minsol.errors import InternalConsistencyError
-from minsol.formulas import Assignment
+from minsol.errors import InternalConsistencyError, ShapeUnavailable
+from minsol.formulas import Assignment, make_formula
 from minsol.nsol import _twosat_toward
+from minsol.relations import EQ2, T_REL, Relation, _clause_allowed, clause_rel, cnf_decompose
+
+DISJUNCTIVE_SHAPES = [("horn", None), ("dual_horn", None), ("bijunctive", None), ("monotone", None)]
+DISJUNCTIVE_SHAPES += [(shape, k) for shape in ("ihsb_pos", "ihsb_neg") for k in (2, 3, 4)]
 
 
 def _random_clauses(rng: random.Random, n: int) -> list[frozenset[int]]:
@@ -133,3 +143,84 @@ def test_twosat_engines_match_the_reference_models():
         assert sorted(got.items()) == sorted(expected_toward.items())
     # satisfiable and unsatisfiable inputs are both well represented
     assert 300 < unsat < 2_700 and failed > 100
+
+
+def _shape_relation(rng: random.Random, shape: str, k: int | None) -> Relation:
+    """The conjunction of up to four random clauses that the shape admits,
+    over one to four coordinates; a clause that would leave no member is
+    skipped."""
+    arity = rng.randint(1, 4)
+    mask = (1 << (1 << arity)) - 1
+    for _ in range(rng.randint(1, 4)):
+        while True:
+            coords = rng.sample(range(arity), rng.randint(1, arity))
+            pos = [i for i in coords if rng.random() < 0.5]
+            neg = [i for i in coords if i not in pos]
+            if _clause_allowed(shape, k, tuple(pos), tuple(neg)):
+                break
+        mask = mask & clause_rel(arity, pos, neg).mask or mask
+    return Relation(arity, mask)
+
+
+def test_extraction_matches_the_reference_on_every_disjunctive_shape():
+    """The same clauses in the same order, on atoms with repeated variables
+    (merged literals, dropped tautologies) and with duplicate atoms."""
+    rng = random.Random(17_000)
+    merged = tautologies = 0
+    for shape, k in DISJUNCTIVE_SHAPES:
+        formulas = 0
+        while formulas < 120:
+            rels = {f"r{i}": _shape_relation(rng, shape, k) for i in range(rng.randint(1, 3))}
+            n = rng.randint(1, 6)
+            atoms = []
+            for _ in range(rng.randint(1, 8)):
+                name = rng.choice(list(rels))
+                atoms.append((name, tuple(rng.randint(1, n) for _ in range(rels[name].arity))))
+            atoms.append(rng.choice(atoms))
+            f = make_formula(lang(**rels), n, atoms)
+            try:
+                expected = reference_clauses(f, shape, k)
+            except ShapeUnavailable:  # a projection wider than k
+                with pytest.raises(ShapeUnavailable):
+                    clauses.cached_clauses(f, shape, k)
+                continue
+            got = clauses.cached_clauses(f, shape, k)
+            assert got == expected and all(type(c) is frozenset for c in got), (f, shape, k)
+            formulas += 1
+            for rel, (_, vars_) in zip(f.bound, f.atoms):
+                for cl in cnf_decompose(rel, shape, k):
+                    pos = {vars_[i] for i in cl.positives}
+                    neg = {vars_[i] for i in cl.negatives}
+                    tautologies += bool(pos & neg)
+                    merged += len(pos) + len(neg) < len(cl.positives) + len(cl.negatives)
+    assert merged > 100 and tautologies > 100
+
+
+def test_the_clause_cache_keeps_only_recent_formulas():
+    """One 64-entry cache holds each formula's clause index: one miss per
+    extraction, the default width shared with an explicit None, and a
+    formula that 64 newer ones went past is collected."""
+    language = lang(eq=EQ2, t=T_REL)  # every clause shape and parity admit both
+    cache = clauses._formula_clause_cache
+
+    def visit(n: int):
+        f = make_formula(language, n, [("eq", (1, n)), ("t", (n,))])
+        misses = cache.cache_info().misses
+        for shape, k in DISJUNCTIVE_SHAPES:
+            index = clauses.clause_index(f, shape, k)
+            assert clauses.cached_clauses(f, shape, k) is index.clauses
+            if k is None:
+                assert clauses.clause_index(f, shape) is index
+        assert cache.cache_info().misses == misses + len(DISJUNCTIVE_SHAPES)
+        clauses.parity_rows(f)
+        decision._label(f)
+        return f
+
+    old = weakref.ref(visit(2))
+    for n in range(3, 3 + 64):
+        visit(n)
+    gc.collect()
+    assert old() is None
+    for n in range(3 + 64, 2 + 200):
+        visit(n)
+    assert cache.cache_info().currsize <= 64
