@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Cold model enumeration and the MSD oracle, from n = 13 to the cap.
+
+The grid crosses atom arity 3-16 with n = 13-24.  Each case is three
+atoms, each over its own random relation of that arity (every tuple a
+coin flip, plus the tuples of two planted models, so the formula has at
+least two models), on random variables: distinct ones while the arity
+fits, repeated ones beyond.  The dense cases are planted `nae3` (2n
+atoms) and `one_in_three` (n atoms) formulas at n = 14-24, as in the
+benchmark's exhaustive workload.  The seed is fixed.
+
+Each case runs in a fresh process, so every cache is empty and the peak
+resident set is that case's own.  One line per case: name, arity, n,
+atoms, models, the milliseconds of the first `model_codes` call and of
+`oracle_optimize("MSD", ...)` after it, the MSD value, and the peak RSS
+of the process before the reference runs.  Then the model codes are
+checked against the numpy gather of `tests/enumeration_oracle.py`; a
+mismatch or any exception ends the run with exit status 1.
+
+Usage: PYTHONPATH=src python scripts/probe_oracle.py
+"""
+
+from __future__ import annotations
+
+import random
+import resource
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from enumeration_oracle import gather_codes  # noqa: E402
+from minsol.formulas import MSD, Formula, make_formula, model_codes, oracle_optimize  # noqa: E402
+from minsol.relations import BUILTIN_RELATIONS, Language, Relation  # noqa: E402
+
+SEED = 20151109
+GRID = [(arity, n) for arity in range(3, 17) for n in range(13, 25)]
+DENSE = [(name, n) for name in ("nae3", "one_in_three") for n in range(14, 25)]
+
+
+def _project(code: int, n: int, vs: list[int]) -> int:
+    t = 0
+    for v in vs:
+        t = (t << 1) | (code >> (n - v)) & 1
+    return t
+
+
+def grid_formula(arity: int, n: int) -> Formula:
+    rng = random.Random(f"{SEED}/{arity}/{n}")
+    planted = [rng.getrandbits(n) for _ in range(2)]
+    rels, atoms = [], []
+    for i in range(3):
+        if arity <= n:
+            vs = rng.sample(range(1, n + 1), arity)
+        else:
+            vs = [rng.randint(1, n) for _ in range(arity)]
+        mask = rng.getrandbits(1 << arity)
+        for code in planted:
+            mask |= 1 << _project(code, n, vs)
+        rels.append((f"r{i}", Relation(arity, mask)))
+        atoms.append((f"r{i}", vs))
+    return make_formula(Language(tuple(rels)), n, atoms)
+
+
+def dense_formula(name: str, n: int) -> Formula:
+    rng = random.Random(f"{SEED}/{name}/{n}")
+    rel = BUILTIN_RELATIONS[name]
+    planted = [rng.getrandbits(n) for _ in range(2)]
+    atoms: list[tuple[str, list[int]]] = []
+    for _ in range(10_000):
+        if len(atoms) == (2 * n if name == "nae3" else n):
+            break
+        vs = rng.sample(range(1, n + 1), 3)
+        if all(rel.contains(_project(code, n, vs)) for code in planted):
+            atoms.append((name, vs))
+    return make_formula(Language(((name, rel),)), n, atoms)
+
+
+def peak_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def measure(name: str, arity: int, n: int) -> tuple[str, bool]:
+    f = dense_formula(name, n) if name != "grid" else grid_formula(arity, n)
+    t0 = time.perf_counter()
+    codes = model_codes(f)
+    t1 = time.perf_counter()
+    out = oracle_optimize(MSD, f)
+    t2 = time.perf_counter()
+    peak = peak_mb()
+    same = codes.tolist() == gather_codes(f).tolist()
+    line = (f"{name:12} {arity:>5} {n:>3} {len(f.atoms):>5} {len(codes):>8}"
+            f" {(t1 - t0) * 1000:>9.1f} {(t2 - t1) * 1000:>9.1f} {out.value:>3}"
+            f" {peak:>8.0f}{'' if same else '  MISMATCH'}")
+    return line, same
+
+
+def fresh(*args) -> tuple[str, bool]:
+    """measure(*args) in a new process, so every cache starts empty."""
+    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+        return pool.submit(measure, *args).result()
+
+
+def main() -> int:
+    print(f"{'case':12} {'arity':>5} {'n':>3} {'atoms':>5} {'models':>8}"
+          f" {'codes_ms':>9} {'msd_ms':>9} {'msd':>3} {'peak_mb':>8}")
+    ok = True
+    for case in [("grid", arity, n) for arity, n in GRID] + [(name, 3, n) for name, n in DENSE]:
+        line, same = fresh(*case)
+        print(line, flush=True)
+        ok &= same
+    print("all model counts match the reference" if ok else "MISMATCH against the reference")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

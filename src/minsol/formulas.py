@@ -1,18 +1,21 @@
 """Conjunctive formulas, assignments, model enumeration, and the oracle.
 
-The oracle is the library's ground truth: plain exhaustive enumeration,
-vectorized with numpy so the acceptance suites stay inside their budgets.
-Its MSD closest pair is a radius search: for d = 1, 2, ... every model
-code is XORed with every weight-d mask and looked up in a 2**n membership
-bitmap.  Once the masks tried would exceed half the model count it
-compares all model pairs instead, so no input costs more than about
-twice the pairwise scan.
+The oracle is the library's ground truth: plain exhaustive enumeration.
+A block of 2**16 codes is one int with bit c for code c, so each atom
+narrows a block's models by O(arity) whole-set operations
+(`_model_blocks`), and numpy reads the codes out.  The MSD closest pair
+is a radius search: for d = 1, 2, ... every model code is XORed with
+every weight-d mask and looked up in a 2**n membership bitmap.  Once the
+masks tried would exceed half the model count it compares all model
+pairs instead, so no input costs more than about twice the pairwise
+scan.
 Assignment codes are MSB-first (variable 1 is the most significant bit),
 so ascending code order is lexicographic order on bitstrings.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from math import comb
@@ -39,10 +42,13 @@ from .relations import (
     load_language,
     membership_table,
     parse_relation_line,
+    sorted_atom,
+    swap_bits,
+    swap_mask,
 )
 
 ORACLE_VAR_CAP = 24
-_BLOCK_BITS = 16  # 2**16 codes per block: each cached bit column is 512 KiB
+_BLOCK_BITS = 16  # 2**16 codes per block: each whole-set int is 8 KiB
 _LOOKUPS = 1 << 20  # bitmap lookups per step of the MSD radius search
 
 NSOL = "NSOL"
@@ -172,37 +178,68 @@ def dualize_formula(formula: Formula) -> Formula:
     return Formula(lang, formula.var_count, formula.atoms)
 
 
-# --- vectorized model enumeration ---------------------------------------------
+# --- model enumeration ----------------------------------------------------------
 
 
-def _model_blocks(formula: Formula) -> Iterator[np.ndarray]:
-    """Yield ascending arrays of model codes, in blocks.
+@functools.lru_cache(maxsize=None)
+def _replicator(b: int, k: int) -> int:
+    """The int that, multiplied by a set of k-bit codes, repeats it across
+    the 2**b codes of a block: bit 2**k * i for each i."""
+    return ((1 << (1 << b)) - 1) // ((1 << (1 << k)) - 1)
 
-    Each distinct relation's table is built once per call, and each
-    variable's bit column once per block, however many atoms share them."""
+
+def _model_blocks(formula: Formula) -> Iterator[tuple[int, int]]:
+    """Yield (start, models) for each block of 2**b codes that holds a
+    model, in ascending order, b = min(_BLOCK_BITS, n): models has bit c
+    set iff code `start + c` is a model.
+
+    Each distinct atom becomes once per call the set of its members over
+    its sorted distinct variables (`sorted_atom`); atoms on the same
+    variables are ANDed.  Per block each set is sliced to the values of
+    its variables above the block, repeated across the block and spread
+    by one delta swap per variable to that variable's code bit, then
+    ANDed into the block's models: O(arity) whole-set operations per atom."""
     n = formula.var_count
-    tables = {rel: membership_table(rel.arity, rel.mask) for rel in formula.bound}
-    total = 1 << n
-    step = 1 << min(_BLOCK_BITS, n)
-    for start in range(0, total, step):
-        codes = np.arange(start, min(start + step, total), dtype=np.int64)
-        columns: dict[int, np.ndarray] = {}
-        ok = np.ones(len(codes), dtype=bool)
-        for rel, (_, vars_) in zip(formula.bound, formula.atoms):
-            idx = None
-            for v in vars_:
-                col = columns.get(v)
-                if col is None:
-                    col = columns[v] = (codes >> (n - v)) & 1
-                if idx is None:
-                    idx = col.copy()
-                else:
-                    idx <<= 1
-                    idx |= col
-            ok &= tables[rel][idx]
-            if not ok.any():
+    b = min(_BLOCK_BITS, n)
+    sets: dict[tuple[int, ...], int] = {}
+    for atom in dict.fromkeys(zip(formula.bound, (vars_ for _, vars_ in formula.atoms))):
+        vs, mask = sorted_atom(*atom)
+        sets[vs] = sets.get(vs, mask) & mask
+    full = (1 << (1 << b)) - 1
+    for start in range(0, 1 << n, 1 << b):
+        models = full
+        for vs, mask in sets.items():
+            high = j = 0
+            for v in vs:  # the leading variables, above the block, are constant in it
+                if n - v < b:
+                    break
+                high = (high << 1) | (start >> (n - v)) & 1
+                j += 1
+            k = len(vs) - j
+            ones = (1 << (1 << k)) - 1
+            x = (mask >> (high << k)) & ones
+            if x == ones:  # no constraint in this block
+                continue
+            if k <= 6:  # one multiply repeats a set of at most 64 codes across the block
+                x *= _replicator(b, k)
+            else:  # a wider one doubles, as its multiply would cost 2**k times 2**b
+                for width in range(k, b):
+                    x |= x << (1 << width)
+            for q, v in zip(reversed(range(k)), vs[j:]):
+                if n - v != q:  # tuple bit q moves to code bit n - v, which no coordinate holds yet
+                    x = swap_bits(x, (1 << (n - v)) - (1 << q), swap_mask(b, n - v, q))
+            models &= x
+            if not models:
                 break
-        yield codes[ok]
+        else:
+            yield start, models
+
+
+def _block_codes(n: int, start: int, models: int) -> np.ndarray:
+    """The ascending int64 codes of one block's models."""
+    codes = np.flatnonzero(membership_table(min(_BLOCK_BITS, n), models))
+    codes += start
+    return codes
 
 
 @dataclass(frozen=True)
@@ -218,8 +255,8 @@ def enumerate_models(formula: Formula, cap: int | None = None) -> ModelEnumerati
         raise TooLarge(f"{n} variables exceed the enumeration cap {ORACLE_VAR_CAP}")
     out: list[Assignment] = []
     truncated = False
-    for block in _model_blocks(formula):
-        for code in block:
+    for start, models in _model_blocks(formula):
+        for code in _block_codes(n, start, models):
             if cap is not None and len(out) >= cap:
                 truncated = True
                 break
@@ -230,14 +267,19 @@ def enumerate_models(formula: Formula, cap: int | None = None) -> ModelEnumerati
 
 
 def model_codes(formula: Formula) -> np.ndarray:
-    """Ascending int64 array of all model codes."""
+    """Ascending int64 array of all model codes, filled block by block
+    into one array sized by the blocks' model counts."""
     n = formula.var_count
     if n > ORACLE_VAR_CAP:
         raise TooLarge(f"{n} variables exceed the enumeration cap {ORACLE_VAR_CAP}")
-    blocks = [b for b in _model_blocks(formula) if len(b)]
-    if not blocks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(blocks)
+    blocks = list(_model_blocks(formula))
+    out = np.empty(sum(models.bit_count() for _, models in blocks), dtype=np.int64)
+    pos = 0
+    for start, models in blocks:
+        codes = _block_codes(n, start, models)
+        out[pos : pos + len(codes)] = codes
+        pos += len(codes)
+    return out
 
 
 def oracle_optimize(problem: str, formula: Formula, m: Assignment | None = None) -> SolveOutcome:

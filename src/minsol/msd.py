@@ -72,7 +72,8 @@ def msd_bijunctive(formula: Formula) -> SolveOutcome:
     for lit in free:
         classes.setdefault(comp[lit], []).append(lit)
     pivot = min(classes.values(), key=lambda c: (len(c), sorted((abs(l), l < 0) for l in c)))
-    base = twosat_model(ClauseIndex(residual, n))
+    # with no failed probe the residual clauses are the index's own
+    base = twosat_model(ClauseIndex(residual, n) if failed else index)
     if base is None:
         raise InternalConsistencyError("probes satisfiable but 2-SAT failed")
     code = sum(forced.get(v, base.value(v)) << (n - v) for v in range(1, n + 1))

@@ -265,9 +265,56 @@ def membership_table(arity: int, mask: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _low(n: int) -> tuple[int, ...]:
     """`_low(n)[j]` is the set of codes whose bit j is clear: 2**j ones then
-    2**j zeros, repeated, so the full set over 2**(2**(j+1)) - 1 times 2**(2**j) - 1."""
-    full = (1 << (1 << n)) - 1
-    return tuple(full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) for j in range(n))
+    2**j zeros, repeated.  Each set of `_low(n - 1)` repeats twice, and the
+    lower half is the new top bit's."""
+    if n == 0:
+        return ()
+    half = 1 << (n - 1)
+    return tuple(low | low << half for low in _low(n - 1)) + ((1 << half) - 1,)
+
+
+@functools.lru_cache(maxsize=None)
+def swap_mask(n: int, p: int, q: int) -> int:
+    """The n-bit codes with bit q set and bit p clear, p > q: the lower
+    side of the delta swap that exchanges bits p and q of every code."""
+    lows = _low(n)
+    return lows[p] & ~lows[q]
+
+
+def swap_bits(m: int, d: int, side: int) -> int:
+    """The set m with bits p and q of every code exchanged, given
+    d = 2**p - 2**q and side = swap_mask(n, p, q): one delta swap."""
+    t = ((m >> d) ^ m) & side
+    return m ^ t ^ (t << d)
+
+
+def sorted_atom(rel: Relation, variables: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The members of `rel` on `variables`, as a set of codes over the
+    distinct variables in ascending order, the least one the most
+    significant coordinate.  Of two coordinates on one variable the
+    members keep those where they agree, and the first is swapped to the
+    top and dropped; then one swap per coordinate sorts the rest."""
+    vs, m = list(variables), rel.mask
+    while len(set(vs)) < len(vs):
+        n, lows = len(vs), _low(len(vs))
+        qi = next(i for i, v in enumerate(vs) if v in vs[:i])
+        pi = vs.index(vs[qi])
+        p, q = n - 1 - pi, n - 1 - qi
+        m &= ~(lows[p] ^ lows[q])
+        if pi:
+            m = swap_bits(m, (1 << (n - 1)) - (1 << p), swap_mask(n, n - 1, p))
+            vs[0], vs[pi] = vs[pi], vs[0]
+        m = (m & lows[n - 1]) | (m >> (1 << (n - 1)))
+        del vs[0]
+    n = len(vs)
+    for i in range(n - 1):
+        least = min(vs[i:])
+        if vs[i] != least:
+            j = vs.index(least, i)
+            p, q = n - 1 - i, n - 1 - j
+            m = swap_bits(m, (1 << p) - (1 << q), swap_mask(n, p, q))
+            vs[i], vs[j] = least, vs[i]
+    return tuple(vs), m
 
 
 def _flip(m: int, n: int, v: int) -> int:

@@ -98,7 +98,7 @@ class TestEnumerateModels:
 
 class TestModelCodes:
     def test_one_relation_on_many_atoms_matches_satisfies(self, monkeypatch):
-        # tiny blocks, so a table built once per call serves every block
+        # tiny blocks, so each atom's set, prepared once per call, serves every block
         monkeypatch.setattr(formulas, "_BLOCK_BITS", 3)
         rng = random.Random(21)
         for _ in range(60):

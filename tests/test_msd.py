@@ -4,6 +4,7 @@ import zlib
 import pytest
 
 from helpers import FAMILY_LANGUAGES, lang, random_satisfiable
+from minsol import clauses
 from minsol.dispatch import via_dual
 from minsol.errors import UniqueModel, Unsatisfiable
 from minsol.formulas import (
@@ -61,6 +62,30 @@ class TestBijunctive:
         f = make_formula(lang(impl=IMPL, nand2=NAND2), 3, atoms)
         out = msd_bijunctive(f)
         assert out.witness.value(1) == out.witness2.value(1) == 0
+        assert out.value == oracle_optimize("MSD", f).value
+
+    @pytest.mark.parametrize(
+        "atoms, numberings",
+        [
+            # no probe fails: the 2-SAT model comes off the reduced index's numbering
+            ([("impl", [1, 2]), ("impl", [2, 3]), ("x", [3, 4])], 1),
+            # x1 fails: the residual after forcing it is numbered once more
+            ([("impl", [1, 2]), ("nand2", [1, 2]), ("impl", [2, 3])], 2),
+        ],
+    )
+    def test_scc_numberings(self, monkeypatch, atoms, numberings):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tarjan(*args)
+
+        tarjan = clauses._tarjan_scc
+        monkeypatch.setattr(clauses, "_tarjan_scc", counted)
+        clauses._formula_clause_cache.cache_clear()
+        f = make_formula(lang(impl=IMPL, nand2=NAND2, x=XOR2), 4, atoms)
+        out = msd_bijunctive(f)
+        assert len(calls) == numberings
         assert out.value == oracle_optimize("MSD", f).value
 
 
