@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Cold model enumeration and the MSD oracle, from n = 13 to the cap.
+"""Cold model enumeration and the NSOL, XSOL and MSD oracle, from n = 13
+to the cap.
 
 The grid crosses atom arity 3-16 with n = 13-24.  Each case is three
 atoms, each over its own random relation of that arity (every tuple a
@@ -12,9 +13,11 @@ benchmark's exhaustive workload.  The seed is fixed.
 Each case runs in a fresh process, so every cache is empty and the peak
 resident set is that case's own.  One line per case: name, arity, n,
 atoms, models, the milliseconds of the first `model_codes` call and of
-`oracle_optimize("MSD", ...)` after it, the MSD value, and the peak RSS
-of the process before the reference runs.  Then the model codes are
-checked against the numpy gather of `tests/enumeration_oracle.py`; a
+`oracle_optimize` after it for MSD, for NSOL from a seeded assignment and
+for XSOL from the first model, the three values, and the peak RSS of the
+process before the reference runs.  Then the model codes are checked
+against the numpy gather of `tests/enumeration_oracle.py`, and the NSOL
+and XSOL answers against a popcount argmin over the gathered codes; a
 mismatch or any exception ends the run with exit status 1.
 
 Usage: PYTHONPATH=src python scripts/probe_oracle.py
@@ -32,8 +35,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from enumeration_oracle import gather_codes  # noqa: E402
-from minsol.formulas import MSD, Formula, make_formula, model_codes, oracle_optimize  # noqa: E402
+from enumeration_oracle import gather_codes, nearest_code  # noqa: E402
+from minsol.formulas import (  # noqa: E402
+    MSD,
+    NSOL,
+    XSOL,
+    Assignment,
+    Formula,
+    make_formula,
+    model_codes,
+    oracle_optimize,
+)
 from minsol.relations import BUILTIN_RELATIONS, Language, Relation  # noqa: E402
 
 SEED = 20151109
@@ -85,15 +97,28 @@ def peak_mb() -> float:
 
 def measure(name: str, arity: int, n: int) -> tuple[str, bool]:
     f = dense_formula(name, n) if name != "grid" else grid_formula(arity, n)
+    point = Assignment.from_code(random.Random(f"{SEED}/m/{name}/{arity}/{n}").getrandbits(n), n)
     t0 = time.perf_counter()
     codes = model_codes(f)
     t1 = time.perf_counter()
-    out = oracle_optimize(MSD, f)
+    msd = oracle_optimize(MSD, f)
     t2 = time.perf_counter()
+    nsol = oracle_optimize(NSOL, f, point)
+    t3 = time.perf_counter()
+    first = Assignment.from_code(int(codes[0]), n)
+    xsol = oracle_optimize(XSOL, f, first)
+    t4 = time.perf_counter()
     peak = peak_mb()
-    same = codes.tolist() == gather_codes(f).tolist()
+    want = gather_codes(f)
+    same = (
+        codes.tolist() == want.tolist()
+        and (nsol.value, nsol.witness.code()) == nearest_code(want, point.code())
+        and (xsol.value, xsol.witness.code()) == nearest_code(want[1:], first.code())
+    )
+    ms = [(b - a) * 1000 for a, b in ((t0, t1), (t1, t2), (t2, t3), (t3, t4))]
     line = (f"{name:12} {arity:>5} {n:>3} {len(f.atoms):>5} {len(codes):>8}"
-            f" {(t1 - t0) * 1000:>9.1f} {(t2 - t1) * 1000:>9.1f} {out.value:>3}"
+            + "".join(f" {t:>9.1f}" for t in ms)
+            + f" {msd.value:>3} {nsol.value:>4} {xsol.value:>4}"
             f" {peak:>8.0f}{'' if same else '  MISMATCH'}")
     return line, same
 
@@ -106,13 +131,15 @@ def fresh(*args) -> tuple[str, bool]:
 
 def main() -> int:
     print(f"{'case':12} {'arity':>5} {'n':>3} {'atoms':>5} {'models':>8}"
-          f" {'codes_ms':>9} {'msd_ms':>9} {'msd':>3} {'peak_mb':>8}")
+          f" {'codes_ms':>9} {'msd_ms':>9} {'nsol_ms':>9} {'xsol_ms':>9}"
+          f" {'msd':>3} {'nsol':>4} {'xsol':>4} {'peak_mb':>8}")
     ok = True
     for case in [("grid", arity, n) for arity, n in GRID] + [(name, 3, n) for name, n in DENSE]:
         line, same = fresh(*case)
         print(line, flush=True)
         ok &= same
-    print("all model counts match the reference" if ok else "MISMATCH against the reference")
+    print("all models and NSOL/XSOL answers match the reference" if ok
+          else "MISMATCH against the reference")
     return 0 if ok else 1
 
 

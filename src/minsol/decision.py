@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 from .clauses import affine_solve, clause_index, horn_model, twosat_model
 from .errors import NotAModel
-from .formulas import Assignment, Formula, enumerate_models, hamming, model_codes, satisfies
-from .gf2 import popcount
+from .formulas import Assignment, Formula, enumerate_models, hamming, nearest_model, satisfies
 from .postlattice import CoCloneLabel, classify, label_leq, verdict_for_label
 from .relations import F_REL, T_REL, Language
 
@@ -125,7 +124,8 @@ def another_sat_below_n(formula: Formula, m: Assignment) -> bool:
     a set of literals is consistent iff the union of their implication
     closures holds no complementary pair, so the bijunctive probes are
     bitset ORs over the clause index.  On Horn and dual-Horn clauses unit
-    propagation is complete, so each pair is one propagation.
+    propagation is complete, so each pair is one propagation.  Any other
+    language asks `nearest_model` for the nearest model other than m.
     """
     if not satisfies(formula, m):
         raise NotAModel("another_sat_below_n needs a satisfying assignment")
@@ -159,5 +159,5 @@ def another_sat_below_n(formula: Formula, m: Assignment) -> bool:
             index.probe(-a) is not None and any(index.probe(-a, b) is not None for b in kept if b != a)
             for a in kept
         )
-    distances = popcount(model_codes(formula) ^ m.code())
-    return bool(((distances > 0) & (distances < n)).any())
+    nearest = nearest_model(formula, m, other=True)
+    return nearest is not None and nearest[0] < n

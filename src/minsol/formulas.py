@@ -3,12 +3,16 @@
 The oracle is the library's ground truth: plain exhaustive enumeration.
 A block of 2**16 codes is one int with bit c for code c, so each atom
 narrows a block's models by O(arity) whole-set operations
-(`_model_blocks`), and numpy reads the codes out.  The MSD closest pair
+(`_model_blocks`).  NSOL and XSOL are answered on those ints
+(`nearest_model`): a block translated by the input's low bits holds the
+model at low distance w in its codes of weight w, so one AND per weight
+finds the block's nearest models.  Only MSD, `model_codes` and
+`enumerate_models` have numpy read the codes out.  The MSD closest pair
 is a radius search: for d = 1, 2, ... every model code is XORed with
-every weight-d mask and looked up in a 2**n membership bitmap.  Once the
-masks tried would exceed half the model count it compares all model
-pairs instead, so no input costs more than about twice the pairwise
-scan.
+every weight-d mask (cached per (n, d)) and looked up in a 2**n
+membership bitmap.  Once the masks tried would exceed half the model
+count it compares all model pairs instead, so no input costs more than
+about twice the pairwise scan.
 Assignment codes are MSB-first (variable 1 is the most significant bit),
 so ascending code order is lexicographic order on bitstrings.
 """
@@ -45,6 +49,7 @@ from .relations import (
     sorted_atom,
     swap_bits,
     swap_mask,
+    translate,
 )
 
 ORACLE_VAR_CAP = 24
@@ -198,8 +203,11 @@ def _model_blocks(formula: Formula) -> Iterator[tuple[int, int]]:
     variables are ANDed.  Per block each set is sliced to the values of
     its variables above the block, repeated across the block and spread
     by one delta swap per variable to that variable's code bit, then
-    ANDed into the block's models: O(arity) whole-set operations per atom."""
+    ANDed into the block's models: O(arity) whole-set operations per atom.
+    Raises TooLarge beyond `ORACLE_VAR_CAP` variables."""
     n = formula.var_count
+    if n > ORACLE_VAR_CAP:
+        raise TooLarge(f"{n} variables exceed the enumeration cap {ORACLE_VAR_CAP}")
     b = min(_BLOCK_BITS, n)
     sets: dict[tuple[int, ...], int] = {}
     for atom in dict.fromkeys(zip(formula.bound, (vars_ for _, vars_ in formula.atoms))):
@@ -242,6 +250,16 @@ def _block_codes(n: int, start: int, models: int) -> np.ndarray:
     return codes
 
 
+@functools.lru_cache(maxsize=None)
+def _weight_sets(b: int) -> tuple[int, ...]:
+    """`_weight_sets(b)[w]` is the set of b-bit codes with w bits set: those
+    of b - 1 bits with w bits set, and above them those with w - 1."""
+    if b == 0:
+        return (1,)
+    lower = _weight_sets(b - 1) + (0,)
+    return (lower[0],) + tuple(lower[w] | lower[w - 1] << (1 << (b - 1)) for w in range(1, b + 1))
+
+
 @dataclass(frozen=True)
 class ModelEnumeration:
     assignments: tuple[Assignment, ...]
@@ -251,27 +269,20 @@ class ModelEnumeration:
 def enumerate_models(formula: Formula, cap: int | None = None) -> ModelEnumeration:
     """All models in lexicographic order, truncated after `cap` models if given."""
     n = formula.var_count
-    if n > ORACLE_VAR_CAP:
-        raise TooLarge(f"{n} variables exceed the enumeration cap {ORACLE_VAR_CAP}")
     out: list[Assignment] = []
-    truncated = False
     for start, models in _model_blocks(formula):
-        for code in _block_codes(n, start, models):
-            if cap is not None and len(out) >= cap:
-                truncated = True
-                break
-            out.append(Assignment.from_code(int(code), n))
-        if truncated:
-            break
-    return ModelEnumeration(tuple(out), truncated)
+        codes = _block_codes(n, start, models)
+        if cap is not None and len(out) + len(codes) > cap:
+            out.extend(Assignment.from_code(int(c), n) for c in codes[: cap - len(out)])
+            return ModelEnumeration(tuple(out), True)
+        out.extend(Assignment.from_code(int(c), n) for c in codes)
+    return ModelEnumeration(tuple(out), False)
 
 
 def model_codes(formula: Formula) -> np.ndarray:
     """Ascending int64 array of all model codes, filled block by block
     into one array sized by the blocks' model counts."""
     n = formula.var_count
-    if n > ORACLE_VAR_CAP:
-        raise TooLarge(f"{n} variables exceed the enumeration cap {ORACLE_VAR_CAP}")
     blocks = list(_model_blocks(formula))
     out = np.empty(sum(models.bit_count() for _, models in blocks), dtype=np.int64)
     pos = 0
@@ -282,47 +293,89 @@ def model_codes(formula: Formula) -> np.ndarray:
     return out
 
 
+def nearest_model(
+    formula: Formula, m: Assignment, other: bool = False
+) -> tuple[int, Assignment] | None:
+    """(distance, model) for the lexicographically smallest of the models
+    nearest to m, leaving m itself out if `other`; None if there is none.
+
+    Each block of 2**b codes is translated by m's low b bits, so its bit c
+    then stands for a model at distance popcount(c) below the block, to
+    which m's distance above it (its high bits XOR the block's) is added.
+    The first weight whose codes meet the translated set is the block's
+    least distance; translated back, that hit's lowest bit is its least
+    nearest model.  Blocks come in ascending order, so only a strictly
+    nearer one replaces the best, and one whose high distance alone
+    reaches the best is skipped.
+    """
+    n = formula.var_count
+    b = min(_BLOCK_BITS, n)
+    code = m.code()
+    low, high = code & ((1 << b) - 1), code >> b
+    weights = _weight_sets(b)
+    best: tuple[int, int] | None = None
+    for start, models in _model_blocks(formula):
+        far = (start >> b ^ high).bit_count()
+        if best is not None and far >= best[0]:
+            continue
+        if other and start >> b == high:
+            models &= ~(1 << low)
+        near = translate(models, b, low)
+        for w in range(b + 1 if best is None else best[0] - far):
+            hit = near & weights[w]
+            if hit:
+                hit = translate(hit, b, low)
+                best = far + w, start + (hit & -hit).bit_length() - 1
+                break
+    return None if best is None else (best[0], Assignment.from_code(best[1], n))
+
+
 def oracle_optimize(problem: str, formula: Formula, m: Assignment | None = None) -> SolveOutcome:
     """Exact optimum of NSOL/XSOL/MSD by full enumeration.
 
     Witnesses are the lexicographically smallest optima, so every
-    equivalence test against the oracle is deterministic.
+    equivalence test against the oracle is deterministic.  Refusals come
+    in the order TooLarge, Unsatisfiable, NotAModel, NoSecondModel.
     """
     if problem not in (NSOL, XSOL, MSD):
         raise ParseError(f"unknown oracle problem {problem!r}")
     n = formula.var_count
-    if problem in (NSOL, XSOL):
-        if m is None:
-            raise NotAModel(f"{problem} needs an input assignment")
-        formula.check_length(m)
-    codes = model_codes(formula)
-    if len(codes) == 0:
-        raise Unsatisfiable("formula has no model")
-    if problem in (NSOL, XSOL):
+    if problem == MSD:
+        codes = model_codes(formula)
+        if len(codes) == 0:
+            raise Unsatisfiable("formula has no model")
+        if len(codes) < 2:
+            raise NoSecondModel("fewer than two models")
+        value, a, b = _radius_pair(codes, n, len(codes) // 2) or _pairwise_pair(codes, n)
+        w1 = Assignment.from_code(a, n)
+        w2 = Assignment.from_code(b, n)
+        return SolveOutcome(MSD, value, w1, w2, guarantee=exact(), method="oracle")
+    if m is None:
+        raise NotAModel(f"{problem} needs an input assignment")
+    formula.check_length(m)
+    if problem == XSOL and not satisfies(formula, m):
+        if next(_model_blocks(formula), None) is None:
+            raise Unsatisfiable("formula has no model")
+        raise NotAModel("XSOL input assignment must satisfy the formula")
+    best = nearest_model(formula, m, other=problem == XSOL)
+    if best is None:
         if problem == XSOL:
-            if not satisfies(formula, m):
-                raise NotAModel("XSOL input assignment must satisfy the formula")
-            codes = codes[codes != m.code()]
-            if len(codes) == 0:
-                raise NoSecondModel("the given model is the only one")
-        dist = popcount((codes ^ m.code()).astype(np.int64))
-        best = int(dist.argmin())
-        # argmin returns the first (lexicographically smallest) optimum
-        witness = Assignment.from_code(int(codes[best]), n)
-        return SolveOutcome(problem, int(dist[best]), witness, guarantee=exact(), method="oracle")
-    # MSD
-    if len(codes) < 2:
-        raise NoSecondModel("fewer than two models")
-    value, a, b = _radius_pair(codes, n, len(codes) // 2) or _pairwise_pair(codes, n)
-    w1 = Assignment.from_code(a, n)
-    w2 = Assignment.from_code(b, n)
-    return SolveOutcome(MSD, value, w1, w2, guarantee=exact(), method="oracle")
+            raise NoSecondModel("the given model is the only one")
+        raise Unsatisfiable("formula has no model")
+    return SolveOutcome(problem, best[0], best[1], guarantee=exact(), method="oracle")
 
 
-def _weight_masks(masks: np.ndarray, n: int) -> np.ndarray:
-    """The n-bit masks of one more set bit than `masks`, which must hold
-    every mask of its weight: each arises once, by its top bit."""
-    return np.concatenate([masks[masks < (1 << b)] | (1 << b) for b in range(n)])
+@functools.lru_cache(maxsize=64)
+def _weight_masks(n: int, d: int) -> np.ndarray:
+    """The n-bit masks with d bits set, read-only: each mask of weight
+    d - 1 gains one bit above its top bit."""
+    if d == 0:
+        masks = np.zeros(1, dtype=np.int64)
+    else:
+        lighter = _weight_masks(n, d - 1)
+        masks = np.concatenate([lighter[lighter < (1 << b)] | (1 << b) for b in range(n)])
+    masks.flags.writeable = False
+    return masks
 
 
 def _radius_pair(codes: np.ndarray, n: int, max_masks: int) -> tuple[int, int, int] | None:
@@ -336,7 +389,6 @@ def _radius_pair(codes: np.ndarray, n: int, max_masks: int) -> tuple[int, int, i
     come first), so it is the pair's `a` and its least partner is `b`.
     """
     member = None
-    masks = np.zeros(1, dtype=np.int64)
     tried = 0
     rows_per_block = min(len(codes), _LOOKUPS)
     masks_per_chunk = max(1, _LOOKUPS // rows_per_block)
@@ -347,7 +399,7 @@ def _radius_pair(codes: np.ndarray, n: int, max_masks: int) -> tuple[int, int, i
         if member is None:
             member = np.zeros(1 << n, dtype=bool)
             member[codes] = True
-        masks = _weight_masks(masks, n)
+        masks = _weight_masks(n, d)
         for start in range(0, len(codes), rows_per_block):
             rows = codes[start : start + rows_per_block]
             best: tuple[int, int] | None = None

@@ -4,7 +4,10 @@ Unit atoms pin variables; pinned coordinates are substituted into the
 remaining atoms, which can only shrink the residual language, so the
 dispatcher classifies what is actually left to solve.  The residual
 formula keeps the original variable indexing; forced variables simply
-stop being referenced.
+stop being referenced, and a relation restricted by pinning gets a name
+of its own while the others keep theirs.  Only a one-member unary atom
+forces a variable, so a formula without one only loses its full atoms
+and its unused declarations, and is returned itself when it has neither.
 """
 
 from __future__ import annotations
@@ -89,8 +92,12 @@ def absorb_units(formula: Formula) -> ReducedFormula:
         else:
             atoms[a] = None if rel.is_full() else (rel, vars_, name)
 
-    for a in range(len(atoms)):
-        settle(a)
+    if any(rel.arity == 1 and rel.size == 1 for rel in formula.bound):
+        for a in range(len(atoms)):
+            settle(a)
+    else:
+        # nothing can be forced, so settling would only drop the full atoms
+        atoms = [None if atom[0].is_full() else atom for atom in atoms]
     if fresh:
         occurs: dict[int, list[int]] = {}
         for a, atom in enumerate(atoms):
@@ -103,13 +110,22 @@ def absorb_units(formula: Formula) -> ReducedFormula:
     keys: dict[tuple[str, int, int], str] = {}  # one residual name per relation
     pairs: dict[str, Relation] = {}
     new_atoms: list[tuple[str, tuple[int, ...]]] = []
-    for rel, vars_, name in filter(None, atoms):
-        key = keys.get((name, rel.arity, rel.mask))
-        if key is None:
+    for a, atom in enumerate(atoms):
+        if atom is None:
+            continue
+        rel, vars_, name = atom
+        key = name if rel is formula.bound[a] else keys.get((name, rel.arity, rel.mask))
+        if key is None:  # a restricted relation gets a name of its own
             key = keys[name, rel.arity, rel.mask] = f"{name}#{rel.arity}x{rel.mask:x}"
-            pairs[key] = rel
+        pairs[key] = rel
         new_atoms.append((key, vars_))
-    residual = Formula(
-        Language(tuple(pairs.items())), formula.var_count, tuple(new_atoms)
-    )
+    lang = formula.language
+    if (
+        len(new_atoms) == len(formula.atoms)
+        and len(lang.relations) == len(pairs)
+        and all(lang.declared(key) is not None for key in pairs)
+    ):
+        # nothing was dropped, so nothing was forced or restricted either
+        return ReducedFormula(formula, forced)
+    residual = Formula(Language(tuple(pairs.items())), formula.var_count, tuple(new_atoms))
     return ReducedFormula(residual, forced)

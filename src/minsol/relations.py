@@ -317,8 +317,9 @@ def sorted_atom(rel: Relation, variables: Sequence[int]) -> tuple[tuple[int, ...
     return tuple(vs), m
 
 
-def _flip(m: int, n: int, v: int) -> int:
-    """{c ^ v : c in m}."""
+def translate(m: int, n: int, v: int) -> int:
+    """{c ^ v : c in m}, for a set m of n-bit codes: one swap of halves per
+    set bit of v."""
     for j, low in enumerate(_low(n)):
         if v >> j & 1:
             m = ((m & low) << (1 << j)) | ((m >> (1 << j)) & low)
@@ -340,10 +341,10 @@ def _join_closed(m: int, n: int) -> bool:
 
 
 def _affine(m: int, n: int) -> bool:
-    m = _flip(m, n, (m & -m).bit_length() - 1)  # a linear subspace if m is affine
+    m = translate(m, n, (m & -m).bit_length() - 1)  # a linear subspace if m is affine
     for j in reversed(range(n)):
         lower, upper = m & ((1 << (1 << j)) - 1), m >> (1 << j)
-        if upper and upper != _flip(lower, j, (upper & -upper).bit_length() - 1):
+        if upper and upper != translate(lower, j, (upper & -upper).bit_length() - 1):
             return False
         m = lower
     return True
@@ -354,7 +355,7 @@ def _zero(m: int, n: int) -> bool:
 
 
 def _self_dual(m: int, n: int) -> bool:
-    return _flip(m, n, (1 << n) - 1) == m
+    return translate(m, n, (1 << n) - 1) == m
 
 
 def _binary_join(m: int, n: int) -> bool:
@@ -382,7 +383,7 @@ def _s0_closed(m: int, n: int, reproducing: bool = False, monotone: bool = False
 
 
 def _dual(test: Callable[[int, int], bool]) -> Callable[[int, int], bool]:
-    return lambda m, n: test(_flip(m, n, (1 << n) - 1), n)
+    return lambda m, n: test(translate(m, n, (1 << n) - 1), n)
 
 
 _S02 = functools.partial(_s0_closed, reproducing=True)
@@ -422,7 +423,7 @@ def projection_width(r: Relation) -> int:
     if not is_polymorphism(OR_AND3, r):
         if not is_polymorphism(AND_OR3, r):
             raise InternalConsistencyError(f"neither x | (y & z) nor x & (y | z) preserves {r}")
-        m = _flip(m, n, (1 << n) - 1)
+        m = translate(m, n, (1 << n) - 1)
     covered = _above(m, n)
     primes = (1 << (1 << n)) - 1 & ~covered
     for j, low in enumerate(_low(n)):
@@ -433,7 +434,7 @@ def projection_width(r: Relation) -> int:
 
 def dualize(r: Relation) -> Relation:
     """Complement every tuple; an involution."""
-    return Relation(r.arity, _flip(r.mask, r.arity, (1 << r.arity) - 1))
+    return Relation(r.arity, translate(r.mask, r.arity, (1 << r.arity) - 1))
 
 
 # --- clause shapes and CNF decomposition -------------------------------------

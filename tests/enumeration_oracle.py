@@ -3,7 +3,8 @@
 It builds each relation's membership table and each variable's bit column
 over the codes of a block, and looks every atom up by a numpy gather over
 every code.  `formulas.model_codes` and `formulas.enumerate_models` must
-return exactly the models it yields, in the same order.
+return exactly the models it yields, in the same order, and the NSOL/XSOL
+oracle the model `nearest_code` picks from them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from minsol import formulas
 from minsol.formulas import Formula
+from minsol.gf2 import popcount
 from minsol.relations import membership_table
 
 
@@ -49,3 +51,10 @@ def gather_codes(formula: Formula) -> np.ndarray:
     """Ascending int64 array of all model codes."""
     blocks = [b for b in gather_blocks(formula) if len(b)]
     return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+
+
+def nearest_code(codes: np.ndarray, code: int) -> tuple[int, int]:
+    """(distance, model): the first of the ascending codes nearest to code."""
+    dist = popcount(codes ^ code)
+    best = int(dist.argmin())
+    return int(dist[best]), int(codes[best])

@@ -4,14 +4,16 @@ import time as time_module
 
 import pytest
 
+from enumeration_oracle import gather_codes
 from helpers import lang
 from minsol.clauses import clause_index, horn_model
 from minsol.decision import another_sat, another_sat_below_n, sat_solve, tssat
 from minsol.errors import NotAModel, TooLarge
 from minsol.formulas import Assignment, enumerate_models, hamming, make_formula, satisfies
+from minsol.gf2 import popcount
 from minsol.msd import solve_msd
 from minsol.nsol import solve_nsol
-from minsol.postlattice import CoCloneLabel, classify, verdict
+from minsol.postlattice import CoCloneLabel, classify, label_leq, verdict
 from minsol.relations import (
     BUILTIN_RELATIONS,
     DUALHORN3,
@@ -159,6 +161,31 @@ class TestAnotherSatBelowN:
                 truth = any(x != m and hamming(x, m) < n for x in models)
                 assert another_sat_below_n(f, m) == truth
                 checked += 1
+
+    def test_non_schaefer_matches_the_popcount_scan(self):
+        # no Schaefer route applies, so the nearest other model decides;
+        # from n = 17 the models span two or more blocks
+        names = {"nae3": NAE3, "one_in_three": BUILTIN_RELATIONS["one_in_three"]}
+        language = lang(**names)
+        assert not any(
+            label_leq(classify(language), CoCloneLabel(name)) for name in ("iL2", "iD2", "iE2", "iV2")
+        )
+        rng = random.Random(19)
+        answers = []
+        for n in range(3, 19):
+            for _ in range(8):
+                m = Assignment.from_code(rng.randrange(1, (1 << n) - 1), n)  # not constant
+                atoms = []
+                while len(atoms) < 3 * n:  # atoms m satisfies, so m stays a model
+                    atom = (rng.choice(list(names)), rng.sample(range(1, n + 1), 3))
+                    if satisfies(make_formula(language, n, [atom]), m):
+                        atoms.append(atom)
+                f = make_formula(language, n, atoms[: rng.randint(1, 3 * n)])
+                distances = popcount(gather_codes(f) ^ m.code())
+                truth = bool(((distances > 0) & (distances < n)).any())
+                assert another_sat_below_n(f, m) == truth
+                answers.append(truth)
+        assert 20 < sum(answers) < len(answers) - 20
 
 
 class TestScaling:

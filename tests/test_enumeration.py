@@ -5,7 +5,8 @@ full and near empty), atoms on distinct or repeated variables, zero
 atoms, and blocks from 2**1 codes up.  `model_codes` must return the
 reference's codes and dtype; `enumerate_models` its first `cap` models
 and `truncated` iff a model lies past the cap (all of them, uncapped,
-when they are few).
+when they are few).  The NSOL and XSOL oracle, which reads distances off
+the blocks, must return the model `nearest_code` picks from the reference.
 """
 
 from __future__ import annotations
@@ -15,11 +16,20 @@ import random
 import numpy as np
 import pytest
 
-from enumeration_oracle import gather_codes
+from enumeration_oracle import gather_codes, nearest_code
 from helpers import lang
 from minsol import formulas
-from minsol.formulas import Assignment, enumerate_models, make_formula, model_codes
-from minsol.relations import Relation, sorted_atom
+from minsol.errors import NoSecondModel, NotAModel, TooLarge, Unsatisfiable
+from minsol.formulas import (
+    NSOL,
+    XSOL,
+    Assignment,
+    enumerate_models,
+    make_formula,
+    model_codes,
+    oracle_optimize,
+)
+from minsol.relations import F_REL, T_REL, Relation, sorted_atom
 
 
 def _relation(rng: random.Random, arity: int) -> Relation:
@@ -55,7 +65,8 @@ def _check(f) -> None:
     got = model_codes(f)
     assert got.dtype == want.dtype
     assert got.tolist() == want.tolist()
-    for cap in (0, 1, 2, None) if len(want) <= 4096 else (0, 1, 2):
+    edges = (max(len(want) - 1, 0), len(want), None)  # the cap at and next to the count
+    for cap in (0, 1, 2) + (edges if len(want) <= 4096 else ()):
         listed = enumerate_models(f, cap)
         kept = want[:cap] if cap is not None else want
         assert [m.code() for m in listed.assignments] == kept.tolist()
@@ -105,3 +116,73 @@ def test_sorted_atom_merges_and_sorts():
     assert np.array_equal(
         model_codes(make_formula(lang(r=rel), 2, [("r", (2, 1))])), np.array([0b10])
     )
+
+
+def _check_oracle(f, rng: random.Random) -> int:
+    """Compare NSOL from a random point and XSOL from a random model with
+    the argmin; returns how many calls were compared."""
+    codes = gather_codes(f)
+    n = f.var_count
+    if not len(codes):
+        return 0
+    point = rng.randrange(1 << n)
+    out = oracle_optimize(NSOL, f, Assignment.from_code(point, n))
+    assert (out.value, out.witness.code()) == nearest_code(codes, point)
+    model = int(rng.choice(codes))
+    others = codes[codes != model]
+    if not len(others):
+        with pytest.raises(NoSecondModel):
+            oracle_optimize(XSOL, f, Assignment.from_code(model, n))
+        return 1
+    out = oracle_optimize(XSOL, f, Assignment.from_code(model, n))
+    assert (out.value, out.witness.code()) == nearest_code(others, model)
+    return 2
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_nearest_model_matches_the_reference(n):
+    # from n = 17 a formula spans two or more blocks of 2**16 codes
+    rng = random.Random(190 + n)
+    compared = 0
+    while compared < 20:
+        f = _formula(rng, max_vars=n, max_arity=min(n, 8))
+        if f.var_count == n:
+            compared += _check_oracle(f, rng)
+
+
+@pytest.mark.parametrize("block_bits", [1, 3])
+def test_nearest_model_matches_the_reference_in_tiny_blocks(monkeypatch, block_bits):
+    monkeypatch.setattr(formulas, "_BLOCK_BITS", block_bits)
+    rng = random.Random(211 + block_bits)
+    for _ in range(80):
+        _check_oracle(_formula(rng, max_vars=10, max_arity=6), rng)
+
+
+def test_xsol_from_the_only_model_of_its_block():
+    # x2..x17 are 0 and x1 is free: one model in each of the two blocks
+    f = make_formula(lang(f=F_REL), 17, [("f", [v]) for v in range(2, 18)])
+    out = oracle_optimize(XSOL, f, Assignment.from_code(0, 17))
+    assert out.value == 1 and out.witness.code() == 1 << 16
+    out = oracle_optimize(XSOL, f, Assignment.from_code(1 << 16, 17))
+    assert out.value == 1 and out.witness.code() == 0
+
+
+def test_xsol_from_the_only_model():
+    f = make_formula(lang(f=F_REL), 17, [("f", [v]) for v in range(1, 18)])
+    with pytest.raises(NoSecondModel):
+        oracle_optimize(XSOL, f, Assignment.from_code(0, 17))
+    assert oracle_optimize(NSOL, f, Assignment.from_code(5, 17)).value == 2
+
+
+def test_refusal_order():
+    # each formula also fails every check after its own
+    contradiction = lang(t=T_REL, f=F_REL)
+    too_large = make_formula(contradiction, 25, [("t", [1]), ("f", [1])])
+    unsat = make_formula(contradiction, 17, [("t", [1]), ("f", [1])])
+    single = make_formula(lang(f=F_REL), 17, [("f", [v]) for v in range(1, 18)])
+    for f, error in ((too_large, TooLarge), (unsat, Unsatisfiable), (single, NotAModel)):
+        for problem in (NSOL, XSOL) if error is not NotAModel else (XSOL,):
+            with pytest.raises(error):
+                oracle_optimize(problem, f, Assignment.from_code(1, f.var_count))
+    with pytest.raises(NoSecondModel):
+        oracle_optimize(XSOL, single, Assignment.from_code(0, 17))

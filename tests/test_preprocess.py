@@ -1,13 +1,16 @@
 """Unit absorption: the pinned residual keeps the models, and no residual
-atom mentions a forced variable or is itself trivial."""
+atom mentions a forced variable or is itself trivial.  A formula without
+unit atoms is returned itself, or rebuilt without its full atoms and
+unused declarations, and classifies as through the settle loop."""
 
 import random
 
-from helpers import random_language
+from helpers import lang, random_formula, random_language
 from minsol.errors import Unsatisfiable
 from minsol.formulas import make_formula, model_codes
+from minsol.postlattice import verdict
 from minsol.preprocess import absorb_units
-from minsol.relations import F_REL, IMPL, T_REL, Language
+from minsol.relations import F_REL, IMPL, ONE_IN_THREE, OR2, T_REL, XOR2, Language, Relation
 
 
 def _formulas_with_units(seed: int, count: int):
@@ -51,3 +54,58 @@ def test_implication_chain_listed_last_to_first():
     reduced = absorb_units(make_formula(Language((("impl", IMPL), ("t", T_REL))), n, atoms))
     assert reduced.forced == {v: 1 for v in range(1, n + 1)}
     assert reduced.formula.atoms == ()
+
+
+def test_nothing_to_absorb_returns_the_formula():
+    f = make_formula(lang(or2=OR2, x=XOR2), 3, [("or2", [1, 2]), ("x", [2, 3])])
+    reduced = absorb_units(f)
+    assert reduced.formula is f and reduced.pinned() is f and reduced.forced == {}
+
+
+def test_full_atoms_and_unused_declarations_are_dropped():
+    full = Relation(2, 0b1111)
+    f = make_formula(lang(or2=OR2, full=full, x=XOR2), 3, [("full", [1, 3]), ("or2", [1, 2])])
+    residual = absorb_units(f).formula
+    assert residual.atoms == (("or2", (1, 2)),)
+    assert residual.language.relations == (("or2", OR2),)
+    # a builtin the language does not declare is declared in the residual
+    g = make_formula(lang(or2=OR2), 2, [("or2", [1, 2]), ("nand2", [1, 2])])
+    assert absorb_units(g).formula.language.names() == ("or2", "nand2")
+
+
+def test_without_units_classifies_as_through_the_settle_loop():
+    # a unit atom on one more variable sends the same atoms through the
+    # settle loop, which pins nothing else
+    rng = random.Random(4_712)
+    unit = ("__unit", T_REL)
+    compared = 0
+    while compared < 400:
+        language = random_language(rng)
+        f = random_formula(language, rng, max_vars=8, max_atoms=8)
+        if any(rel.arity == 1 and rel.size == 1 for rel in f.bound):
+            continue
+        n = f.var_count
+        settled = absorb_units(make_formula(
+            Language(language.relations + (unit,)), n + 1, f.atoms + (("__unit", (n + 1,)),)
+        ))
+        assert settled.forced == {n + 1: 1}
+        assert settled.formula.atoms == absorb_units(f).formula.atoms
+        shortcut = absorb_units(f).pinned()
+        assert [2 * c + 1 for c in model_codes(shortcut).tolist()] == model_codes(
+            settled.pinned()
+        ).tolist()
+        for problem in ("NSOL", "XSOL", "MSD"):
+            want = verdict(settled.formula.effective_language(), problem).algorithm_tag
+            assert verdict(shortcut.effective_language(), problem).algorithm_tag == want
+        compared += 1
+
+
+def test_only_restricted_relations_are_renamed():
+    f = make_formula(
+        lang(r=ONE_IN_THREE, x=XOR2, f=F_REL), 5, [("f", [1]), ("r", [1, 2, 3]), ("x", [4, 5])]
+    )
+    reduced = absorb_units(f)
+    assert reduced.forced == {1: 0}
+    (name, vars_), kept = reduced.formula.atoms
+    assert name == f"r#2x{XOR2.mask:x}" and vars_ == (2, 3) and kept == ("x", (4, 5))
+    assert reduced.formula.language.declared(name) == XOR2
