@@ -112,7 +112,7 @@ def languages() -> dict[str, Language]:
 
 def _tag(formula, problem: str) -> str | None:
     try:
-        res = absorb_units(formula).pinned()
+        res = absorb_units(formula)
     except MinsolError:
         return None
     return verdict(res.effective_language(), problem).algorithm_tag

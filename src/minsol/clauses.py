@@ -53,15 +53,11 @@ def parity_rows(formula: Formula) -> tuple[tuple[int, int], ...]:
     return tuple((sum(1 << (n - v) for v in vs), bit) for vs, bit in equations)
 
 
-def affine_solve(
-    formula: Formula, assumptions: dict[int, int] | None = None
-) -> tuple[int, list[int]] | None:
+def affine_solve(formula: Formula) -> tuple[int, list[int]] | None:
     """Particular solution and nullspace basis (gf2 vectors, the codes of
-    `Assignment.code()`) of the formula's parity equations plus the unit
-    `assumptions`; None iff they are inconsistent."""
-    n = formula.var_count
-    units = [(1 << (n - v), b) for v, b in (assumptions or {}).items()]
-    return gf2.solve_affine([*parity_rows(formula), *units], n)
+    `Assignment.code()`) of the formula's parity equations; None iff they
+    are inconsistent."""
+    return gf2.solve_affine(parity_rows(formula), formula.var_count)
 
 
 class ClauseIndex:
@@ -184,6 +180,17 @@ class ClauseIndex:
         ones, zeros = lits & ((1 << self.n) - 1), lits >> self.n
         return None if ones & zeros else (code | ones) & ~zeros
 
+    def flips(self, code: int, forced: dict[int, int]) -> list[int]:
+        """Per variable outside `forced`, in order, the assignment code
+        `code` with that variable flipped and every literal the flipped
+        literal reaches made true; a flip that reaches its own negation
+        gives none.  On the binary residual of a 2-CNF whose forced values
+        are `forced`, each is the nearest model with that flip."""
+        n = self.n
+        flipped = (-v if code >> (n - v) & 1 else v for v in range(1, n + 1) if v not in forced)
+        candidates = (self.setting(code, self.reach(l)) for l in flipped)
+        return [c for c in candidates if c is not None]
+
 
 def clause_index(formula: Formula, shape: str, k: int | None = None) -> ClauseIndex:
     """The index of `cached_clauses(formula, shape, k)`, built once."""
@@ -216,16 +223,11 @@ def unit_propagate(
     return assign, residual
 
 
-def twosat_model(
-    index: ClauseIndex, assumptions: dict[int, int] | None = None
-) -> Assignment | None:
-    """Deterministic 2-SAT model read off the SCC numbering, or None; unit
-    `assumptions` join the clauses, which must have one or two literals."""
+def twosat_model(index: ClauseIndex) -> Assignment | None:
+    """Deterministic 2-SAT model read off the SCC numbering, or None; the
+    clauses must have one or two literals."""
     if any(not 0 < len(c) <= 2 for c in index.clauses):
         raise InternalConsistencyError("twosat_model got a clause with >2 literals")
-    if assumptions:
-        units = (frozenset({v if b else -v}) for v, b in assumptions.items())
-        index = ClauseIndex((*index.clauses, *units), index.n)
     comp = index.components
     variables = range(1, index.n + 1)
     if any(comp[v] == comp[-v] for v in variables):

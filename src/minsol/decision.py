@@ -1,78 +1,89 @@
 """Decision procedures the optimization solvers lean on.
 
-Every routine dispatches on the language's verdict tag, except that
-`another_sat_below_n` first tests the co-clone label against iL2 and iD2.
+Every routine dispatches on the language's verdict tag, and on a
+Schaefer language `another_sat` and `another_sat_below_n` pick their
+engine by testing the co-clone label against the Schaefer classes.
 Tractable classes get their constructive polynomial algorithm, everything
-else falls back to model enumeration, which refuses with `TooLarge` beyond
-`ORACLE_VAR_CAP` variables.  SAT under unit assumptions is SAT over the
-language plus the constant relations t and f, whose SAT tag is never a
-constant one.
+else falls back to model enumeration, which refuses with `TooLarge`
+beyond `ORACLE_VAR_CAP` variables.  A flipped variable is never pinned
+on a new formula: each engine answers it from one prepared structure.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .clauses import affine_solve, clause_index, horn_model, twosat_model
 from .errors import NotAModel
-from .formulas import Assignment, Formula, enumerate_models, hamming, nearest_model, satisfies
+from .formulas import Assignment, Formula, enumerate_models, nearest_model, satisfies
 from .postlattice import CoCloneLabel, classify, label_leq, verdict_for_label
-from .relations import F_REL, T_REL, Language
 
-_AFFINE, _BIJUNCTIVE, _HORN = CoCloneLabel("iL2"), CoCloneLabel("iD2"), CoCloneLabel("iE2")
-
-
-@functools.lru_cache(maxsize=64)
-def _label(formula: Formula, constants: bool = False) -> CoCloneLabel:
-    """The label of the formula's language, plus t and f if `constants`;
-    memoised for the n or n^2 probes of `another_sat` and
-    `another_sat_below_n` (one formula at a time)."""
-    lang = formula.effective_language()
-    if constants:
-        lang = Language(lang.relations + (("t", T_REL), ("f", F_REL)))
-    return classify(lang)
+_AFFINE, _BIJUNCTIVE, _HORN, _DUAL_HORN = map(CoCloneLabel, ("iL2", "iD2", "iE2", "iV2"))
 
 
-def _tag(formula: Formula, problem: str, constants: bool = False) -> str:
-    return verdict_for_label(_label(formula, constants), problem).algorithm_tag
+def _label(formula: Formula) -> CoCloneLabel:
+    return classify(formula.effective_language())
 
 
-def sat_solve(formula: Formula, assumptions: dict[int, int] | None = None) -> Assignment | None:
-    """A model or None, via the engine of the language's SAT tag; unit
-    `assumptions` read the tag of the language plus t and f."""
+def _tag(formula: Formula, problem: str) -> str:
+    return verdict_for_label(_label(formula), problem).algorithm_tag
+
+
+def sat_solve(formula: Formula) -> Assignment | None:
+    """A model or None, via the engine of the language's SAT tag."""
     n = formula.var_count
-    tag = _tag(formula, "SAT", bool(assumptions))
+    tag = _tag(formula, "SAT")
     if tag in ("const_zero", "const_one"):
         return Assignment((int(tag == "const_one"),) * n)
     if tag in ("horn_prop", "dualhorn_prop"):
         shape, default = ("horn", 0) if tag == "horn_prop" else ("dual_horn", 1)
-        return horn_model(clause_index(formula, shape), assumptions, default)
+        return horn_model(clause_index(formula, shape), default=default)
     if tag == "twosat":
-        return twosat_model(clause_index(formula, "bijunctive"), assumptions)
+        return twosat_model(clause_index(formula, "bijunctive"))
     if tag == "affine_gauss":
-        solved = affine_solve(formula, assumptions)
+        solved = affine_solve(formula)
         return None if solved is None else Assignment.from_code(solved[0], n)
-    for m in enumerate_models(formula, cap=None if assumptions else 1).assignments:
-        if all(m.value(v) == b for v, b in (assumptions or {}).items()):
-            return m
-    return None
+    models = enumerate_models(formula, cap=1).assignments
+    return models[0] if models else None
 
 
 def another_sat(formula: Formula, m: Assignment) -> Assignment | None:
-    """Some model different from m, or None iff m is the unique model."""
+    """Some model different from m, or None iff m is the unique model.
+
+    On a Schaefer language each variable of m gives at most one model
+    with that variable flipped, and the nearest, then least, wins.  Below
+    iE2 or iV2 it is the Horn or dual-Horn model under the flipped unit;
+    below iD2 the nearest model with the flip, read off the closure
+    bitsets; below iL2 the particular solution p of the parity equations
+    if it already has the flip, else p plus the first basis vector that
+    has the variable (none: every model agrees with m there).
+    """
     if not satisfies(formula, m):
         raise NotAModel("another_sat needs a satisfying assignment")
-    tag = _tag(formula, "ANOTHERSAT")
+    label = _label(formula)
+    tag = verdict_for_label(label, "ANOTHERSAT").algorithm_tag
     if tag == "flip_resolve":
-        best: Assignment | None = None
-        for v in range(1, formula.var_count + 1):
-            cand = sat_solve(formula, {v: 1 - m.value(v)})
-            if cand is None:
-                continue
-            if best is None or (hamming(m, cand), cand.bits) < (hamming(m, best), best.bits):
-                best = cand
-        return best
+        n, code = formula.var_count, m.code()
+        if label_leq(label, _HORN) or label_leq(label, _DUAL_HORN):
+            shape, default = ("horn", 0) if label_leq(label, _HORN) else ("dual_horn", 1)
+            index = clause_index(formula, shape)
+            models = (horn_model(index, {v: 1 - m.value(v)}, default) for v in range(1, n + 1))
+            candidates = [w.code() for w in models if w is not None]
+        elif label_leq(label, _BIJUNCTIVE):
+            forced, index = clause_index(formula, "bijunctive").reduced
+            candidates = index.flips(code, forced)
+        else:
+            p, basis = affine_solve(formula)
+            candidates = []
+            for v in range(1, n + 1):
+                bit = 1 << (n - v)
+                if (p ^ code) & bit:
+                    candidates.append(p)
+                elif b := next((b for b in basis if b & bit), 0):
+                    candidates.append(p ^ b)
+        if not candidates:
+            return None
+        return Assignment.from_code(min(candidates, key=lambda c: ((c ^ code).bit_count(), c)), n)
     if tag == "complement":
         return m.complement()
     if tag == "both_valid":
@@ -118,14 +129,13 @@ def another_sat_below_n(formula: Formula, m: Assignment) -> bool:
     """Is there a model m' != m with hd(m, m') < n (n = variable count)?
 
     The models of an affine formula are m plus its solution space V, so the
-    answer is whether V holds a nonzero vector other than all ones.  For
-    the other Schaefer classes a probe fixes one flipped and one agreeing
-    variable, so a distance-n-only second model cannot fool it.  On 2-CNF
-    a set of literals is consistent iff the union of their implication
-    closures holds no complementary pair, so the bijunctive probes are
-    bitset ORs over the clause index.  On Horn and dual-Horn clauses unit
-    propagation is complete, so each pair is one propagation.  Any other
-    language asks `nearest_model` for the nearest model other than m.
+    answer is whether V holds a nonzero vector other than all ones.  On
+    2-CNF each flip's closure candidate is the nearest model with that
+    flip, so some model other than m lies below n iff some candidate does.
+    On Horn and dual-Horn clauses unit propagation is complete, so a probe
+    that fixes one flipped and one agreeing variable is one propagation,
+    and a distance-n-only second model cannot fool it.  Any other language
+    asks `nearest_model` for the nearest model other than m.
     """
     if not satisfies(formula, m):
         raise NotAModel("another_sat_below_n needs a satisfying assignment")
@@ -138,21 +148,9 @@ def another_sat_below_n(formula: Formula, m: Assignment) -> bool:
         return len(basis) >= 2 or (len(basis) == 1 and basis[0] != (1 << n) - 1)
     if label_leq(label, _BIJUNCTIVE):
         forced, index = clause_index(formula, "bijunctive").reduced
-
-        def consistent(lits: int) -> bool:
-            return index.setting(0, lits) is not None
-
-        # closure of each unforced variable kept at its value in m; a forced
-        # variable keeps its value whatever is flipped
-        keep = {v: index.reach(v if m.value(v) else -v) for v in range(1, n + 1) if v not in forced}
-        for i in keep:
-            flip = index.reach(-i if m.value(i) else i)
-            if consistent(flip) and (
-                len(keep) < n or any(consistent(flip | r) for j, r in keep.items() if j != i)
-            ):
-                return True
-        return False
-    if _tag(formula, "ANOTHERSAT") == "flip_resolve":
+        code = m.code()
+        return any((c ^ code).bit_count() < n for c in index.flips(code, forced))
+    if label_leq(label, _HORN) or label_leq(label, _DUAL_HORN):
         index = clause_index(formula, "horn" if label_leq(label, _HORN) else "dual_horn")
         kept = [v if m.value(v) else -v for v in range(1, n + 1)]
         return any(

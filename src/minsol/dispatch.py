@@ -105,7 +105,7 @@ def dispatch(
         formula.check_length(m)
     if problem == XSOL and not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
-    res = absorb_units(formula).pinned()
+    res = absorb_units(formula)
     vdict = verdict(res.effective_language(), problem)
     dual = vdict.algorithm_tag.endswith("_dual")
     route = routes[vdict.algorithm_tag.removesuffix("_dual")]

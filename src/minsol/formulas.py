@@ -50,6 +50,7 @@ from .relations import (
     swap_bits,
     swap_mask,
     translate,
+    _weight_sets,
 )
 
 ORACLE_VAR_CAP = 24
@@ -248,16 +249,6 @@ def _block_codes(n: int, start: int, models: int) -> np.ndarray:
     codes = np.flatnonzero(membership_table(min(_BLOCK_BITS, n), models))
     codes += start
     return codes
-
-
-@functools.lru_cache(maxsize=None)
-def _weight_sets(b: int) -> tuple[int, ...]:
-    """`_weight_sets(b)[w]` is the set of b-bit codes with w bits set: those
-    of b - 1 bits with w bits set, and above them those with w - 1."""
-    if b == 0:
-        return (1,)
-    lower = _weight_sets(b - 1) + (0,)
-    return (lower[0],) + tuple(lower[w] | lower[w - 1] << (1 << (b - 1)) for w in range(1, b + 1))
 
 
 @dataclass(frozen=True)

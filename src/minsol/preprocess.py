@@ -1,58 +1,49 @@
-"""Unit-atom absorption shared by the three optimization solvers.
+"""Unit-atom absorption shared by the three optimization solvers, and
+the one way to pin variables of a formula.
 
 Unit atoms pin variables; pinned coordinates are substituted into the
 remaining atoms, which can only shrink the residual language, so the
 dispatcher classifies what is actually left to solve.  The residual
-formula keeps the original variable indexing; forced variables simply
-stop being referenced, and a relation restricted by pinning gets a name
-of its own while the others keep theirs.  Only a one-member unary atom
-forces a variable, so a formula without one only loses its full atoms
-and its unused declarations, and is returned itself when it has neither.
+formula keeps the original variable indexing; forced variables are
+referenced only by the unit atoms `pin` appends, so it has exactly the
+original models, and a relation restricted by pinning gets a name of its
+own while the others keep theirs.  Only a one-member unary atom forces a
+variable, so a formula without one only loses its full atoms and its
+unused declarations, and is returned itself when it has neither.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import Unsatisfiable
 from .formulas import Formula
-from .relations import Language, Relation
+from .relations import F_REL, T_REL, Language, Relation
 
 
-@dataclass(frozen=True)
-class ReducedFormula:
-    """Residual atoms plus the variables pinned by unit absorption.
-
-    `pinned()` re-attaches the pins as builtin unit atoms, so the result
-    has exactly the original model set while exposing the restricted
-    relations to the classifier.
-    """
-
-    formula: Formula
-    forced: dict[int, int]
-
-    def pinned(self) -> Formula:
-        if not self.forced:
-            return self.formula
-        from .relations import F_REL, T_REL
-
-        lang = self.formula.language
-        pairs = list(lang.relations)
-        names = {}
-        for value, rel in ((1, T_REL), (0, F_REL)):
-            # reuse a declaration of the same relation, never shadow another
-            name, k = ("t" if value else "f"), 0
-            while lang.declared(name) not in (None, rel):
-                name, k = f"__pin{value}_{k}", k + 1
-            if lang.declared(name) is None:
-                pairs.append((name, rel))
-            names[value] = name
-        pins = tuple((names[self.forced[v]], (v,)) for v in sorted(self.forced))
-        return Formula(Language(tuple(pairs)), self.formula.var_count, self.formula.atoms + pins)
+def pin(formula: Formula, values: dict[int, int]) -> Formula:
+    """The formula with a builtin unit atom pinning each variable of
+    `values` to its value, appended in variable order; the formula itself
+    if `values` is empty.  A pin reuses the language's declaration of t or
+    f, and gets a fresh name where that name means another relation."""
+    if not values:
+        return formula
+    lang = formula.language
+    pairs = list(lang.relations)
+    names = {}
+    for value, rel in ((1, T_REL), (0, F_REL)):
+        # reuse a declaration of the same relation, never shadow another
+        name, k = ("t" if value else "f"), 0
+        while lang.declared(name) not in (None, rel):
+            name, k = f"__pin{value}_{k}", k + 1
+        if lang.declared(name) is None:
+            pairs.append((name, rel))
+        names[value] = name
+    pins = tuple((names[values[v]], (v,)) for v in sorted(values))
+    return Formula(Language(tuple(pairs)), formula.var_count, formula.atoms + pins)
 
 
-def absorb_units(formula: Formula) -> ReducedFormula:
-    """Propagate unit atoms and pin their variables into the other atoms.
+def absorb_units(formula: Formula) -> Formula:
+    """Propagate unit atoms and pin their variables into the other atoms;
+    the residual comes back with the forced variables pinned by `pin`.
 
     One pass settles every atom; after it, only the atoms that mention a
     newly forced variable are settled again, so an atom is revisited at
@@ -126,6 +117,6 @@ def absorb_units(formula: Formula) -> ReducedFormula:
         and all(lang.declared(key) is not None for key in pairs)
     ):
         # nothing was dropped, so nothing was forced or restricted either
-        return ReducedFormula(formula, forced)
+        return formula
     residual = Formula(Language(tuple(pairs.items())), formula.var_count, tuple(new_atoms))
-    return ReducedFormula(residual, forced)
+    return pin(residual, forced)

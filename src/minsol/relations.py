@@ -274,6 +274,16 @@ def _low(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def _weight_sets(b: int) -> tuple[int, ...]:
+    """`_weight_sets(b)[w]` is the set of b-bit codes with w bits set: those
+    of b - 1 bits with w bits set, and above them those with w - 1."""
+    if b == 0:
+        return (1,)
+    lower = _weight_sets(b - 1) + (0,)
+    return (lower[0],) + tuple(lower[w] | lower[w - 1] << (1 << (b - 1)) for w in range(1, b + 1))
+
+
+@functools.lru_cache(maxsize=None)
 def swap_mask(n: int, p: int, q: int) -> int:
     """The n-bit codes with bit q set and bit p clear, p > q: the lower
     side of the delta swap that exchanges bits p and q of every code."""
@@ -428,7 +438,8 @@ def projection_width(r: Relation) -> int:
     primes = (1 << (1 << n)) - 1 & ~covered
     for j, low in enumerate(_low(n)):
         primes &= ~low | covered >> (1 << j)
-    lightest = min(map(int.bit_count, np.flatnonzero(membership_table(n, primes)).tolist()), default=n)
+    weights = _weight_sets(n)
+    lightest = next((w for w in range(n + 1) if primes & weights[w]), n)
     return max(2, n - lightest)  # the lightest prime code has the most 0 bits
 
 

@@ -33,7 +33,7 @@ from .formulas import (
     satisfies,
 )
 from .outcome import SolveOutcome, exact, n_approx
-from .preprocess import ReducedFormula
+from .preprocess import pin
 from .relations import Relation, tuple_code
 from .nsol import solve_nsol
 
@@ -44,12 +44,9 @@ def _flip(
     """Flip each unforced variable of m and set every literal the flipped
     literal reaches in the implication closure of `index`; answer with the
     nearest such candidate that is a model."""
-    n, code = formula.var_count, m.code()
-    flips = (-x if m.value(x) else x for x in range(1, n + 1) if x not in forced)
-    # a flipped literal that reaches its negation fails, and `setting` refuses it
-    candidates = [c for c in (index.setting(code, index.reach(l)) for l in flips) if c is not None]
-    for c in sorted(candidates, key=lambda c: ((c ^ code).bit_count(), c)):
-        w = Assignment.from_code(c, n)
+    code = m.code()
+    for c in sorted(index.flips(code, forced), key=lambda c: ((c ^ code).bit_count(), c)):
+        w = Assignment.from_code(c, formula.var_count)
         if satisfies(formula, w):
             return checked(XSOL, formula, m, [w], exact(), method)
     raise NoSecondModel("the given model is the only one")
@@ -124,9 +121,8 @@ def xsol_horn_turing(formula: Formula, m: Assignment) -> SolveOutcome:
         return checked(XSOL, formula, m, [out.witness], exact(), "horn_turing")
     results: list[SolveOutcome] = []
     for x in range(1, n + 1):
-        pinned = ReducedFormula(formula, {x: 1 - m.value(x)}).pinned()
         try:
-            results.append(solve_nsol(pinned, m, "auto"))
+            results.append(solve_nsol(pin(formula, {x: 1 - m.value(x)}), m, "auto"))
         except Unsatisfiable:
             continue
     if not results:

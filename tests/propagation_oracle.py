@@ -6,9 +6,8 @@ must return exactly what it returns: the same forced assignment, the same
 residual clauses in the same order, and None on the same inputs.
 
 The 2-SAT references work on the implication graph directly: a model
-from a copied adjacency with the assumptions' arcs appended and a
-recursive Tarjan, and the half-variable completion by a depth-first walk
-per variable.  `clauses.twosat_model` and `nsol._twosat_toward` must
+read off its components, numbered by a recursive Tarjan, and the
+half-variable completion by a depth-first walk per variable.  `clauses.twosat_model` and `nsol._twosat_toward` must
 return the same models and fail on the same inputs.
 """
 
@@ -131,15 +130,10 @@ def tarjan_components(roots: Iterable[int], adj: dict[int, list[int]]) -> dict[i
     return comp
 
 
-def reference_twosat_model(
-    clauses: Iterable[LitClause], n: int, assumptions: dict[int, int] | None = None
-) -> Assignment | None:
-    """2-SAT over clauses of one or two literals: each assumption appends
-    the arc -lit -> lit to a copy of the adjacency, and v is true iff its
+def reference_twosat_model(clauses: Iterable[LitClause], n: int) -> Assignment | None:
+    """2-SAT over clauses of one or two literals: v is true iff its
     component completes before -v's."""
-    adj = dict(implication_graph(clauses))
-    for lit in (v if b else -v for v, b in (assumptions or {}).items()):
-        adj[-lit] = [*adj.get(-lit, ()), lit]
+    adj = implication_graph(clauses)
     variables = range(1, n + 1)
     comp = tarjan_components([l for v in variables for l in (v, -v)], adj)
     if any(comp[v] == comp[-v] for v in variables):

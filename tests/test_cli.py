@@ -139,6 +139,22 @@ class TestDecide:
         payload = json.loads(out)
         assert payload["answer"] is True and payload["witnesses"] == ["10"]
 
+    @pytest.mark.parametrize("atoms, m, witness", [
+        # 2-CNF: the nearest model with x5 flipped (010010 was SAT under the flipped unit)
+        ("nand2 5 1\nnand2 2 4\nnand2 6 2\nnand2 5 3\nor2 4 5\n", "000011", "000010"),
+        # Horn: the least model under each flipped unit, the nearest of them kept
+        ("impl 2 4\nimpl 1 5\nimpl 3 1\nimpl 5 2\n", "11111", "00000"),
+    ], ids=["two_cnf", "horn"])
+    def test_anothersat_witness_json(self, workdir, capsys, atoms, m, witness):
+        n = len(m)
+        (workdir / "f.cf").write_text(f"lang builtin\nvars {n}\n{atoms}")
+        code, out = call(
+            capsys, "decide", "anothersat", "--formula", str(workdir / "f.cf"),
+            "--assignment", m, "--json",
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["answer"] is True and payload["witnesses"] == [witness]
+
     def test_tssat_false_on_contradiction(self, workdir, capsys):
         code, out = call(capsys, "decide", "tssat", "--formula", str(workdir / "contradiction.cf"))
         assert code == 0 and "answer: no" in out

@@ -1,16 +1,23 @@
-import itertools
 import random
 import time as time_module
 
 import pytest
 
 from enumeration_oracle import gather_codes
-from helpers import lang
-from minsol.clauses import clause_index, horn_model
+from helpers import FAMILY_LANGUAGES, lang, random_model, random_satisfiable
+from minsol.clauses import clause_index, horn_model, parity_rows
 from minsol.decision import another_sat, another_sat_below_n, sat_solve, tssat
 from minsol.errors import NotAModel, TooLarge
-from minsol.formulas import Assignment, enumerate_models, hamming, make_formula, satisfies
-from minsol.gf2 import popcount
+from minsol.formulas import (
+    XSOL,
+    Assignment,
+    enumerate_models,
+    hamming,
+    make_formula,
+    oracle_optimize,
+    satisfies,
+)
+from minsol.gf2 import popcount, solve_affine
 from minsol.msd import solve_msd
 from minsol.nsol import solve_nsol
 from minsol.postlattice import CoCloneLabel, classify, label_leq, verdict
@@ -19,12 +26,14 @@ from minsol.relations import (
     DUALHORN3,
     DUP3,
     F_REL,
+    HORN3,
     IMPL,
     Language,
     NAE3,
     OR2,
     T_REL,
     XOR2,
+    even_rel,
 )
 from minsol.xsol import solve_xsol
 
@@ -45,46 +54,96 @@ class TestSatSolve:
         assert sat_solve(f) is None
 
 
-def all_assumptions(n: int):
-    """Every assignment of one or two of the variables 1..n."""
-    for size in (1, 2):
-        for vs in itertools.combinations(range(1, n + 1), size):
-            for bits in itertools.product((0, 1), repeat=size):
-                yield dict(zip(vs, bits))
+def _flip_by_flip(f, m: Assignment) -> Assignment | None:
+    """A model other than m as SAT under each flipped unit gave it: the
+    Horn or dual-Horn model with the unit, or the particular solution of
+    the parity equations with the unit row appended; nearest, then least,
+    kept."""
+    n, label = f.var_count, classify(f.effective_language())
+    best = None
+    for v in range(1, n + 1):
+        flipped = 1 - m.value(v)
+        if label_leq(label, CoCloneLabel("iE2")):
+            cand = horn_model(clause_index(f, "horn"), {v: flipped}, 0)
+        elif label_leq(label, CoCloneLabel("iV2")):
+            cand = horn_model(clause_index(f, "dual_horn"), {v: flipped}, 1)
+        else:
+            solved = solve_affine([*parity_rows(f), (1 << (n - v), flipped)], n)
+            cand = None if solved is None else Assignment.from_code(solved[0], n)
+        if cand is not None and (
+            best is None or (hamming(m, cand), cand.bits) < (hamming(m, best), best.bits)
+        ):
+            best = cand
+    return best
 
 
-class TestSatUnderAssumptions:
-    def test_dualhorn3_is_constant_only_without_assumptions(self):
-        # x | y | -z is 0- and 1-valid, so plain SAT answers all zeros; under
-        # unit assumptions the language gains t and f and turns dual-Horn
+# another_sat tests the label against iE2, iV2, iD2 and iL2 in that order
+FLIP_BY_FLIP = {
+    "iM": lang(impl=IMPL),
+    "iM2": FAMILY_LANGUAGES["iM2"],
+    "iE": lang(horn3=HORN3),
+    "iE2": FAMILY_LANGUAGES["iE2"],
+    "iV": lang(d=DUALHORN3),
+    "iV2": FAMILY_LANGUAGES["iV2"],
+    "iS0^2": lang(or2=OR2),
+    "iS00^2": FAMILY_LANGUAGES["iS00_2"],
+    "iL": lang(even4=even_rel(4)),
+    "iL1": lang(odd3=BUILTIN_RELATIONS["odd3"]),
+    "iL2": FAMILY_LANGUAGES["iL2"],
+}
+NEAREST_FLIP = {
+    "iD": lang(x=XOR2),
+    "iD1": FAMILY_LANGUAGES["iD1"],
+    "iD2": lang(x=XOR2, impl=IMPL, t=T_REL, f=F_REL),  # unit atoms force variables
+}
+
+
+class TestAnotherSatWitness:
+    def test_labels_sit_where_the_tests_expect(self):
+        below = lambda label, name: label_leq(label, CoCloneLabel(name))  # noqa: E731
+        for name, language in {**FLIP_BY_FLIP, **NEAREST_FLIP}.items():
+            label = classify(language)
+            assert str(label) == name
+            two_cnf = below(label, "iD2") and not below(label, "iE2") and not below(label, "iV2")
+            assert two_cnf == (name in NEAREST_FLIP)
+        assert below(classify(FLIP_BY_FLIP["iM"]), "iD2")  # below all four classes
+        assert below(classify(NEAREST_FLIP["iD1"]), "iL2")  # below iD2 and iL2
+
+    def test_dualhorn3_flips_as_sat_under_each_unit(self):
+        # x | y | -z is 0- and 1-valid, so plain SAT answers all zeros; with
+        # a flipped unit the dual-Horn model fills with ones
         atoms = [("d", [1, 2, 3]), ("d", [3, 4, 1]), ("d", [2, 4, 5]), ("d", [5, 1, 4])]
         f = make_formula(lang(d=DUALHORN3), 5, atoms)
         assert verdict(f.effective_language(), "SAT").algorithm_tag == "const_zero"
         assert sat_solve(f) == Assignment((0,) * 5)
-        index = clause_index(f, "dual_horn")
         models = enumerate_models(f).assignments
-        for assumptions in all_assumptions(5):
-            got = sat_solve(f, assumptions)
-            assert got == horn_model(index, assumptions, default=1)
-            consistent = [m for m in models if all(m.value(v) == b for v, b in assumptions.items())]
-            assert (got is None) == (not consistent)
+        for m in models:
+            assert another_sat(f, m) == _flip_by_flip(f, m)
+        assert another_sat(f, Assignment((0,) * 5)) == A("11111")
 
-    def test_iI0_honours_assumptions_by_enumeration(self):
-        # {dup3, impl, f} is 0-valid but in no Schaefer class: plain SAT
-        # answers all zeros, SAT under assumptions enumerates
-        language = lang(dup3=DUP3, impl=IMPL, f=F_REL)
-        assert classify(language) == CoCloneLabel("iI0")
-        rng = random.Random(0)
-        for _ in range(20):
-            n = rng.randint(3, 6)
-            atoms = [("dup3", rng.sample(range(1, n + 1), 3)) for _ in range(rng.randint(1, 3))]
-            atoms += [("impl", rng.sample(range(1, n + 1), 2)), ("f", [rng.randint(1, n)])]
-            f = make_formula(language, n, atoms)
-            models = enumerate_models(f).assignments
-            assert sat_solve(f) == Assignment((0,) * n)
-            for assumptions in all_assumptions(n):
-                consistent = [m for m in models if all(m.value(v) == b for v, b in assumptions.items())]
-                assert sat_solve(f, assumptions) == (consistent[0] if consistent else None)
+    @pytest.mark.parametrize("name", list(FLIP_BY_FLIP))
+    def test_horn_dual_horn_and_affine_witnesses_are_flip_by_flip(self, name):
+        rng = random.Random(20_000 + sorted(FLIP_BY_FLIP).index(name))
+        for _ in range(150):
+            f, codes = random_satisfiable(FLIP_BY_FLIP[name], rng, max_vars=12, max_atoms=12)
+            m = random_model(rng, codes, f.var_count)
+            assert another_sat(f, m) == _flip_by_flip(f, m)
+
+    @pytest.mark.parametrize("name", list(NEAREST_FLIP))
+    def test_two_cnf_witness_is_a_nearest_other_model(self, name):
+        rng = random.Random(21_000 + sorted(NEAREST_FLIP).index(name))
+        unique = 0
+        for _ in range(300):
+            f, codes = random_satisfiable(NEAREST_FLIP[name], rng, max_vars=12, max_atoms=12)
+            m = random_model(rng, codes, f.var_count)
+            got = another_sat(f, m)
+            if len(codes) == 1:
+                assert got is None
+                unique += 1
+                continue
+            assert got != m and satisfies(f, got)
+            assert hamming(m, got) == oracle_optimize(XSOL, f, m).value
+        assert unique < 150
 
 
 class TestAnotherSat:
@@ -126,6 +185,12 @@ class TestTssat:
 class TestAnotherSatBelowN:
     def test_parity_complement_only(self):
         f = make_formula(lang(x=XOR2), 2, [("x", [1, 2])])
+        assert not another_sat_below_n(f, A("01"))
+
+    def test_bijunctive_complement_only(self):
+        # or2 and nand2 on one pair: the one other model is the complement
+        language = lang(or2=OR2, nand2=BUILTIN_RELATIONS["nand2"])
+        f = make_formula(language, 2, [("or2", [1, 2]), ("nand2", [1, 2])])
         assert not another_sat_below_n(f, A("01"))
 
     def test_or2(self):
