@@ -2,16 +2,29 @@
 
 A vector of length l is an int whose coordinate 0 is the leading bit
 (bit l-1), the MSB-first order of assignment and tuple codes, so numeric
-order on vectors is lexicographic order on their bitstrings.  Desk-scale
-exact solvers for minimum weight and nearest codeword live here; both
-enumerate the whole span and refuse dimensions above ENUM_CAP_BITS.  The
-span is enumerated in numpy blocks: a table of all combinations of the
-low 16 rows, built by doubling, XORed with each combination of the rest.
-Vectors are stored as 32-bit limbs, so any column count works.
+order on vectors is lexicographic order on their bitstrings.
+
+Desk-scale exact solvers for minimum weight and nearest codeword live
+here, and both refuse dimensions above ENUM_CAP_BITS (24).  Each reduces
+the rows to RREF, where every row owns its pivot bit, so a combination of
+r rows weighs at least r (for the nearest codeword: lies at least r from
+the target, counted from the selection that agrees with the target at
+the pivots).  They search the combinations by layers r = 1, 2, ... and
+stop once r exceeds the best weight found: strictly, so every tie at the
+minimum is seen and the tie-break holds.  A search that would try more
+than max(2**8, 2**dim / 16) combinations, and a nearest-codeword search
+over dependent rows, hands over to the whole span, enumerated in numpy
+blocks: a table of all combinations of the low 16 rows, built by
+doubling, XORed with each combination of the rest.  Vectors are stored
+as 32-bit limbs, so any column count works.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import combinations
+from math import comb
+from operator import or_
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -20,6 +33,14 @@ from .errors import TooLarge
 
 ENUM_CAP_BITS = 24
 _TABLE_BITS = 16
+# The layer search hands over to the blocked enumeration once it would try
+# more than max(2**_LAYER_DIM, 2**dim / _SPAN_SHARE) combinations.  A
+# combination costs Python 5 to 20 times what a span member costs numpy
+# (48 to 200 columns), so no input costs much more than twice the blocked
+# enumeration; up to dimension 8 numpy's fixed cost is the larger and the
+# layers run to the end.
+_LAYER_DIM = 8
+_SPAN_SHARE = 16
 _NEVER = np.iinfo(np.int64).max
 
 _POP16 = np.array([c.bit_count() for c in range(1 << 16)], dtype=np.uint8)
@@ -145,17 +166,65 @@ def _vector(limbs: np.ndarray) -> int:
     return out
 
 
+def _layer_search(rows: Sequence[int], tail: int, base: int, empty: bool) -> tuple[int, int] | None:
+    """The least (popcount of x >> tail, low `tail` bits of x) over
+    x = base ^ (XOR of r rows), r >= 1, and r = 0 too if `empty`.
+
+    Each row must own a pivot bit above `tail` that no other row and not
+    `base` holds, so a combination of r rows scores at least r.  Layer r
+    tries the r-row combinations, and the search stops once r exceeds the
+    best score: strictly, so every tie at the best score is seen.  None
+    once the combinations tried would pass max(2**_LAYER_DIM,
+    2**len(rows) / _SPAN_SHARE).
+    """
+    k = len(rows)
+    low = (1 << tail) - 1
+    budget = max(1 << _LAYER_DIM, (1 << k) // _SPAN_SHARE)
+    if empty:
+        score, best = (base >> tail).bit_count(), base
+    else:  # start above every score: a combination holds no bit outside the union
+        score, best = (reduce(or_, rows, base) >> tail).bit_count() + 1, 0
+    for r in range(1, k + 1):
+        if r > score:
+            break
+        budget -= comb(k, r)
+        if budget < 0:
+            return None
+        # each prefix of r - 1 rows is extended by every later row
+        for prefix in combinations(range(k - 1), r - 1):
+            p = base
+            for i in prefix:
+                p ^= rows[i]
+            for row in rows[prefix[-1] + 1 if prefix else 0 :]:
+                x = p ^ row
+                w = (x >> tail).bit_count()
+                if w <= score and (w < score or x & low < best & low):
+                    score, best = w, x
+    return score, best & low
+
+
 def min_weight_nonzero(basis: Sequence[int], cols: int) -> tuple[int, int] | None:
     """Minimum-weight nonzero span member; None for the zero-dimensional space.
 
     Ties break toward the smallest vector, i.e. the smallest bitstring.
-    Enumerates all 2**dim combinations, a table block at a time.
+    Searches the combinations of the RREF rows by layers, each row tagged
+    below with itself so the tie-break reads the vector
+    (`_layer_search`); a search past its budget enumerates the span
+    instead (`_min_weight_blocks`).
     """
     dim = len(basis)
-    if dim == 0:
-        return None
     if dim > ENUM_CAP_BITS:
         raise TooLarge(f"nullspace dimension {dim} exceeds 2**{ENUM_CAP_BITS} enumeration cap")
+    reduced, _ = _eliminate(list(basis), cols)
+    if not reduced:
+        return None
+    tail = reduced[0].bit_length()  # the first row holds the highest pivot
+    found = _layer_search([(v << tail) | v for v in reduced], tail, 0, empty=False)
+    return found or _min_weight_blocks(reduced, cols)
+
+
+def _min_weight_blocks(basis: Sequence[int], cols: int) -> tuple[int, int] | None:
+    """`min_weight_nonzero` over all 2**dim combinations, a table block at a time."""
     best: tuple[int, int] | None = None
     for _, block in _span_blocks(basis, cols):
         weights = _weights(block)
@@ -172,17 +241,41 @@ def min_weight_nonzero(basis: Sequence[int], cols: int) -> tuple[int, int] | Non
 
 
 def nearest_codeword(generator_rows: Sequence[int], cols: int, target: int) -> tuple[int, int]:
-    """Exact closest-codeword search over the whole message space.
+    """Exact closest-codeword search over the message space.
 
     Returns (distance, message), where bit i of the message selects row i;
     ties break toward the lexicographically smallest message (MSB-first
-    over message bits m[0..k-1]).
+    over message bits m[0..k-1]).  Independent rows are searched by
+    layers around the selection that agrees with the target at the
+    pivots, each RREF row tagged below with the message that builds it
+    (`_layer_search`).  Dependent rows, whose messages share codewords,
+    and a search past its budget enumerate the message space instead
+    (`_nearest_blocks`).
     """
     k = len(generator_rows)
     if k > ENUM_CAP_BITS:
         raise TooLarge(f"message space 2**{k} exceeds 2**{ENUM_CAP_BITS} enumeration cap")
-    # enumerate the reversed message, whose bit k-1-j selects row j, so
-    # numeric order on the combination index is the tie-break order
+    # the tag is the reversed message, whose bit k-1-j selects row j, so
+    # numeric order on it is the tie-break order
+    reduced, pivots = _eliminate(
+        [(row << k) | (1 << (k - 1 - j)) for j, row in enumerate(generator_rows)], cols + k
+    )
+    found = None
+    if not pivots or pivots[-1] >= k:  # no row reduced to a bare tag: independent rows
+        base = target << k
+        for row, p in zip(reduced, pivots):
+            if (target >> (p - k)) & 1:
+                base ^= row  # the codeword now agrees with the target at every pivot
+        found = _layer_search(reduced, k, base, empty=True)
+    distance, reversed_message = found or _nearest_blocks(generator_rows, cols, target)
+    return distance, int(f"{reversed_message:0{k}b}"[::-1], 2)
+
+
+def _nearest_blocks(generator_rows: Sequence[int], cols: int, target: int) -> tuple[int, int]:
+    """(distance, reversed message) of `nearest_codeword` over all 2**k
+    messages, a table block at a time."""
+    # enumerate the reversed message, so numeric order on the combination
+    # index is the tie-break order
     best: tuple[int, int] | None = None
     for first, block in _span_blocks(generator_rows[::-1], cols, target):
         distances = _weights(block)
@@ -190,5 +283,4 @@ def nearest_codeword(generator_rows: Sequence[int], cols: int, target: int) -> t
         key = (int(distances[at]), first + at)
         if best is None or key < best:
             best = key
-    distance, reversed_message = best
-    return distance, int(f"{reversed_message:0{k}b}"[::-1], 2)
+    return best

@@ -301,10 +301,19 @@ def swap_bits(m: int, d: int, side: int) -> int:
 def sorted_atom(rel: Relation, variables: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """The members of `rel` on `variables`, as a set of codes over the
     distinct variables in ascending order, the least one the most
-    significant coordinate.  Of two coordinates on one variable the
-    members keep those where they agree, and the first is swapped to the
-    top and dropped; then one swap per coordinate sorts the rest."""
-    vs, m = list(variables), rel.mask
+    significant coordinate.  The set depends only on the relation and on
+    the rank pattern of the variables (`_pattern_mask`)."""
+    vs = sorted(set(variables))
+    return tuple(vs), _pattern_mask(rel.mask, tuple(map(vs.index, variables)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _pattern_mask(m: int, pattern: tuple[int, ...]) -> int:
+    """`sorted_atom` of the relation with mask m on variables of the given
+    ranks.  Of two coordinates on one variable the members keep those
+    where they agree, and the first is swapped to the top and dropped;
+    then one swap per coordinate sorts the rest."""
+    vs = list(pattern)
     while len(set(vs)) < len(vs):
         n, lows = len(vs), _low(len(vs))
         qi = next(i for i, v in enumerate(vs) if v in vs[:i])
@@ -318,13 +327,12 @@ def sorted_atom(rel: Relation, variables: Sequence[int]) -> tuple[tuple[int, ...
         del vs[0]
     n = len(vs)
     for i in range(n - 1):
-        least = min(vs[i:])
-        if vs[i] != least:
-            j = vs.index(least, i)
+        if vs[i] != i:  # after the merges the ranks are 0..n-1
+            j = vs.index(i, i)
             p, q = n - 1 - i, n - 1 - j
             m = swap_bits(m, (1 << p) - (1 << q), swap_mask(n, p, q))
-            vs[i], vs[j] = least, vs[i]
-    return tuple(vs), m
+            vs[i], vs[j] = i, vs[i]
+    return m
 
 
 def translate(m: int, n: int, v: int) -> int:

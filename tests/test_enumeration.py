@@ -29,7 +29,7 @@ from minsol.formulas import (
     model_codes,
     oracle_optimize,
 )
-from minsol.relations import F_REL, T_REL, Relation, sorted_atom
+from minsol.relations import F_REL, T_REL, Relation, sorted_atom, tuple_code
 
 
 def _relation(rng: random.Random, arity: int) -> Relation:
@@ -116,6 +116,24 @@ def test_sorted_atom_merges_and_sorts():
     assert np.array_equal(
         model_codes(make_formula(lang(r=rel), 2, [("r", (2, 1))])), np.array([0b10])
     )
+
+
+def test_sorted_atom_depends_on_the_rank_pattern():
+    # the memoised mask against a direct projection, and reused for any
+    # variables of the same rank pattern (order and repeats)
+    rng = random.Random(183)
+    for _ in range(300):
+        rel = _relation(rng, rng.randint(1, 5))
+        variables = [rng.randint(1, 6) for _ in range(rel.arity)]
+        vs = sorted(set(variables))
+        want = 0
+        for code in range(1 << len(vs)):
+            value = {v: (code >> (len(vs) - 1 - i)) & 1 for i, v in enumerate(vs)}
+            if rel.contains(tuple_code([value[v] for v in variables])):
+                want |= 1 << code
+        assert sorted_atom(rel, variables) == (tuple(vs), want)
+        relabel = dict(zip(vs, sorted(rng.sample(range(1, 40), len(vs)))))
+        assert sorted_atom(rel, [relabel[v] for v in variables]) == (tuple(relabel.values()), want)
 
 
 def _check_oracle(f, rng: random.Random) -> int:

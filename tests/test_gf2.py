@@ -64,8 +64,11 @@ class TestMinWeight:
         assert v == 0b011
 
     def test_cap(self):
+        # 25 unit rows hold weight-1 members, yet the dimension cap refuses them
         with pytest.raises(TooLarge):
             gf2.min_weight_nonzero([1 << i for i in range(25)], 25)
+        with pytest.raises(TooLarge):
+            gf2.nearest_codeword([1 << i for i in range(25)], 25, 1)
 
 
 class TestNearestCodeword:
@@ -167,6 +170,121 @@ class TestBlockedAgainstGrayCode:
             # a target inside the code ties every message that reaches it
             inside = basis[0] ^ basis[-1] if dim else 0
             assert gf2.nearest_codeword(basis, cols, inside) == gray_nearest_codeword(basis, inside)
+
+
+def _no_span(*args, **kwargs):
+    raise AssertionError("the layer bound should have stopped the search")
+
+
+def _planted(rng, dim, cols, weight):
+    """Random rows over `cols` columns whose span holds a planted member
+    of the given weight, XORed into every row but the last."""
+    planted = sum(1 << c for c in rng.sample(range(cols), weight))
+    rows = [rng.randrange(1, 1 << cols) for _ in range(dim - 1)]
+    return [r ^ planted for r in rows] + [rows[0]]
+
+
+class TestLayerSearch:
+    """The layer search against the Gray-code oracle on the inputs that
+    pick each path: stopped by the bound, handed to the blocked
+    enumeration, and the dependent rows that skip the layers."""
+
+    @pytest.mark.parametrize("dim", [18, 20])
+    @pytest.mark.parametrize("weight", [1, 2])
+    def test_bound_stops_the_search(self, monkeypatch, dim, weight):
+        rng = random.Random(dim * 10 + weight)
+        cols = 48
+        basis = _planted(rng, dim, cols, weight)
+        error = sum(1 << c for c in rng.sample(range(cols), weight))
+        inside = basis[1] ^ basis[dim // 2]
+        want = [
+            gray_min_weight_nonzero(basis),
+            gray_nearest_codeword(basis, inside ^ error),
+            gray_nearest_codeword(basis, inside),
+        ]
+        monkeypatch.setattr(gf2, "_span_blocks", _no_span)
+        got = [
+            gf2.min_weight_nonzero(basis, cols),
+            gf2.nearest_codeword(basis, cols, inside ^ error),
+            gf2.nearest_codeword(basis, cols, inside),
+        ]
+        assert got == want
+        assert got[0][0] <= weight and got[1][0] <= weight and got[2][0] == 0
+
+    @pytest.mark.parametrize("dim", [22, 24])
+    def test_bound_stops_at_the_cap(self, monkeypatch, dim):
+        # the Gray code takes seconds here; the blocked enumeration, checked
+        # against it above the table size, is the reference
+        rng = random.Random(dim)
+        cols = 64
+        for weight in (1, 2):
+            basis = _planted(rng, dim, cols, weight)
+            target = basis[0] ^ basis[-1] ^ (1 << rng.randrange(cols))
+            want = gf2._min_weight_blocks(basis, cols), gf2._nearest_blocks(basis, cols, target)
+            with monkeypatch.context() as patch:
+                patch.setattr(gf2, "_span_blocks", _no_span)
+                weight_got = gf2.min_weight_nonzero(basis, cols)
+                distance, message = gf2.nearest_codeword(basis, cols, target)
+            assert weight_got == want[0] and weight_got[0] <= weight
+            assert (distance, int(f"{message:0{dim}b}"[::-1], 2)) == want[1]
+            assert distance <= 1
+
+    @pytest.mark.parametrize("dim", [1, 4, 8])
+    def test_small_dimensions_never_enumerate_the_span(self, monkeypatch, dim):
+        rng = random.Random(dim)
+        cols = 30
+        bases = [[rng.randrange(1, 1 << cols) for _ in range(dim)] for _ in range(20)]
+        bases = [gf2.rref_basis(b, cols) for b in bases]
+        bases = [b for b in bases if len(b) == dim]
+        targets = [rng.randrange(1 << cols) for _ in bases]
+        want = [
+            (gray_min_weight_nonzero(b), gray_nearest_codeword(b, t)) for b, t in zip(bases, targets)
+        ]
+        monkeypatch.setattr(gf2, "_span_blocks", _no_span)
+        got = [
+            (gf2.min_weight_nonzero(b, cols), gf2.nearest_codeword(b, cols, t))
+            for b, t in zip(bases, targets)
+        ]
+        assert got == want
+
+    @pytest.mark.parametrize("dim", [12, 14])
+    def test_high_distance_codes_enumerate_the_span(self, monkeypatch, dim):
+        # repetition-like rows: row i repeats a 1 over its own six columns
+        # plus noise below, so the minimum weight is at least six, the
+        # layers would pass their budget, and every row ties at the bottom
+        rng = random.Random(dim)
+        cols = 6 * dim + 8
+        basis = [(0b111111 << (6 * i + 8)) | rng.randrange(1 << 8) for i in range(dim)]
+        target = rng.randrange(1 << cols)
+        spans = []
+        real = gf2._span_blocks
+        monkeypatch.setattr(gf2, "_span_blocks", lambda *a: spans.append(a) or real(*a))
+        found = gf2.min_weight_nonzero(basis, cols)
+        assert found == gray_min_weight_nonzero(basis)
+        assert found[0] >= dim // 2
+        assert gf2.nearest_codeword(basis, cols, target) == gray_nearest_codeword(basis, target)
+        assert len(spans) == 2
+
+    def test_dependent_rows(self):
+        # repeated and dependent rows share codewords between messages, so
+        # the smallest message among them must still win the tie
+        rng = random.Random(11)
+        for dim in (2, 5, 9, 12):
+            for cols in (3, 10, 40):
+                half = [rng.randrange(1 << cols) for _ in range(dim // 2)]
+                rows = (half + [half[0], half[0] ^ half[-1], 0] + rng.choices(half, k=dim))[:dim]
+                rng.shuffle(rows)
+                for target in (rng.randrange(1 << cols), rows[0] ^ rows[-1], 0):
+                    got = gf2.nearest_codeword(rows, cols, target)
+                    assert got == gray_nearest_codeword(rows, target)
+                assert gf2.min_weight_nonzero(rows, cols) == gray_min_weight_nonzero(rows)
+
+    def test_dimension_zero(self, monkeypatch):
+        monkeypatch.setattr(gf2, "_span_blocks", _no_span)
+        assert gf2.min_weight_nonzero([], 5) is None
+        assert gf2.min_weight_nonzero([0, 0], 5) is None
+        assert gf2.nearest_codeword([], 5, 0b10110) == (3, 0)
+        assert gf2.nearest_codeword([], 5, 0) == (0, 0)
 
 
 class TestAffineFormulas:
