@@ -10,7 +10,10 @@ resident set is that case's own.  One line per case: relation, arity,
 members, clauses, milliseconds of the `cnf_decompose` call (which
 includes the polymorphism test that admits the shape and the verification
 of the clauses), the peak RSS of the process and its growth over the peak
-before the call.  Building the relation is not timed.
+before the call.  Building the relation is not timed.  The probe exits 1
+when any extraction grows the peak by more than GROWTH_LIMIT_MB: a table
+over the 3**arity partial assignments would take tens of megabytes at
+arity 16.
 
 The second table times `classify` plus `all_verdicts` on a one-relation
 language, again one fresh process per case: `or_rel` at arity 8, 10 and
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import random
 import resource
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
@@ -39,6 +43,7 @@ from minsol.relations import EQ2, IMPL, Language, Relation, cnf_decompose, nand_
 
 ARITIES = (8, 10, 12, 14, 16)
 SEED = 20151109
+GROWTH_LIMIT_MB = 5
 
 
 def from_keep(arity: int, keep: np.ndarray) -> Relation:
@@ -94,7 +99,8 @@ def peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def measure(name: str, arity: int) -> str:
+def measure(name: str, arity: int) -> tuple[str, float]:
+    """The table line of one extraction, and its peak RSS growth in MB."""
     build, shape = CASES[name]
     r = build(arity)
     before = peak_mb()
@@ -103,7 +109,7 @@ def measure(name: str, arity: int) -> str:
     ms = (time.perf_counter() - t0) * 1000
     after = peak_mb()
     return (f"{name:13} {arity:>5} {r.size:>8} {len(clauses):>7} {ms:>9.1f}"
-            f" {after:>8.0f} {after - before:>7.0f}")
+            f" {after:>8.0f} {after - before:>7.0f}"), after - before
 
 
 def measure_classify(name: str, arity: int) -> str:
@@ -125,12 +131,18 @@ def fresh(fn, *args) -> str:
 def main() -> None:
     print(f"{'relation':13} {'arity':>5} {'members':>8} {'clauses':>7} {'ms':>9}"
           f" {'peak_mb':>8} {'grew_mb':>7}")
+    grown = []
     for arity in ARITIES:
         for name in CASES:
-            print(fresh(measure, name, arity), flush=True)
+            line, grew = fresh(measure, name, arity)
+            print(line, flush=True)
+            if grew > GROWTH_LIMIT_MB:
+                grown.append(f"{name} at arity {arity}")
     print(f"\n{'relation':13} {'arity':>5} {'members':>8} {'label':>8} {'ms':>9}")
     for name, arity in CLASSIFY_CASES:
         print(fresh(measure_classify, name, arity), flush=True)
+    if grown:
+        sys.exit(f"peak RSS grew by more than {GROWTH_LIMIT_MB} MB extracting {', '.join(grown)}")
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ _LAYER_DIM = 8
 _SPAN_SHARE = 16
 _NEVER = np.iinfo(np.int64).max
 
-_POP16 = np.array([c.bit_count() for c in range(1 << 16)], dtype=np.uint8)
+_POP16 = np.unpackbits(np.arange(1 << 16, dtype=">u2").view(np.uint8)).reshape(-1, 16).sum(1, np.uint8)
 
 
 def _eliminate(rows: list[int], cols: int) -> tuple[list[int], list[int]]:

@@ -27,13 +27,12 @@ admits a clause shape iff the shape's clone generators preserve it
 (`_SHAPE_CLONES`: horn by and, dual_horn by or, bijunctive by majority,
 monotone by and and or, parity by xor3, ihsb_pos by x | (y & z) and
 ihsb_neg by x & (y | z), the last two with projection width at most k).
-A disjunctive decomposition is the shape's prime implicates, found by one
-subcube transform.  Over the 3**n partial assignments (each coordinate 0,
-1 or free) a table marks those some member matches: the free slice of each
-axis is the OR of its 0- and 1-slices.  A clause is an implicate iff its
-falsifying partial assignment is unmarked, and prime iff freeing any one
-of its coordinates gives a marked one.  Every shape's clause set is closed
-under taking subclauses, so its primes are its minimal implicates.
+A disjunctive decomposition is the relation's prime implicates with at
+most one positive or at most one negative literal, read off the mask in
+O(n**2) whole-set operations (`_prime_implicates`): a code stands for the
+positive clause of its 0 bits, an implicate iff it lies above no member.
+Every prime implicate of a relation that a shape admits already has the
+shape's clause form, so one kernel serves every shape.
 """
 
 from __future__ import annotations
@@ -431,6 +430,14 @@ def is_polymorphism(f: BoolFunction, r: Relation) -> bool:
     return _is_poly_cached(f.arity, f.table, r.arity, r.mask)
 
 
+def _uncovered_maxima(covered: int, n: int) -> int:
+    """The codes outside `covered` whose every one-bit-up neighbour is in it."""
+    maxima = (1 << (1 << n)) - 1 & ~covered
+    for j, low in enumerate(_low(n)):
+        maxima &= ~low | covered >> (1 << j)
+    return maxima
+
+
 def projection_width(r: Relation) -> int:
     """Least k >= 2 such that r is the join of its k-ary projections, for r
     preserved by x | (y & z), or dually by x & (y | z): the width of its
@@ -442,10 +449,7 @@ def projection_width(r: Relation) -> int:
         if not is_polymorphism(AND_OR3, r):
             raise InternalConsistencyError(f"neither x | (y & z) nor x & (y | z) preserves {r}")
         m = translate(m, n, (1 << n) - 1)
-    covered = _above(m, n)
-    primes = (1 << (1 << n)) - 1 & ~covered
-    for j, low in enumerate(_low(n)):
-        primes &= ~low | covered >> (1 << j)
+    primes = _uncovered_maxima(_above(m, n), n)
     weights = _weight_sets(n)
     lightest = next((w for w in range(n + 1) if primes & weights[w]), n)
     return max(2, n - lightest)  # the lightest prime code has the most 0 bits
@@ -463,8 +467,7 @@ class Clause:
     """One clause over 0-based coordinate indices.
 
     Disjunctive clauses carry positive/negative index tuples; parity
-    clauses carry their support in `positives` plus the target bit.  Which
-    disjunctive clauses a shape admits is decided by `_clause_allowed`.
+    clauses carry their support in `positives` plus the target bit.
     """
 
     positives: tuple[int, ...]
@@ -499,23 +502,6 @@ _SHAPE_CLONES: dict[str, tuple[BoolFunction, ...]] = {
 }
 
 
-def _clause_allowed(shape: str, k: int | None, pos: tuple[int, ...], neg: tuple[int, ...]) -> bool:
-    np_, nn = len(pos), len(neg)
-    if np_ + nn == 1:
-        return True
-    if shape == "horn":
-        return np_ <= 1
-    if shape == "dual_horn":
-        return nn <= 1
-    if shape == "bijunctive":
-        return np_ + nn <= 2
-    if shape == "monotone":
-        return np_ <= 1 and nn <= 1
-    if shape == "ihsb_pos":
-        return (nn == 0 and 2 <= np_ <= k) or (np_ == 1 and nn == 1)
-    return (np_ == 0 and 2 <= nn <= k) or (np_ == 1 and nn == 1)  # ihsb_neg
-
-
 def _parity_decompose(r: Relation) -> tuple[Clause, ...]:
     # Check-space of the tuple set: all (a | c) with a.t = c for every t in r,
     # reduced to RREF so 2affine relations yield unary/binary equations only.
@@ -540,33 +526,34 @@ def _decompose_cached(arity: int, mask: int, shape: str, k: int | None) -> tuple
     admits = all(is_polymorphism(f, r) for f in _SHAPE_CLONES[shape])
     if not admits or (k is not None and projection_width(r) > k):
         raise ShapeUnavailable(f"{r} admits no {shape}{'' if k is None else f'_{k}'} decomposition")
-    clauses = _parity_decompose(r) if shape == "parity" else _minimal_implicates(r, shape, k)
+    clauses = _parity_decompose(r) if shape == "parity" else _prime_implicates(arity, mask)
     _verify_decomposition(r, clauses)
     return clauses
 
 
-def _minimal_implicates(r: Relation, shape: str, k: int | None) -> tuple[Clause, ...]:
-    """The shape's prime implicates of r, shortest first, then by signed
-    literals.  `hit[e]` over e in {0, 1, 2}**n (2 = free) is whether some
-    member agrees with e on its fixed coordinates; a clause is falsified
-    exactly by its positives at 0 and its negatives at 1."""
-    n = r.arity
-    hit = np.empty((3,) * n, dtype=bool)
-    hit[(slice(0, 2),) * n] = membership_table(n, r.mask).reshape((2,) * n)
-    for axis in range(n):  # the later axes are not freed yet
-        v = np.moveaxis(hit[(slice(None),) * (axis + 1) + (slice(0, 2),) * (n - 1 - axis)], axis, 0)
-        np.logical_or(v[:1], v[1:2], out=v[2:])
-    prime = ~hit
-    for axis in range(n):  # freeing a fixed coordinate must give a hit
-        p, free = np.moveaxis(prime, axis, 0), np.moveaxis(hit, axis, 0)[2:]
-        p[:1] &= free  # one slice at a time keeps numpy's inner loop long
-        p[1:2] &= free
-    clauses = []
-    for digits in zip(*np.unravel_index(np.flatnonzero(prime), (3,) * n)):
-        pos = tuple(i for i, d in enumerate(digits) if d == 0)
-        neg = tuple(i for i, d in enumerate(digits) if d == 1)
-        if _clause_allowed(shape, k, pos, neg):
-            clauses.append(Clause(pos, neg))
+@functools.lru_cache(maxsize=1024)
+def _prime_implicates(arity: int, mask: int) -> tuple[Clause, ...]:
+    """The prime implicates of the relation that have at most one negative
+    or at most one positive literal, shortest first, then by signed
+    literals.
+
+    A code stands for the positive clause of its 0 bits: an implicate iff
+    no member lies below it, prime iff it is an uncovered maximum of the
+    codes above members.  With bit q set it also stands for that clause
+    plus -q: an implicate iff no member with q set lies below it, prime iff
+    it is a maximum for those members and the positive clause alone is no
+    implicate.  On the complemented members the same codes give the
+    clauses with at most one positive literal, signs flipped."""
+    n, clauses = arity, set()
+    for m, flip in ((mask, False), (translate(mask, n, (1 << n) - 1), True)):
+        covered = _above(m, n)
+        found = [((), _uncovered_maxima(covered, n))]
+        for j, low in enumerate(_low(n)):
+            found.append(((n - 1 - j,), ~low & covered & _uncovered_maxima(_above(m & ~low, n), n)))
+        for neg, codes in found:
+            for c in np.flatnonzero(membership_table(n, codes)).tolist():
+                pos = tuple(i for i in range(n) if not c >> (n - 1 - i) & 1)
+                clauses.add(Clause(neg, pos) if flip else Clause(pos, neg))
     return tuple(sorted(clauses, key=lambda cl: (len(cl.literals()), sorted(cl.literals()))))
 
 

@@ -1,21 +1,45 @@
 """Enumerate-then-subsume minimal implicates: the test oracle for
-`relations._minimal_implicates`.
+`relations._prime_implicates`, and the clause form of each shape.
 
 Every one of the 3**arity sign patterns (each coordinate absent, positive
-or negative) that the shape allows is tested against every member tuple,
-and the implicates found are kept unless an earlier, shorter one is a
-subset.  The library's subcube transform must return exactly this tuple,
-in the same order.
+or negative), or only those a shape allows, is tested against every
+member tuple, and the implicates found are kept unless an earlier,
+shorter one is a subset.  The library's kernel must return exactly the
+unfiltered tuple's clauses with at most one positive or at most one
+negative literal, in the same order; on a relation that a shape admits,
+that is the shape-filtered tuple.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from minsol.relations import Clause, Relation, _clause_allowed, code_bits
+from minsol.relations import Clause, Relation
 
 
-def minimal_implicates(r: Relation, shape: str, k: int | None) -> tuple[Clause, ...]:
+def clause_allowed(shape: str, k: int | None, pos: tuple[int, ...], neg: tuple[int, ...]) -> bool:
+    """Whether a disjunctive clause has the form of the shape's clauses:
+    Horn, dual-Horn, width at most 2, implicative, or for the hitting-set
+    shapes implicative or a same-sign clause of width 2..k."""
+    np_, nn = len(pos), len(neg)
+    if np_ + nn == 1:
+        return True
+    if shape == "horn":
+        return np_ <= 1
+    if shape == "dual_horn":
+        return nn <= 1
+    if shape == "bijunctive":
+        return np_ + nn <= 2
+    if shape == "monotone":
+        return np_ <= 1 and nn <= 1
+    if shape == "ihsb_pos":
+        return (nn == 0 and 2 <= np_ <= k) or (np_ == 1 and nn == 1)
+    return (np_ == 0 and 2 <= nn <= k) or (np_ == 1 and nn == 1)  # ihsb_neg
+
+
+def minimal_implicates(r: Relation, shape: str | None = None, k: int | None = None) -> tuple[Clause, ...]:
+    """The minimal implicates of r among the clauses the shape allows, or
+    among all clauses when shape is None."""
     n = r.arity
     tuples = r.tuples()
     implicates: list[tuple[frozenset[int], Clause]] = []
@@ -25,10 +49,13 @@ def minimal_implicates(r: Relation, shape: str, k: int | None) -> tuple[Clause, 
         neg = tuple(i for i in range(n) if signs[i] == 2)
         if not pos and not neg:
             continue
-        if not _clause_allowed(shape, k, pos, neg):
+        if shape is not None and not clause_allowed(shape, k, pos, neg):
             continue
-        cl = Clause(pos, neg)
-        if all(cl.holds(code_bits(t, n)) for t in tuples):
+        # a clause is falsified exactly by its positives at 0 and its negatives at 1
+        support = sum(1 << (n - 1 - i) for i in pos + neg)
+        falsified = sum(1 << (n - 1 - i) for i in neg)
+        if all(t & support != falsified for t in tuples):
+            cl = Clause(pos, neg)
             implicates.append((cl.literals(), cl))
     implicates.sort(key=lambda item: (len(item[0]), sorted(item[0])))
     kept: list[tuple[frozenset[int], Clause]] = []

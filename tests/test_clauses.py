@@ -11,6 +11,7 @@ import weakref
 import pytest
 from clause_oracle import reference_clauses
 from helpers import lang
+from implicate_oracle import clause_allowed
 from propagation_oracle import (
     reference_twosat_model,
     reference_twosat_toward,
@@ -23,7 +24,7 @@ from minsol.clauses import ClauseIndex, twosat_model, unit_propagate
 from minsol.errors import InternalConsistencyError, ShapeUnavailable
 from minsol.formulas import Assignment, make_formula
 from minsol.nsol import _twosat_toward
-from minsol.relations import EQ2, T_REL, Relation, _clause_allowed, clause_rel, cnf_decompose
+from minsol.relations import EQ2, T_REL, Relation, clause_rel, cnf_decompose
 
 DISJUNCTIVE_SHAPES = [("horn", None), ("dual_horn", None), ("bijunctive", None), ("monotone", None)]
 DISJUNCTIVE_SHAPES += [(shape, k) for shape in ("ihsb_pos", "ihsb_neg") for k in (2, 3, 4)]
@@ -154,7 +155,7 @@ def _shape_relation(rng: random.Random, shape: str, k: int | None) -> Relation:
             coords = rng.sample(range(arity), rng.randint(1, arity))
             pos = [i for i in coords if rng.random() < 0.5]
             neg = [i for i in coords if i not in pos]
-            if _clause_allowed(shape, k, tuple(pos), tuple(neg)):
+            if clause_allowed(shape, k, tuple(pos), tuple(neg)):
                 break
         mask = mask & clause_rel(arity, pos, neg).mask or mask
     return Relation(arity, mask)

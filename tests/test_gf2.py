@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from gf2_oracle import gray_min_weight_nonzero, gray_nearest_codeword
@@ -10,6 +11,12 @@ from minsol.errors import TooLarge
 from minsol.formulas import Assignment, satisfies
 
 # Vectors are MSB-first: 0b110 is (1, 1, 0), coordinate 0 the leading bit.
+
+
+def test_popcount_matches_int_bit_count():
+    values = list(range(1 << 16)) + random.Random(16).sample(range(1 << 32), 1000)
+    counts = gf2.popcount(np.array(values, dtype=np.int64))
+    assert counts.tolist() == [v.bit_count() for v in values]
 
 
 class TestSolveAffine:

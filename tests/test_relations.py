@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymorphism_oracle as oracle
-from implicate_oracle import minimal_implicates
+from implicate_oracle import clause_allowed, minimal_implicates
 from lattice_oracle import LIMIT_CLONES, PLAIN_CLONES
 from minsol.errors import InternalConsistencyError, ParseError, ShapeUnavailable
 from minsol.postlattice import _GENERATORS, CoCloneLabel, classify, label_leq
@@ -31,7 +31,7 @@ from minsol.relations import (
     XOR2,
     XOR3,
     BoolFunction,
-    _minimal_implicates,
+    _prime_implicates,
     cnf_decompose,
     code_bits,
     dualize,
@@ -354,16 +354,39 @@ def implicate_cases() -> list[tuple[Relation, str, int | None]]:
 
 
 def test_transform_matches_the_enumeration_oracle():
+    """The kernel returns the oracle's minimal implicates with at most one
+    positive or at most one negative literal on every relation, admitted or
+    not; on an admitted one, that is the shape-filtered oracle tuple."""
     admitted = 0
     for r, shape, k in implicate_cases():
-        expected = minimal_implicates(r, shape, k)
-        assert _minimal_implicates(r, shape, k) == expected, (str(r), shape, k)
+        expected = tuple(cl for cl in minimal_implicates(r)
+                         if len(cl.positives) <= 1 or len(cl.negatives) <= 1)
+        assert _prime_implicates(r.arity, r.mask) == expected, str(r)
         try:
-            assert cnf_decompose(r, shape, k) == expected
+            assert cnf_decompose(r, shape, k) == minimal_implicates(r, shape, k)
             admitted += 1
         except ShapeUnavailable:
             pass
     assert admitted > 200
+
+
+def test_every_decomposition_clause_has_its_shape_form():
+    """Every clause of every admitted decomposition has the shape's clause
+    form, which is why the library needs no per-shape filter."""
+    rels = {r for r, _, _ in implicate_cases()}
+    rels |= {Relation(a, m) for a in (1, 2, 3) for m in range(1, 1 << (1 << a))}
+    admitted = 0
+    for r in rels:
+        for shape in SHAPE_GENERATORS:
+            for k in (2, 3, 4) if shape.startswith("ihsb") else (None,):
+                try:
+                    clauses = cnf_decompose(r, shape, k)
+                except ShapeUnavailable:
+                    continue
+                admitted += 1
+                assert all(clause_allowed(shape, k, cl.positives, cl.negatives)
+                           for cl in clauses), (str(r), shape, k)
+    assert admitted > 1000
 
 
 def horn_closure(arity: int, rng: random.Random) -> Relation:
@@ -378,21 +401,35 @@ def horn_closure(arity: int, rng: random.Random) -> Relation:
 
 
 class TestWideDecompositions:
-    def test_or_and_nand_of_arity_12_are_one_clause(self):
-        assert cnf_decompose(or_rel(12), "dual_horn") == (Clause(tuple(range(12))),)
-        assert cnf_decompose(nand_rel(12), "horn") == (Clause((), tuple(range(12))),)
+    @staticmethod
+    def check_or_and_nand(arity):
+        assert cnf_decompose(or_rel(arity), "dual_horn") == (Clause(tuple(range(arity))),)
+        assert cnf_decompose(nand_rel(arity), "horn") == (Clause((), tuple(range(arity))),)
 
-    def test_horn_closure_of_arity_12_reproduces_its_models(self):
-        r = horn_closure(12, random.Random(12))
+    @staticmethod
+    def check_horn_closure(arity):
+        r = horn_closure(arity, random.Random(arity))
         clauses = cnf_decompose(r, "horn")
         assert all(len(cl.positives) <= 1 for cl in clauses)
         # a clause is falsified exactly by its positives at 0 and its negatives at 1
-        codes = range(1 << 12)
+        codes = range(1 << arity)
         for cl in clauses:
-            support = sum(1 << (11 - i) for i in cl.positives + cl.negatives)
-            falsified = sum(1 << (11 - i) for i in cl.negatives)
+            support = sum(1 << (arity - 1 - i) for i in cl.positives + cl.negatives)
+            falsified = sum(1 << (arity - 1 - i) for i in cl.negatives)
             codes = [t for t in codes if t & support != falsified]
         assert codes == list(r.tuples())
+
+    def test_or_and_nand_of_arity_12_are_one_clause(self):
+        self.check_or_and_nand(12)
+
+    def test_or_and_nand_of_arity_16_are_one_clause(self):
+        self.check_or_and_nand(16)
+
+    def test_horn_closure_of_arity_12_reproduces_its_models(self):
+        self.check_horn_closure(12)
+
+    def test_horn_closure_of_arity_14_reproduces_its_models(self):
+        self.check_horn_closure(14)
 
 
 class TestRelationBasics:
