@@ -4,13 +4,13 @@ Clauses over a formula are frozensets of signed 1-based literals
 (+v / -v); tautologies are dropped at extraction time.  Parity
 equations are bit-packed (row, bit) pairs with repeated variables
 cancelled out.  A `ClauseIndex` serves every propagation: counter-based
-unit propagation, linear in the clauses it touches, and for binary
-clauses the implication graph with one numbering of its strongly
-connected components.  That numbering serves every 2-SAT question: models
-are read off it, and its bitset closure gives every literal's probe and
-closure at once.  The engines (unit propagation, implication-graph 2-SAT,
-Horn propagation) are deterministic so every solver built on them is
-reproducible.
+unit propagation of the unit clauses once (`reduced`), every probe going
+on from there, and for binary clauses the implication graph with one
+numbering of its strongly connected components.  That numbering serves
+every 2-SAT question: models are read off it, and its bitset closure
+gives every literal's probe and closure at once.  The engines (unit
+propagation, implication-graph 2-SAT, Horn propagation) are
+deterministic so every solver built on them is reproducible.
 
 One 64-entry cache holds the index per formula, shape and width, and
 `cached_clauses` reads its clauses.  A larger cache only added clause
@@ -61,20 +61,16 @@ def affine_solve(formula: Formula) -> tuple[int, list[int]] | None:
 
 
 class ClauseIndex:
-    """A clause list over variables 1..n (by default the largest one seen)
-    prepared for propagation, each part built on first use: the unit
-    clauses, and the positions of the longer clauses by literal.
+    """A clause list over variables 1..n prepared for propagation, each
+    part built on first use: the positions of the longer clauses by
+    literal, and the residual index once the unit clauses are propagated.
     Propagation keeps a count of each touched clause's literals not yet set
     false (Dowling and Gallier, J. Logic Programming 1(3), 1984), so it is
     linear in the clauses it touches."""
 
-    def __init__(self, clauses: Iterable[LitClause], n: int | None = None) -> None:
+    def __init__(self, clauses: Iterable[LitClause], n: int) -> None:
         self.clauses = tuple(clauses)
-        self.n = max((abs(l) for c in self.clauses for l in c), default=0) if n is None else n
-
-    @functools.cached_property
-    def units(self) -> list[int]:
-        return [l for c in self.clauses if len(c) == 1 for l in c]
+        self.n = n
 
     @functools.cached_property
     def occurs(self) -> dict[int, list[int]]:
@@ -116,9 +112,16 @@ class ClauseIndex:
 
     def probe(self, *lits: int) -> set[int] | None:
         """The literals unit propagation forces from `lits`, themselves
-        included; None if they conflict."""
-        forced = self._spread([*lits, *self.units])
-        return None if forced is None else {v if b else -v for v, b in forced.items()}
+        included, or None on conflict: `lits` spread over the residual
+        clauses of `reduced`, which mention no forced variable."""
+        try:
+            forced, residual = self.reduced
+        except Unsatisfiable:
+            return None
+        spread = residual._spread(lits)
+        if spread is None or any(forced.get(abs(l), l > 0) != (l > 0) for l in lits):
+            return None
+        return {v if b else -v for v, b in (forced | spread).items()}
 
     @functools.cached_property
     def reduced(self) -> tuple[dict[int, int], ClauseIndex]:
@@ -197,17 +200,14 @@ def clause_index(formula: Formula, shape: str, k: int | None = None) -> ClauseIn
     return _formula_clause_cache(formula, shape, k)
 
 
-def unit_propagate(
-    clauses: Iterable[LitClause] | ClauseIndex, assumptions: dict[int, int] | None = None
-) -> tuple[dict[int, int], list[LitClause]] | None:
-    """Propagate forced literals; None on conflict.
+def unit_propagate(index: ClauseIndex) -> tuple[dict[int, int], list[LitClause]] | None:
+    """Propagate the unit clauses; None on conflict.
 
     Returns the forced assignment and the residual clauses (references to
     unforced variables only), in clause order.
     """
-    index = clauses if isinstance(clauses, ClauseIndex) else ClauseIndex(clauses)
-    lits = [v if b else -v for v, b in (assumptions or {}).items()]
-    assign = index._spread([*lits, *index.units]) if all(index.clauses) else None
+    units = [l for c in index.clauses if len(c) == 1 for l in c]
+    assign = index._spread(units) if all(index.clauses) else None
     if assign is None:
         return None
     satisfied: set[int] = set()
@@ -279,15 +279,17 @@ def _tarjan_scc(roots: Iterable[int], adj: dict[int, list[int]]) -> dict[int, in
 def horn_model(
     index: ClauseIndex, assumptions: dict[int, int] | None = None, default: int = 0
 ) -> Assignment | None:
-    """Deterministic Horn/dual-Horn model: propagate, fill with `default`."""
-    propagated = unit_propagate(index, assumptions)
-    if propagated is None:
+    """Deterministic Horn/dual-Horn model: the probe of the assumptions,
+    every other variable `default`.  A Horn clause that propagation leaves
+    unsatisfied keeps two free literals, one of them negative, so the 0
+    fill satisfies it; dual-Horn clauses mirror this with 1."""
+    forced = index.probe(*(v if b else -v for v, b in (assumptions or {}).items()))
+    if forced is None:
         return None
-    assign, residual = propagated
-    model = tuple(assign.get(v, default) for v in range(1, index.n + 1))
-    if any(not any((l > 0) == bool(model[abs(l) - 1]) for l in c) for c in residual):
-        return None
-    return Assignment(model)
+    model = [default] * index.n
+    for lit in forced:
+        model[abs(lit) - 1] = int(lit > 0)
+    return Assignment(tuple(model))
 
 
 @functools.lru_cache(maxsize=64)

@@ -15,14 +15,7 @@ two-models n-approximation or the capped exhaustive fallback.
 from __future__ import annotations
 
 from . import gf2
-from .clauses import (
-    ClauseIndex,
-    LitClause,
-    affine_solve,
-    clause_index,
-    twosat_model,
-    unit_propagate,
-)
+from .clauses import ClauseIndex, affine_solve, clause_index, twosat_model
 from .decision import tssat
 from .dispatch import Route, checked, dispatch
 from .errors import (
@@ -41,20 +34,21 @@ from .outcome import SolveOutcome, exact, n_approx
 
 def _force_failed(
     forced: dict[int, int], residual: ClauseIndex, failed: list[int]
-) -> tuple[dict[int, int], list[LitClause]]:
-    """Force the negation of every failed probe; the forced values and the
-    residual clauses over the variables still free.
+) -> tuple[dict[int, int], ClauseIndex]:
+    """Force the negation of every failed probe, appended as unit clauses;
+    the forced values and the index of the clauses over the variables
+    still free.
 
     One round is enough: on 2-CNF and Horn clauses a probe fails exactly
     when the formula implies the negation.
     """
-    fixed = {abs(lit): int(lit < 0) for lit in failed}
-    propagated = unit_propagate(residual, fixed) if len(fixed) == len(failed) else None
-    if propagated is None:
-        raise Unsatisfiable("formula has no model")
-    if len(forced) + len(propagated[0]) == residual.n:
+    more: dict[int, int] = {}
+    if failed:  # else the residual is kept, and its cached parts with it
+        units = [frozenset({-lit}) for lit in failed]
+        more, residual = ClauseIndex([*residual.clauses, *units], residual.n).reduced
+    if len(forced) + len(more) == residual.n:
         raise UniqueModel("all variables are forced")
-    return {**forced, **propagated[0]}, propagated[1]
+    return {**forced, **more}, residual
 
 
 def msd_bijunctive(formula: Formula) -> SolveOutcome:
@@ -72,8 +66,7 @@ def msd_bijunctive(formula: Formula) -> SolveOutcome:
     for lit in free:
         classes.setdefault(comp[lit], []).append(lit)
     pivot = min(classes.values(), key=lambda c: (len(c), sorted((abs(l), l < 0) for l in c)))
-    # with no failed probe the residual clauses are the index's own
-    base = twosat_model(ClauseIndex(residual, n) if failed else index)
+    base = twosat_model(residual)
     if base is None:
         raise InternalConsistencyError("probes satisfiable but 2-SAT failed")
     code = sum(forced.get(v, base.value(v)) << (n - v) for v in range(1, n + 1))
@@ -111,7 +104,7 @@ def msd_horn(formula: Formula) -> SolveOutcome:
     # z is dependent when a clause derives it from variables it implies
     # but is not equivalent to
     dependent: set[frozenset[int]] = set()
-    for cl in residual:
+    for cl in residual.clauses:
         pos = [l for l in cl if l > 0]
         if len(pos) != 1:
             continue

@@ -558,16 +558,29 @@ def _prime_implicates(arity: int, mask: int) -> tuple[Clause, ...]:
 
 
 def _verify_decomposition(r: Relation, clauses: tuple[Clause, ...]) -> None:
-    n = r.arity
-    codes = np.arange(1 << n)
-    models = np.ones(1 << n, dtype=bool)
+    """Raise unless the clauses' models are exactly r's, as whole-set
+    operations on the code sets of `_low`: a disjunctive clause removes
+    the subcube that falsifies it (its positives at 0, its negatives at 1),
+    a parity clause keeps the codes where the XOR of its columns is its
+    bit."""
+    full = (1 << (1 << r.arity)) - 1
+    zeros = _low(r.arity)[::-1]  # zeros[i]: the codes with coordinate i at 0
+    ones = [full ^ z for z in zeros]
+    models = full
     for cl in clauses:
-        support = sum(1 << (n - 1 - i) for i in cl.positives + cl.negatives)
-        if cl.parity_bit is None:  # falsified by its positives at 0, its negatives at 1
-            models &= (codes & support) != sum(1 << (n - 1 - i) for i in cl.negatives)
+        if cl.parity_bit is None:
+            falsified = full
+            for i in cl.positives:
+                falsified &= zeros[i]
+            for i in cl.negatives:
+                falsified &= ones[i]
+            models ^= models & falsified
         else:
-            models &= gf2.popcount(codes & support) % 2 == cl.parity_bit
-    if not np.array_equal(models, membership_table(n, r.mask)):
+            odd = 0
+            for i in cl.positives:
+                odd ^= ones[i]
+            models &= odd if cl.parity_bit else full ^ odd
+    if models != r.mask:
         raise InternalConsistencyError(f"decomposition of {r} does not reproduce its model set")
 
 

@@ -7,9 +7,10 @@ implications only (hitting-set): one bitset of the implication graph's
 closure per flip.  The nearest candidate that is a model wins.  The
 affine route goes through minimum code weight, the Horn route answers a
 single flip of m when one is a model (distance 1 is optimal) and
-otherwise is an oracle enumeration up to the variable cap and a
-reduction to nearest-solution beyond it, and an n-approximation uses the
-second-model decision procedure.
+otherwise is an oracle enumeration up to the variable cap and beyond it
+one Horn probe per flip, reduced to nearest-solution only where the
+probe neither conflicts nor sets every variable, and an n-approximation
+uses the second-model decision procedure.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import (
     InternalConsistencyError,
     NoSecondModel,
     NotAModel,
-    Unsatisfiable,
 )
 from .formulas import (
     ORACLE_VAR_CAP,
@@ -95,10 +95,11 @@ def xsol_affine(formula: Formula, m: Assignment) -> SolveOutcome:
 def xsol_horn_turing(formula: Formula, m: Assignment) -> SolveOutcome:
     """Exact at distance 1: the smallest single flip of m that is a model,
     since no other model is nearer.  Otherwise exact by one enumeration of
-    the models up to `ORACLE_VAR_CAP` variables; beyond, a per-variable
-    pinning reduction to nearest-solution calls in `auto` mode.  Each call
-    pins one variable opposite to m; the answer is exact when every pinned
-    call answered exactly, n-approximate otherwise.
+    the models up to `ORACLE_VAR_CAP` variables; beyond, one Horn probe per
+    flipped variable: a conflict rules the flip out, a probe that sets all
+    n variables is its one model, and any other flip is pinned and solved
+    by nearest-solution in `auto` mode.  The answer is exact when every
+    pinned call answered exactly, n-approximate otherwise.
     """
     if not satisfies(formula, m):
         raise NotAModel("xsol needs a model as input")
@@ -119,12 +120,15 @@ def xsol_horn_turing(formula: Formula, m: Assignment) -> SolveOutcome:
     if n <= ORACLE_VAR_CAP:
         out = oracle_optimize(XSOL, formula, m)
         return checked(XSOL, formula, m, [out.witness], exact(), "horn_turing")
+    index = clause_index(formula, "horn")
     results: list[SolveOutcome] = []
     for x in range(1, n + 1):
-        try:
+        forced = index.probe(-x if m.value(x) else x)
+        if forced is not None and len(forced) == n:  # the one model with x flipped
+            w = Assignment(tuple(int(v in forced) for v in range(1, n + 1)))
+            results.append(SolveOutcome(XSOL, (w.code() ^ m.code()).bit_count(), w))
+        elif forced is not None:  # None: no model has x flipped
             results.append(solve_nsol(pin(formula, {x: 1 - m.value(x)}), m, "auto"))
-        except Unsatisfiable:
-            continue
     if not results:
         raise NoSecondModel("every single-variable pin is unsatisfiable")
     best = min(results, key=lambda o: (o.value, o.witness.bits))

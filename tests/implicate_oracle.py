@@ -8,13 +8,19 @@ shorter one is a subset.  The library's kernel must return exactly the
 unfiltered tuple's clauses with at most one positive or at most one
 negative literal, in the same order; on a relation that a shape admits,
 that is the shape-filtered tuple.
+
+`decomposition_holds` is the reference for `relations._verify_decomposition`:
+one numpy pass over every code per clause.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from minsol.relations import Clause, Relation
+import numpy as np
+
+from minsol.gf2 import popcount
+from minsol.relations import Clause, Relation, membership_table
 
 
 def clause_allowed(shape: str, k: int | None, pos: tuple[int, ...], neg: tuple[int, ...]) -> bool:
@@ -64,3 +70,17 @@ def minimal_implicates(r: Relation, shape: str | None = None, k: int | None = No
             continue
         kept.append((lits, cl))
     return tuple(cl for _, cl in kept)
+
+
+def decomposition_holds(r: Relation, clauses: tuple[Clause, ...]) -> bool:
+    """Whether the clauses' models over every code are exactly r's."""
+    n = r.arity
+    codes = np.arange(1 << n)
+    models = np.ones(1 << n, dtype=bool)
+    for cl in clauses:
+        support = sum(1 << (n - 1 - i) for i in cl.positives + cl.negatives)
+        if cl.parity_bit is None:  # falsified by its positives at 0, its negatives at 1
+            models &= (codes & support) != sum(1 << (n - 1 - i) for i in cl.negatives)
+        else:
+            models &= popcount(codes & support) % 2 == cl.parity_bit
+    return bool(np.array_equal(models, membership_table(n, r.mask)))

@@ -1,9 +1,12 @@
 """Reference propagation engines: the test oracles for `clauses`.
 
 Pass-until-fixpoint unit propagation rescans each pending clause every
-pass, so a chain of length L costs L passes.  `clauses.unit_propagate`
-must return exactly what it returns: the same forced assignment, the same
+pass, so a chain of length L costs L passes.  `clauses.unit_propagate`,
+given the clauses with the assumptions appended as unit clauses, must
+return exactly what it returns: the same forced assignment, the same
 residual clauses in the same order, and None on the same inputs.
+`ClauseIndex.probe` of the assumed literals, which goes on from the index
+with its own unit clauses propagated, must force the same literals.
 
 The 2-SAT references work on the implication graph directly: a model
 read off its components, numbered by a recursive Tarjan, and the

@@ -20,7 +20,7 @@ from propagation_oracle import (
 )
 
 from minsol import clauses, decision
-from minsol.clauses import ClauseIndex, twosat_model, unit_propagate
+from minsol.clauses import ClauseIndex, horn_model, twosat_model, unit_propagate
 from minsol.errors import InternalConsistencyError, ShapeUnavailable
 from minsol.formulas import Assignment, make_formula
 from minsol.nsol import _twosat_toward
@@ -53,13 +53,55 @@ def test_unit_propagate_and_probes_match_the_rescan_oracle():
             fixed = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
             assumptions = {v: rng.randint(0, 1) for v in fixed}
         expected = rescan_propagate(clauses, assumptions)
-        got = unit_propagate(clauses, assumptions)
+        lits = [v if b else -v for v, b in (assumptions or {}).items()]
+        got = unit_propagate(ClauseIndex([*clauses, *(frozenset({l}) for l in lits)], n))
         assert got == expected, (clauses, assumptions)
         conflicts += expected is None
+        index = ClauseIndex(clauses, n)
+        probed = None if expected is None else {v if b else -v for v, b in expected[0].items()}
+        assert index.probe(*lits) == probed, (clauses, lits)
         lit = rng.choice((1, -1)) * rng.randint(1, n)
-        assert ClauseIndex(clauses).probe(lit) == rescan_probe(clauses, lit), (clauses, lit)
+        assert index.probe(lit) == rescan_probe(clauses, lit), (clauses, lit)
     # both verdicts are well represented
     assert 2_000 < conflicts < 18_000
+
+
+def test_horn_model_is_the_least_or_greatest_model_under_the_assumptions():
+    """With no residual re-check, `horn_model` must still be exact: None iff
+    no model meets the assumptions, else the least model of Horn clauses
+    (fill 0) or the greatest of dual-Horn clauses (fill 1)."""
+    rng = random.Random(8_888)
+    found = {None: 0, 0: 0, 1: 0}
+    for _ in range(3_000):
+        n = rng.randint(1, 8)
+        default = rng.randint(0, 1)
+        sign = -1 if default == 0 else 1  # every literal but at most one has this sign
+        clauses = []
+        for _ in range(rng.randint(0, 3 * n)):
+            vs = rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+            odd = rng.randrange(len(vs) + 1)  # len(vs): no literal of the other sign
+            clauses.append(frozenset(-sign * v if i == odd else sign * v for i, v in enumerate(vs)))
+        fixed = rng.sample(range(1, n + 1), rng.randint(0, min(3, n)))
+        assumptions = {v: rng.randint(0, 1) for v in fixed}
+        points = (tuple(code >> (n - v) & 1 for v in range(1, n + 1)) for code in range(1 << n))
+        models = [
+            bits
+            for bits in points
+            if all(bits[v - 1] == b for v, b in assumptions.items())
+            and all(any(bits[abs(l) - 1] == (l > 0) for l in c) for c in clauses)
+        ]
+        got = horn_model(ClauseIndex(clauses, n), assumptions, default)
+        if not models:
+            assert got is None, (clauses, assumptions)
+            found[None] += 1
+            continue
+        # Horn models meet under AND, dual-Horn ones under OR
+        pick = min if default == 0 else max
+        expected = Assignment(tuple(pick(m[i] for m in models) for i in range(n)))
+        assert expected.bits in models
+        assert got == expected, (clauses, assumptions, default)
+        found[default] += 1
+    assert min(found.values()) > 300
 
 
 def _binary_sets(rng: random.Random, implications_only: bool):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polymorphism_oracle as oracle
-from implicate_oracle import clause_allowed, minimal_implicates
+from implicate_oracle import clause_allowed, decomposition_holds, minimal_implicates
 from lattice_oracle import LIMIT_CLONES, PLAIN_CLONES
 from minsol.errors import InternalConsistencyError, ParseError, ShapeUnavailable
 from minsol.postlattice import _GENERATORS, CoCloneLabel, classify, label_leq
@@ -32,6 +32,7 @@ from minsol.relations import (
     XOR3,
     BoolFunction,
     _prime_implicates,
+    _verify_decomposition,
     cnf_decompose,
     code_bits,
     dualize,
@@ -387,6 +388,55 @@ def test_every_decomposition_clause_has_its_shape_form():
                 assert all(clause_allowed(shape, k, cl.positives, cl.negatives)
                            for cl in clauses), (str(r), shape, k)
     assert admitted > 1000
+
+
+def _random_clause(rng: random.Random, arity: int) -> Clause:
+    coords = rng.sample(range(arity), rng.randint(1, arity))
+    if rng.random() < 0.3:
+        return Clause(tuple(sorted(coords)), parity_bit=rng.randint(0, 1))
+    split = rng.randint(0, len(coords))
+    return Clause(tuple(sorted(coords[:split])), tuple(sorted(coords[split:])))
+
+
+def test_mask_verification_agrees_with_the_numpy_reference():
+    """`_verify_decomposition` raises exactly when the numpy reference finds
+    that the clauses' models differ from the relation's, on random clause
+    sets checked against their own model set, or that set with one code
+    toggled, or a random relation."""
+    rng = random.Random(3_000)
+    verdicts = {True: 0, False: 0}
+    for _ in range(3_000):
+        arity = rng.randint(1, 5)
+        clauses = tuple(_random_clause(rng, arity) for _ in range(rng.randint(0, 4)))
+        mask = sum(1 << t for t in range(1 << arity)
+                   if all(cl.holds(code_bits(t, arity)) for cl in clauses))
+        pick = rng.random()
+        if pick < 0.3:
+            mask ^= 1 << rng.randrange(1 << arity)
+        elif pick < 0.4 or not mask:
+            mask = rng.randint(1, (1 << (1 << arity)) - 1)
+        if not mask:
+            continue
+        r = Relation(arity, mask)
+        holds = decomposition_holds(r, clauses)
+        verdicts[holds] += 1
+        if holds:
+            _verify_decomposition(r, clauses)
+        else:
+            with pytest.raises(InternalConsistencyError):
+                _verify_decomposition(r, clauses)
+    assert min(verdicts.values()) > 1_000
+
+
+def test_wrong_decompositions_raise():
+    # a disjunctive clause too many or too few, and a parity bit flipped
+    _verify_decomposition(or_rel(3), (Clause((0, 1, 2)),))
+    for wrong in ((Clause((0, 1)),), ()):
+        with pytest.raises(InternalConsistencyError):
+            _verify_decomposition(or_rel(3), wrong)
+    _verify_decomposition(even_rel(3), (Clause((0, 1, 2), parity_bit=0),))
+    with pytest.raises(InternalConsistencyError):
+        _verify_decomposition(even_rel(3), (Clause((0, 1, 2), parity_bit=1),))
 
 
 def horn_closure(arity: int, rng: random.Random) -> Relation:

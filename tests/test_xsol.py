@@ -4,6 +4,7 @@ import zlib
 import pytest
 
 from helpers import FAMILY_LANGUAGES, lang, random_model, random_satisfiable
+from minsol import xsol
 from minsol.errors import NoSecondModel, NotAModel
 from minsol.formulas import (
     Assignment,
@@ -13,6 +14,7 @@ from minsol.formulas import (
     satisfies,
 )
 from minsol.relations import (
+    DUALHORN3,
     EQ2,
     F_REL,
     HORN3,
@@ -111,6 +113,61 @@ class TestHornTuring:
         f = make_formula(lang(t=T_REL, f=F_REL, horn3=HORN3), 2, [("t", [1]), ("f", [2])])
         with pytest.raises(NoSecondModel):
             xsol_horn_turing(f, A("10"))
+
+
+def _cycle(name: str, vs: list[int]) -> list[tuple[str, list[int]]]:
+    """name(x_i, x_i, x_{i+1}) around the cycle: x_i -> x_{i+1} for horn3,
+    x_{i+1} -> x_i for dualhorn3, so every model is constant on vs."""
+    return [(name, [a, a, b]) for a, b in zip(vs, vs[1:] + vs[:1])]
+
+
+class TestHornTuringBeyondTheCap:
+    """Past `ORACLE_VAR_CAP` variables each flip is a Horn probe first: a
+    conflicting probe drops the flip, a probe that sets every variable is
+    its one model, and only the other flips are pinned and solved."""
+
+    @staticmethod
+    def no_nested_nsol(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solve_nsol called")
+
+        monkeypatch.setattr(xsol, "solve_nsol", refuse)
+
+    def test_cycle_answers_from_the_probe(self, monkeypatch):
+        self.no_nested_nsol(monkeypatch)
+        n = 60
+        f = make_formula(lang(horn3=HORN3), n, _cycle("horn3", list(range(1, n + 1))))
+        out = solve_xsol(f, Assignment((0,) * n))
+        assert (out.value, out.witness, out.guarantee.kind) == (n, Assignment((1,) * n), "exact")
+        assert out.method == "horn_turing"
+
+    def test_dual_cycle_answers_from_the_probe(self, monkeypatch):
+        self.no_nested_nsol(monkeypatch)
+        n = 60
+        f = make_formula(lang(dhorn3=DUALHORN3), n, _cycle("dhorn3", list(range(1, n + 1))))
+        out = solve_xsol(f, Assignment((1,) * n))
+        assert (out.value, out.witness, out.guarantee.kind) == (n, Assignment((0,) * n), "exact")
+        assert out.method == "horn_turing_dual"
+
+    def test_conflicting_pins_are_skipped_and_the_rest_solved(self, monkeypatch):
+        # cycles on 1..20 and 21..25, and 26..30 fixed at 0: the five pins of
+        # 26..30 conflict, the 25 cycle pins each go through solve_nsol; the
+        # answer is the one pinning every flip gave
+        atoms = _cycle("horn3", list(range(1, 21))) + _cycle("horn3", list(range(21, 26)))
+        atoms += [("f", [v]) for v in range(26, 31)]
+        f = make_formula(lang(horn3=HORN3, f=F_REL), 30, atoms)
+        calls = []
+        inner = xsol.solve_nsol
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(xsol, "solve_nsol", counted)
+        out = solve_xsol(f, Assignment((0,) * 30))
+        assert len(calls) == 25
+        assert (out.value, str(out.witness)) == (5, "0" * 20 + "1" * 5 + "0" * 5)
+        assert (out.guarantee.kind, out.method) == ("n_approx", "horn_turing")
 
 
 class TestDispatch:
