@@ -8,7 +8,12 @@ coin flip, plus the tuples of two planted models, so the formula has at
 least two models), on random variables: distinct ones while the arity
 fits, repeated ones beyond.  The dense cases are planted `nae3` (2n
 atoms) and `one_in_three` (n atoms) formulas at n = 14-24, as in the
-benchmark's exhaustive workload.  The seed is fixed.
+benchmark's exhaustive workload.  The seed is fixed.  All of these have
+MSD 1.  The code cases plant larger MSD: disjoint `one_in_three` atoms
+at n = 24 (MSD 2), a nonlinear (6,7,3) code on interleaved variables at
+n = 18 and 24 (MSD 3, the second with models in every block and a
+bitset search priced above the pairwise scan), and an interleaved
+5-member relation with members 2 apart at n = 20 and 24 (MSD 2).
 
 Each case runs in a fresh process, so every cache is empty and the peak
 resident set is that case's own.  One line per case: name, arity, n,
@@ -16,9 +21,12 @@ atoms, models, the milliseconds of the first `model_codes` call and of
 `oracle_optimize` after it for MSD, for NSOL from a seeded assignment and
 for XSOL from the first model, the three values, and the peak RSS of the
 process before the reference runs.  Then the model codes are checked
-against the numpy gather of `tests/enumeration_oracle.py`, and the NSOL
-and XSOL answers against a popcount argmin over the gathered codes; a
-mismatch or any exception ends the run with exit status 1.
+against the numpy gather of `tests/enumeration_oracle.py`, the NSOL and
+XSOL answers against a popcount argmin over the gathered codes, and the
+MSD value and pair against `formulas._pairwise_pair` on the gathered
+codes up to `PAIRWISE_CHECK` model pairs, else against the numpy radius
+search of `tests/enumeration_oracle.py`; a mismatch or any exception
+ends the run with exit status 1.
 
 Usage: PYTHONPATH=src python scripts/probe_oracle.py
 """
@@ -35,13 +43,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from enumeration_oracle import gather_codes, nearest_code  # noqa: E402
+from enumeration_oracle import gather_codes, nearest_code, radius_pair  # noqa: E402
+from helpers import CODE_673, DIST2_5, ONE_IN_THREE_WORDS, planted_code  # noqa: E402
 from minsol.formulas import (  # noqa: E402
     MSD,
     NSOL,
     XSOL,
     Assignment,
     Formula,
+    _pairwise_pair,
     make_formula,
     model_codes,
     oracle_optimize,
@@ -51,6 +61,14 @@ from minsol.relations import BUILTIN_RELATIONS, Language, Relation  # noqa: E402
 SEED = 20151109
 GRID = [(arity, n) for arity in range(3, 17) for n in range(13, 25)]
 DENSE = [(name, n) for name in ("nae3", "one_in_three") for n in range(14, 25)]
+# case name -> (members, interleaved)
+CODES = {
+    "dis_1in3": (ONE_IN_THREE_WORDS, False),
+    "code673": (CODE_673, True),
+    "dist2_5": (DIST2_5, True),
+}
+CODE_CASES = [("dis_1in3", 24), ("code673", 18), ("code673", 24), ("dist2_5", 20), ("dist2_5", 24)]
+PAIRWISE_CHECK = 5_000_000  # model pairs up to which the pairwise scan is the MSD reference
 
 
 def _project(code: int, n: int, vs: list[int]) -> int:
@@ -95,8 +113,23 @@ def peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def case_formula(name: str, arity: int, n: int) -> Formula:
+    if name == "grid":
+        return grid_formula(arity, n)
+    if name in CODES:
+        words, interleaved = CODES[name]
+        return planted_code(words, n, interleaved)
+    return dense_formula(name, n)
+
+
+def msd_reference(codes, n: int) -> tuple[int, int, int]:
+    if len(codes) * (len(codes) - 1) // 2 <= PAIRWISE_CHECK:
+        return _pairwise_pair(codes, n)
+    return radius_pair(codes, n)
+
+
 def measure(name: str, arity: int, n: int) -> tuple[str, bool]:
-    f = dense_formula(name, n) if name != "grid" else grid_formula(arity, n)
+    f = case_formula(name, arity, n)
     point = Assignment.from_code(random.Random(f"{SEED}/m/{name}/{arity}/{n}").getrandbits(n), n)
     t0 = time.perf_counter()
     codes = model_codes(f)
@@ -114,6 +147,7 @@ def measure(name: str, arity: int, n: int) -> tuple[str, bool]:
         codes.tolist() == want.tolist()
         and (nsol.value, nsol.witness.code()) == nearest_code(want, point.code())
         and (xsol.value, xsol.witness.code()) == nearest_code(want[1:], first.code())
+        and (msd.value, msd.witness.code(), msd.witness2.code()) == msd_reference(want, n)
     )
     ms = [(b - a) * 1000 for a, b in ((t0, t1), (t1, t2), (t2, t3), (t3, t4))]
     line = (f"{name:12} {arity:>5} {n:>3} {len(f.atoms):>5} {len(codes):>8}"
@@ -134,11 +168,13 @@ def main() -> int:
           f" {'codes_ms':>9} {'msd_ms':>9} {'nsol_ms':>9} {'xsol_ms':>9}"
           f" {'msd':>3} {'nsol':>4} {'xsol':>4} {'peak_mb':>8}")
     ok = True
-    for case in [("grid", arity, n) for arity, n in GRID] + [(name, 3, n) for name, n in DENSE]:
+    cases = [("grid", arity, n) for arity, n in GRID] + [(name, 3, n) for name, n in DENSE]
+    cases += [(name, len(CODES[name][0][0]), n) for name, n in CODE_CASES]
+    for case in cases:
         line, same = fresh(*case)
         print(line, flush=True)
         ok &= same
-    print("all models and NSOL/XSOL answers match the reference" if ok
+    print("all models and NSOL/XSOL/MSD answers match the reference" if ok
           else "MISMATCH against the reference")
     return 0 if ok else 1
 

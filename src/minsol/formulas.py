@@ -6,13 +6,18 @@ narrows a block's models by O(arity) whole-set operations
 (`_model_blocks`).  NSOL and XSOL are answered on those ints
 (`nearest_model`): a block translated by the input's low bits holds the
 model at low distance w in its codes of weight w, so one AND per weight
-finds the block's nearest models.  Only MSD, `model_codes` and
-`enumerate_models` have numpy read the codes out.  The MSD closest pair
-is a radius search: for d = 1, 2, ... every model code is XORed with
-every weight-d mask (cached per (n, d)) and looked up in a 2**n
-membership bitmap.  Once the masks tried would exceed half the model
-count it compares all model pairs instead, so no input costs more than
-about twice the pairwise scan.
+finds the block's nearest models.  So is MSD (`_radius_pair`): for
+d = 1, 2, ... a weight-d mask splits into high bits, which name a later
+partner block, and low bits, by which a block is translated, one delta
+swap from a lighter mask; the translated block meets the partner in the
+pairs at distance d.  Each distance is priced before it runs, as blocks
+x C(n, d) x the words of a block int.  The price counts every block, as
+a formula whose few models lie in all 256 blocks at n = 24 pays each
+distance 256 times.  Once the total would pass `_WORDS_PER_PAIR` words
+per model pair, the codes are read out and every pair is compared
+(`_pairwise_pair`), so no input costs much more than twice that scan.
+Only `model_codes`, which that hand-over calls, and `enumerate_models`
+have numpy read the codes out.
 Assignment codes are MSB-first (variable 1 is the most significant bit),
 so ascending code order is lexicographic order on bitstrings.
 """
@@ -20,6 +25,7 @@ so ascending code order is lexicographic order on bitstrings.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass, field
 from math import comb
@@ -30,6 +36,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    InternalConsistencyError,
     LengthMismatch,
     NoSecondModel,
     NotAModel,
@@ -50,12 +57,17 @@ from .relations import (
     swap_bits,
     swap_mask,
     translate,
+    _low,
     _weight_sets,
 )
 
 ORACLE_VAR_CAP = 24
 _BLOCK_BITS = 16  # 2**16 codes per block: each whole-set int is 8 KiB
-_LOOKUPS = 1 << 20  # bitmap lookups per step of the MSD radius search
+# Block-int words the MSD radius search may spend per model pair before it
+# hands over to the pairwise scan.  Calibrated on scripts/probe_oracle.py:
+# a priced word costs the search 0.4-10 ns, a pair the scan 20-50 ns, and
+# anywhere from 2 to 20 gave the same total there.
+_WORDS_PER_PAIR = 10
 
 NSOL = "NSOL"
 XSOL = "XSOL"
@@ -270,11 +282,13 @@ def enumerate_models(formula: Formula, cap: int | None = None) -> ModelEnumerati
     return ModelEnumeration(tuple(out), False)
 
 
-def model_codes(formula: Formula) -> np.ndarray:
+def model_codes(formula: Formula, blocks: list[tuple[int, int]] | None = None) -> np.ndarray:
     """Ascending int64 array of all model codes, filled block by block
-    into one array sized by the blocks' model counts."""
+    into one array sized by the blocks' model counts; `blocks` are the
+    formula's `_model_blocks` if they are already at hand."""
     n = formula.var_count
-    blocks = list(_model_blocks(formula))
+    if blocks is None:
+        blocks = list(_model_blocks(formula))
     out = np.empty(sum(models.bit_count() for _, models in blocks), dtype=np.int64)
     pos = 0
     for start, models in blocks:
@@ -324,6 +338,10 @@ def nearest_model(
 def oracle_optimize(problem: str, formula: Formula, m: Assignment | None = None) -> SolveOutcome:
     """Exact optimum of NSOL/XSOL/MSD by full enumeration.
 
+    NSOL and XSOL read the nearest model off the model blocks
+    (`nearest_model`).  MSD searches the blocks by radius
+    (`_radius_pair`) while that is priced below the pairwise scan, and
+    otherwise decodes the codes (`model_codes`) and compares every pair.
     Witnesses are the lexicographically smallest optima, so every
     equivalence test against the oracle is deterministic.  Refusals come
     in the order TooLarge, Unsatisfiable, NotAModel, NoSecondModel.
@@ -332,12 +350,14 @@ def oracle_optimize(problem: str, formula: Formula, m: Assignment | None = None)
         raise ParseError(f"unknown oracle problem {problem!r}")
     n = formula.var_count
     if problem == MSD:
-        codes = model_codes(formula)
-        if len(codes) == 0:
+        blocks = list(_model_blocks(formula))
+        count = sum(models.bit_count() for _, models in blocks)
+        if count == 0:
             raise Unsatisfiable("formula has no model")
-        if len(codes) < 2:
+        if count < 2:
             raise NoSecondModel("fewer than two models")
-        value, a, b = _radius_pair(codes, n, len(codes) // 2) or _pairwise_pair(codes, n)
+        found = _radius_pair(blocks, n, count * (count - 1) // 2)
+        value, a, b = found or _pairwise_pair(model_codes(formula, blocks), n)
         w1 = Assignment.from_code(a, n)
         w2 = Assignment.from_code(b, n)
         return SolveOutcome(MSD, value, w1, w2, guarantee=exact(), method="oracle")
@@ -356,57 +376,98 @@ def oracle_optimize(problem: str, formula: Formula, m: Assignment | None = None)
     return SolveOutcome(problem, best[0], best[1], guarantee=exact(), method="oracle")
 
 
-@functools.lru_cache(maxsize=64)
-def _weight_masks(n: int, d: int) -> np.ndarray:
-    """The n-bit masks with d bits set, read-only: each mask of weight
-    d - 1 gains one bit above its top bit."""
-    if d == 0:
-        masks = np.zeros(1, dtype=np.int64)
-    else:
-        lighter = _weight_masks(n, d - 1)
-        masks = np.concatenate([lighter[lighter < (1 << b)] | (1 << b) for b in range(n)])
-    masks.flags.writeable = False
-    return masks
-
-
-def _radius_pair(codes: np.ndarray, n: int, max_masks: int) -> tuple[int, int, int] | None:
+def _radius_pair(
+    blocks: list[tuple[int, int]], n: int, pairs: float
+) -> tuple[int, int, int] | None:
     """(distance, a, b) for the lexicographically smallest closest pair
-    a < b of the ascending model codes, or None once more than
-    `max_masks` masks would be tried.
+    a < b of the models in `blocks` (`_model_blocks`), or None once its
+    priced work would pass that of the pairwise scan over `pairs` pairs.
 
-    For d = 1, 2, ... it looks up `code ^ mask` in a 2**n membership
-    bitmap over the weight-d masks.  The first code with a partner at the
-    least distance d has only greater partners (a smaller one would have
-    come first), so it is the pair's `a` and its least partner is `b`.
+    For d = 1, 2, ... each block in ascending order looks for its models
+    with a greater model at distance d (`_block_hits`).  The first block
+    with one holds the least such model, the pair's `a`: a smaller one
+    would have been found first.  Its least greater model at distance d
+    is `b` (`_least_partner`).  The work of distance d is priced before
+    it runs as blocks x C(n, d) x the words of a block int, and the
+    search gives up once the total would pass `_WORDS_PER_PAIR` words per
+    pairwise comparison.
     """
-    member = None
-    tried = 0
-    rows_per_block = min(len(codes), _LOOKUPS)
-    masks_per_chunk = max(1, _LOOKUPS // rows_per_block)
+    b = min(_BLOCK_BITS, n)
+    index = {start >> b: models for start, models in blocks}
+    words = 1 << max(0, b - 6)
+    spent = 0
     for d in range(1, n + 1):
-        tried += comb(n, d)
-        if tried > max_masks:
+        spent += len(blocks) * comb(n, d) * words
+        if spent > _WORDS_PER_PAIR * pairs:
             return None
-        if member is None:
-            member = np.zeros(1 << n, dtype=bool)
-            member[codes] = True
-        masks = _weight_masks(n, d)
-        for start in range(0, len(codes), rows_per_block):
-            rows = codes[start : start + rows_per_block]
-            best: tuple[int, int] | None = None
-            for m0 in range(0, len(masks), masks_per_chunk):
-                partners = rows[:, None] ^ masks[None, m0 : m0 + masks_per_chunk]
-                hit = member[partners]
-                first = int(hit.any(axis=1).argmax())
-                if not hit[first].any():
-                    continue
-                cand = (start + first, int(partners[first][hit[first]].min()))
-                if best is None or cand < best:
-                    best = cand
-                rows = rows[: first + 1]  # later chunks can only tie or lose
-            if best is not None:
-                return d, int(codes[best[0]]), best[1]
+        highs = [_high_masks(n - b, k) for k in range(d + 1)]
+        for i, (start, models) in enumerate(blocks):
+            h = start >> b
+            partners = [[index[h ^ t] for t in masks if h ^ t > h and h ^ t in index]
+                        for masks in highs]
+            hits = _block_hits(models, partners, b, d)
+            if hits:
+                a = start + (hits & -hits).bit_length() - 1
+                return d, a, _least_partner(blocks[i:], b, a, d)
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def _high_masks(bits: int, k: int) -> tuple[int, ...]:
+    """The `bits`-bit masks with k bits set."""
+    return tuple(sum(1 << j for j in c) for c in itertools.combinations(range(bits), k))
+
+
+def _block_hits(models: int, partners: list[list[int]], b: int, d: int) -> int:
+    """The models of one block of 2**b codes with a greater model at
+    distance d, as a set of the block's codes.  `partners[k]` holds the
+    later blocks whose number is at distance k from this one's.
+
+    The block is translated by every b-bit mask t of weight w < d, each
+    one delta swap from a mask of weight w - 1 that lacks t's top bit, as
+    a depth-first walk.  The translated set meets a partner at distance
+    d - w in the codes c whose c ^ t is a model here; t moves them back.
+    In the block itself a weight-d mask is t plus a bit j above t's top
+    bit, and the models c with bit j clear and c ^ t ^ 2**j a model are
+    the translated set shifted down by 2**j, ANDed with `_low(b)[j]` and
+    the block's models.
+    """
+    lows = _low(b)
+    hits = near = 0
+    stack = [(0, 0, models)]  # (t, weight of t, the models translated by t)
+    while stack:
+        t, w, moved = stack.pop()
+        for p in partners[d - w]:
+            x = moved & p
+            if x:
+                hits |= translate(x, b, t)
+        if w == d - 1:
+            for j in range(t.bit_length(), b):
+                near |= (moved >> (1 << j)) & lows[j]
+        else:
+            for j in range(t.bit_length(), b):
+                low, shift = lows[j], 1 << j
+                moved_j = ((moved & low) << shift) | ((moved >> shift) & low)
+                stack.append((t | shift, w + 1, moved_j))
+    return hits | (near & models)
+
+
+def _least_partner(blocks: list[tuple[int, int]], b: int, a: int, d: int) -> int:
+    """The least model at distance d from a, given the blocks from a's
+    on: in a block at high distance k from a's, the models among the
+    codes at distance d - k from a's low bits.  With a the least model
+    that has a greater one at distance d, no smaller model lies at that
+    distance from it, so the first found is above a."""
+    h, low = a >> b, a & ((1 << b) - 1)
+    weights = _weight_sets(b)
+    for start, models in blocks:
+        k = (start >> b ^ h).bit_count()
+        if k > d or d - k > b:
+            continue
+        near = models & translate(weights[d - k], b, low)
+        if near:
+            return start + (near & -near).bit_length() - 1
+    raise InternalConsistencyError(f"model {a} has no greater model at distance {d}")
 
 
 def _pairwise_pair(codes: np.ndarray, n: int) -> tuple[int, int, int]:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -695,9 +696,17 @@ def _parse_language_text(text: str) -> Language:
 
 def load_language(path: str | Path) -> Language:
     """The language in a file.  The file is read on every call, so an edited
-    file is never served stale; parsing is memoized on the text."""
-    with open(path, "rb") as fh:
-        return _parse_language_text(fh.read().decode("utf-8"))
+    file is never served stale; parsing is memoized on the text.  It is
+    read by raw `os.read` calls until end of file, which skips the
+    buffered file object that `open` would build."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return _parse_language_text(b"".join(chunks).decode("utf-8"))
 
 
 def builtin_language(names: Iterable[str]) -> Language:

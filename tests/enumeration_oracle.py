@@ -5,10 +5,15 @@ over the codes of a block, and looks every atom up by a numpy gather over
 every code.  `formulas.model_codes` and `formulas.enumerate_models` must
 return exactly the models it yields, in the same order, and the NSOL/XSOL
 oracle the model `nearest_code` picks from them.
+
+`radius_pair` is the numpy radius search the MSD oracle ran on the decoded
+codes before it searched the block ints: the reference for
+`formulas._radius_pair`.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -58,3 +63,52 @@ def nearest_code(codes: np.ndarray, code: int) -> tuple[int, int]:
     dist = popcount(codes ^ code)
     best = int(dist.argmin())
     return int(dist[best]), int(codes[best])
+
+
+LOOKUPS = 1 << 20  # bitmap lookups per step of the radius search
+
+
+@functools.lru_cache(maxsize=64)
+def weight_masks(n: int, d: int) -> np.ndarray:
+    """The n-bit masks with d bits set, read-only: each mask of weight
+    d - 1 gains one bit above its top bit."""
+    if d == 0:
+        masks = np.zeros(1, dtype=np.int64)
+    else:
+        lighter = weight_masks(n, d - 1)
+        masks = np.concatenate([lighter[lighter < (1 << b)] | (1 << b) for b in range(n)])
+    masks.flags.writeable = False
+    return masks
+
+
+def radius_pair(codes: np.ndarray, n: int) -> tuple[int, int, int]:
+    """(distance, a, b) for the lexicographically smallest closest pair
+    a < b of at least two ascending model codes.
+
+    For d = 1, 2, ... it looks up `code ^ mask` in a 2**n membership
+    bitmap over the weight-d masks.  The first code with a partner at the
+    least distance d has only greater partners (a smaller one would have
+    come first), so it is the pair's `a` and its least partner is `b`.
+    """
+    member = np.zeros(1 << n, dtype=bool)
+    member[codes] = True
+    rows_per_block = min(len(codes), LOOKUPS)
+    masks_per_chunk = max(1, LOOKUPS // rows_per_block)
+    for d in range(1, n + 1):
+        masks = weight_masks(n, d)
+        for start in range(0, len(codes), rows_per_block):
+            rows = codes[start : start + rows_per_block]
+            best: tuple[int, int] | None = None
+            for m0 in range(0, len(masks), masks_per_chunk):
+                partners = rows[:, None] ^ masks[None, m0 : m0 + masks_per_chunk]
+                hit = member[partners]
+                first = int(hit.any(axis=1).argmax())
+                if not hit[first].any():
+                    continue
+                cand = (start + first, int(partners[first][hit[first]].min()))
+                if best is None or cand < best:
+                    best = cand
+                rows = rows[: first + 1]  # later chunks can only tie or lose
+            if best is not None:
+                return d, int(codes[best[0]]), best[1]
+    raise ValueError("fewer than two codes")

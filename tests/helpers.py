@@ -95,3 +95,26 @@ def random_language(rng: random.Random, max_arity: int = 3, max_rels: int = 3) -
         mask = rng.randint(1, (1 << (1 << arity)) - 1)
         rels[f"r{i}"] = Relation(arity, mask)
     return lang(**rels)
+
+
+# Planted minimum distances for the MSD oracle: a relation whose closest
+# members lie d apart, repeated on disjoint variables, has MSD exactly d.
+ONE_IN_THREE_WORDS = ("001", "010", "100")  # distance 2
+DIST2_5 = ("0000", "0011", "0101", "0110", "1001")  # distance 2, five members: not affine
+# The nonzero words of the shortened Hamming [6,3,3] code: a nonlinear
+# (6,7,3) code, and with a parity bit each a (7,7,4) code.
+CODE_673 = ("100110", "010101", "001011", "110011", "101101", "011110", "111000")
+CODE_774 = tuple(w + str(w.count("1") % 2) for w in CODE_673)
+
+
+def planted_code(words: tuple[str, ...], n: int, interleaved: bool = True) -> Formula:
+    """n / arity atoms of the relation with the given members, on disjoint
+    variables: copy i on i, i + copies, i + 2 copies, ... if interleaved,
+    else on a run of consecutive variables."""
+    arity = len(words[0])
+    copies = n // arity
+    if interleaved:
+        atoms = [("c", [i + 1 + copies * j for j in range(arity)]) for i in range(copies)]
+    else:
+        atoms = [("c", [arity * i + j + 1 for j in range(arity)]) for i in range(copies)]
+    return make_formula(lang(c=Relation.from_tuples(arity, words)), n, atoms)

@@ -3,7 +3,19 @@ import random
 
 import pytest
 
-from helpers import lang, random_formula, random_language, random_satisfiable
+import enumeration_oracle
+from enumeration_oracle import radius_pair
+from helpers import (
+    CODE_673,
+    CODE_774,
+    DIST2_5,
+    ONE_IN_THREE_WORDS,
+    lang,
+    planted_code,
+    random_formula,
+    random_language,
+    random_satisfiable,
+)
 from minsol import clauses, formulas
 from minsol.errors import (
     LengthMismatch,
@@ -153,30 +165,73 @@ class TestOracle:
         assert [str(w) for w in out.witnesses()] == ["01", "11"]
 
 
+PLANTED = [  # (members, n, interleaved, MSD)
+    (ONE_IN_THREE_WORDS, 12, False, 2),
+    (DIST2_5, 12, True, 2),
+    (CODE_673, 12, True, 3),
+    (CODE_774, 14, True, 4),
+]
+
+
+def _msd_cases(rng: random.Random, count: int):
+    """Random formulas with 2-1000 models, then the planted codes.  Up to
+    30 atoms leave some formulas on many variables with only a few models,
+    which the cost rule hands to the pairwise scan."""
+    for _ in range(count):
+        language = random_language(rng, max_arity=3, max_rels=2)
+        f = random_formula(language, rng, max_vars=14, max_atoms=rng.randint(1, 30))
+        if 2 <= len(model_codes(f)) <= 1000:  # keep the quadratic scan quick
+            yield f
+    for words, n, interleaved, _ in PLANTED:
+        yield planted_code(words, n, interleaved)
+
+
+def _bitset_pair(f, pairs=float("inf")):
+    return formulas._radius_pair(list(formulas._model_blocks(f)), f.var_count, pairs)
+
+
 class TestMsdRadiusSearch:
-    def test_radius_matches_pairwise_scan(self, monkeypatch):
-        # the radius search runs until a hit when unbounded; under the cost
-        # cutoff the oracle hands some formulas to the pairwise scan
+    def test_bitset_search_matches_the_references(self, monkeypatch):
+        # unbounded, the bitset search answers at every distance as the numpy
+        # radius search and the pairwise scan do; under the cost rule the
+        # oracle hands some formulas to the pairwise scan
         rng = random.Random(31)
         sides = {"radius": 0, "pairwise": 0}
-        for _ in range(400):
-            language = random_language(rng, max_arity=3, max_rels=2)
-            f = random_formula(language, rng, max_vars=14, max_atoms=rng.randint(1, 12))
-            codes = model_codes(f)
-            if not 2 <= len(codes) <= 3000:  # keep the quadratic scan quick
-                continue
-            n = f.var_count
+        distances = set()
+        for f in _msd_cases(rng, 800):
+            codes, n = model_codes(f), f.var_count
             truth = formulas._pairwise_pair(codes, n)
-            assert formulas._radius_pair(codes, n, 1 << n) == truth  # every mask allowed
+            assert radius_pair(codes, n) == truth
             with monkeypatch.context() as tiny:
                 # many row blocks and mask chunks, as past 2**20 models
-                tiny.setattr(formulas, "_LOOKUPS", 7)
-                assert formulas._radius_pair(codes, n, 1 << n) == truth
-            within = formulas._radius_pair(codes, n, len(codes) // 2) is not None
-            sides["radius" if within else "pairwise"] += 1
+                tiny.setattr(enumeration_oracle, "LOOKUPS", 7)
+                assert radius_pair(codes, n) == truth
+            assert _bitset_pair(f) == truth
+            distances.add(truth[0])
+            pairs = len(codes) * (len(codes) - 1) // 2
+            sides["radius" if _bitset_pair(f, pairs) is not None else "pairwise"] += 1
             out = oracle_optimize("MSD", f)
             assert (out.value, out.witness.code(), out.witness2.code()) == truth
         assert min(sides.values()) >= 50, sides
+        assert {1, 2, 3, 4} <= distances
+
+    @pytest.mark.parametrize("block_bits", [2, 3, 4])
+    def test_partners_in_other_blocks(self, monkeypatch, block_bits):
+        # blocks of 2**2 to 2**4 codes put most pairs across blocks at n <= 14
+        monkeypatch.setattr(formulas, "_BLOCK_BITS", block_bits)
+        rng = random.Random(block_bits)
+        for f in _msd_cases(rng, 200):
+            codes, n = model_codes(f), f.var_count
+            truth = formulas._pairwise_pair(codes, n)
+            assert _bitset_pair(f) == truth
+            out = oracle_optimize("MSD", f)
+            assert (out.value, out.witness.code(), out.witness2.code()) == truth
+
+    def test_planted_distances(self):
+        for words, n, interleaved, msd in PLANTED:
+            f = planted_code(words, n, interleaved)
+            assert oracle_optimize("MSD", f).value == msd
+            assert _bitset_pair(f)[0] == msd
 
     def test_lone_nae3_at_n18(self):
         # 3/4 of all 2**18 assignments are models; the smallest one,

@@ -38,6 +38,7 @@ from minsol.relations import (
     dualize,
     even_rel,
     is_polymorphism,
+    load_language,
     nand_rel,
     odd_rel,
     or_rel,
@@ -555,6 +556,20 @@ class TestLanguageParsing:
     def test_first_declaration_wins_in_a_raw_language(self):
         lang = Language((("r", XOR2), ("r", OR2)))
         assert lang.get("r") == XOR2 and lang.declared("r") == XOR2 and lang.has("r")
+
+    def test_rewritten_file_is_read_again(self, tmp_path):
+        # same size, different tuples, written at once: only the text tells them apart
+        path = tmp_path / "l.lang"
+        path.write_text("rel a 2 01,10\n")
+        assert load_language(path).get("a") == XOR2
+        path.write_text("rel a 2 00,11\n")
+        assert load_language(path).get("a") == Relation.from_tuples(2, ["00", "11"])
+
+    def test_file_longer_than_one_read(self, tmp_path):
+        path = tmp_path / "l.lang"
+        path.write_text("# padding\n" * 20_000 + "rel a 2 01,10,11\n")
+        assert path.stat().st_size > 1 << 17
+        assert load_language(path).get("a") == OR2
 
     def test_flags_intersection(self):
         # xor2 is affine and complementive, t only affine: the language is affine only
