@@ -1,22 +1,27 @@
 #!/usr/bin/env python3
 """The GF(2) minimum-weight and nearest-codeword searches, from dimension
-8 to the cap.
+8 to the cap, each answer checked against a whole-span enumeration.
 
-The grid crosses dimension 8-24 with a planted answer weight of 1 to
+Planted rows cross dimension 8-24 with a planted answer weight of 1 to
 dim/2.  Each case is `dim` random rows over 4 * dim columns, the last
 one the first XOR a planted member of that weight, so the minimum weight
 is the planted one unless a random member is lighter, and a target that
-is a random codeword plus a random error of that weight.  The seed is
-fixed.
+is a random codeword plus a random error of that weight.
 
-One line per case: dimension, planted weight, columns, then for
+Far-target rows follow at dimensions 12, 16, 20 and 24, each with a
+uniformly random target, usually far from every codeword: `repeat` rows,
+where row i repeats a 1 over its own six columns plus 8 noise columns
+below, so no column set prunes the nearest-codeword search, and `random`
+rows over 6 * dim columns.  The seed is fixed.
+
+One line per case: kind, dimension, columns, then for
 `min_weight_nonzero` and for `nearest_codeword` the answer's weight or
-distance, milliseconds per call (the mean of repeated calls over at least
-20 ms) and the path taken: `layers` when the layer bound stopped the
-search, `span` when it handed over to the blocked span enumeration.  Up
-to dimension 20 both answers are checked against the Gray-code oracle of
-`tests/gf2_oracle.py`, ties included; a mismatch ends the run with exit
-status 1.
+distance and milliseconds per call (the mean of repeated calls over at
+least 20 ms).  Up to dimension 20 the planted answers are checked
+against the Gray-code oracle of `tests/gf2_oracle.py`; above it, and for
+every far-target row, against its numpy span enumeration, whose
+milliseconds per call print in the `span` columns.  Ties are included;
+a mismatch ends the run with exit status 1.
 
 Usage: PYTHONPATH=src python scripts/probe_gf2.py
 """
@@ -31,16 +36,22 @@ from typing import Callable
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from gf2_oracle import gray_min_weight_nonzero, gray_nearest_codeword  # noqa: E402
+from gf2_oracle import (  # noqa: E402
+    gray_min_weight_nonzero,
+    gray_nearest_codeword,
+    span_min_weight_nonzero,
+    span_nearest_codeword,
+)
 from minsol import gf2  # noqa: E402
 
 SEED = 20151109
-GRID = [(dim, weight) for dim in range(8, 25) for weight in range(1, dim // 2 + 1)]
-ORACLE_DIM = 20
+PLANTED = [(dim, weight) for dim in range(8, 25) for weight in range(1, dim // 2 + 1)]
+FAR = [(kind, dim) for kind in ("repeat", "random") for dim in (12, 16, 20, 24)]
+GRAY_DIM = 20
 
 
 def planted_case(dim: int, weight: int) -> tuple[list[int], int, int]:
-    """(rows, columns, target) for one grid point."""
+    """(rows, columns, target) for one planted grid point."""
     rng = random.Random(f"{SEED}/{dim}/{weight}")
     cols = 4 * dim
     planted = sum(1 << c for c in rng.sample(range(cols), weight))
@@ -54,45 +65,59 @@ def planted_case(dim: int, weight: int) -> tuple[list[int], int, int]:
     return rows, cols, codeword ^ error
 
 
-def timed(call: Callable[[], object]) -> tuple[object, float, str]:
-    """(answer, ms per call, path) of repeated calls over at least 20 ms."""
-    spans = []
-    real = gf2._span_blocks
-    gf2._span_blocks = lambda *args: spans.append(args) or real(*args)
-    try:
-        answer = call()
-    finally:
-        gf2._span_blocks = real
+def far_case(kind: str, dim: int) -> tuple[list[int], int, int]:
+    """(rows, columns, target) for one far-target case."""
+    rng = random.Random(f"{SEED}/{kind}/{dim}")
+    if kind == "repeat":
+        cols = 6 * dim + 8
+        rows = [(0b111111 << (6 * i + 8)) | rng.randrange(1 << 8) for i in range(dim)]
+    else:
+        cols = 6 * dim
+        rows = [rng.randrange(1, 1 << cols) for _ in range(dim)]
+    return rows, cols, rng.randrange(1 << cols)
+
+
+def timed(call: Callable[[], object]) -> tuple[object, float]:
+    """(answer, ms per call) of repeated calls over at least 20 ms."""
     calls, start = 0, time.perf_counter()
     while True:
-        call()
+        answer = call()
         calls += 1
         elapsed = time.perf_counter() - start
         if elapsed >= 0.02:
-            return answer, elapsed / calls * 1000, "span" if spans else "layers"
+            return answer, elapsed / calls * 1000
+
+
+def probe(kind: str, dim: int, rows: list[int], cols: int, target: int) -> bool:
+    """Print one case's line; True iff both answers match the reference."""
+    low, low_ms = timed(lambda: gf2.min_weight_nonzero(rows, cols))
+    near, near_ms = timed(lambda: gf2.nearest_codeword(rows, cols, target))
+    if kind.startswith("planted") and dim <= GRAY_DIM:
+        want = gray_min_weight_nonzero(rows), gray_nearest_codeword(rows, target)
+        spans = "-", "-"
+    else:
+        want_low, span_low_ms = timed(lambda: span_min_weight_nonzero(rows, cols))
+        want_near, span_near_ms = timed(lambda: span_nearest_codeword(rows, cols, target))
+        want = want_low, want_near
+        spans = f"{span_low_ms:.3f}", f"{span_near_ms:.3f}"
+    same = (low, near) == want
+    print(f"{kind:<10} {dim:>3} {cols:>4}"
+          f" {low[0]:>6} {low_ms:>9.3f} {spans[0]:>9}"
+          f" {near[0]:>4} {near_ms:>9.3f} {spans[1]:>9}  {'ok' if same else 'MISMATCH'}",
+          flush=True)
+    return same
 
 
 def main() -> int:
-    print(f"{'dim':>3} {'weight':>6} {'cols':>4}"
-          f" {'min_wt':>6} {'ms':>9} {'path':>6}"
-          f" {'near':>4} {'ms':>9} {'path':>6}  oracle")
+    print(f"{'kind':<10} {'dim':>3} {'cols':>4}"
+          f" {'min_wt':>6} {'ms':>9} {'span':>9}"
+          f" {'near':>4} {'ms':>9} {'span':>9}  check")
     ok = True
-    for dim, weight in GRID:
-        rows, cols, target = planted_case(dim, weight)
-        low, low_ms, low_path = timed(lambda: gf2.min_weight_nonzero(rows, cols))
-        near, near_ms, near_path = timed(lambda: gf2.nearest_codeword(rows, cols, target))
-        if dim <= ORACLE_DIM:
-            same = (low == gray_min_weight_nonzero(rows)
-                    and near == gray_nearest_codeword(rows, target))
-            check = "ok" if same else "MISMATCH"
-            ok &= same
-        else:
-            check = "-"
-        print(f"{dim:>3} {weight:>6} {cols:>4}"
-              f" {low[0]:>6} {low_ms:>9.3f} {low_path:>6}"
-              f" {near[0]:>4} {near_ms:>9.3f} {near_path:>6}  {check}", flush=True)
-    print(f"all answers up to dimension {ORACLE_DIM} match the Gray-code oracle" if ok
-          else "MISMATCH against the Gray-code oracle")
+    for dim, weight in PLANTED:
+        ok &= probe(f"planted {weight}", dim, *planted_case(dim, weight))
+    for kind, dim in FAR:
+        ok &= probe(kind, dim, *far_case(kind, dim))
+    print("every answer matches its reference" if ok else "MISMATCH against the reference")
     return 0 if ok else 1
 
 

@@ -123,10 +123,20 @@ class ClauseIndex:
             return None
         return {v if b else -v for v, b in (forced | spread).items()}
 
-    @functools.cached_property
+    @property
     def reduced(self) -> tuple[dict[int, int], ClauseIndex]:
         """Forced values (shared: do not mutate) and the index of the
-        residual clauses; raises Unsatisfiable on conflict."""
+        residual clauses, this index itself when no clause is a unit;
+        raises Unsatisfiable on conflict."""
+        return self._propagated or ({}, self)
+
+    @functools.cached_property
+    def _propagated(self) -> tuple[dict[int, int], ClauseIndex] | None:
+        """`reduced` when a clause is a unit (or empty), else None: the
+        index caches no tuple that holds itself, so dropping it frees it
+        without waiting for the cycle collector."""
+        if all(len(c) > 1 for c in self.clauses):
+            return None
         propagated = unit_propagate(self)
         if propagated is None:
             raise Unsatisfiable("unit propagation conflict")

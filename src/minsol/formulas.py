@@ -302,37 +302,47 @@ def nearest_model(
     formula: Formula, m: Assignment, other: bool = False
 ) -> tuple[int, Assignment] | None:
     """(distance, model) for the lexicographically smallest of the models
-    nearest to m, leaving m itself out if `other`; None if there is none.
-
-    Each block of 2**b codes is translated by m's low b bits, so its bit c
-    then stands for a model at distance popcount(c) below the block, to
-    which m's distance above it (its high bits XOR the block's) is added.
-    The first weight whose codes meet the translated set is the block's
-    least distance; translated back, that hit's lowest bit is its least
-    nearest model.  Blocks come in ascending order, so only a strictly
-    nearer one replaces the best, and one whose high distance alone
-    reaches the best is skipped.
-    """
+    nearest to m, leaving m itself out if `other`; None if there is none
+    (`_nearest`)."""
     n = formula.var_count
+    found = _nearest(_model_blocks(formula), n, m.code(), other)
+    return None if found is None else (found[0], Assignment.from_code(found[1], n))
+
+
+def _nearest(
+    blocks: Iterable[tuple[int, int]], n: int, code: int, other: bool
+) -> tuple[int, int] | None:
+    """(distance, model code) for the least of the models in `blocks`
+    (`_model_blocks`) nearest to `code`, leaving `code` itself out if
+    `other`; None if there is none.
+
+    Each block of 2**b codes is translated by the code's low b bits, so
+    its bit c then stands for a model at distance popcount(c) below the
+    block, to which the code's distance above it (its high bits XOR the
+    block's) is added.  The first weight whose codes meet the translated
+    set is the block's least distance; translated back, that hit's lowest
+    bit is its least nearest model.  Blocks come in ascending order, so
+    only a strictly nearer one replaces the best, and one whose high
+    distance alone reaches the best is skipped.
+    """
     b = min(_BLOCK_BITS, n)
-    code = m.code()
     low, high = code & ((1 << b) - 1), code >> b
     weights = _weight_sets(b)
     best: tuple[int, int] | None = None
-    for start, models in _model_blocks(formula):
+    for start, models in blocks:
         far = (start >> b ^ high).bit_count()
         if best is not None and far >= best[0]:
             continue
         if other and start >> b == high:
             models &= ~(1 << low)
         near = translate(models, b, low)
-        for w in range(b + 1 if best is None else best[0] - far):
+        for w in range(b + 1 if best is None else min(b + 1, best[0] - far)):
             hit = near & weights[w]
             if hit:
                 hit = translate(hit, b, low)
                 best = far + w, start + (hit & -hit).bit_length() - 1
                 break
-    return None if best is None else (best[0], Assignment.from_code(best[1], n))
+    return best
 
 
 def oracle_optimize(problem: str, formula: Formula, m: Assignment | None = None) -> SolveOutcome:
@@ -386,11 +396,12 @@ def _radius_pair(
     For d = 1, 2, ... each block in ascending order looks for its models
     with a greater model at distance d (`_block_hits`).  The first block
     with one holds the least such model, the pair's `a`: a smaller one
-    would have been found first.  Its least greater model at distance d
-    is `b` (`_least_partner`).  The work of distance d is priced before
-    it runs as blocks x C(n, d) x the words of a block int, and the
-    search gives up once the total would pass `_WORDS_PER_PAIR` words per
-    pairwise comparison.
+    would have been found first.  Its least nearest other model is `b`
+    (`_nearest`): no pair is closer than d, and a model below `a` at
+    distance d would have been found before `a`.  The work of distance d
+    is priced before it runs as blocks x C(n, d) x the words of a block
+    int, and the search gives up once the total would pass
+    `_WORDS_PER_PAIR` words per pairwise comparison.
     """
     b = min(_BLOCK_BITS, n)
     index = {start >> b: models for start, models in blocks}
@@ -401,14 +412,17 @@ def _radius_pair(
         if spent > _WORDS_PER_PAIR * pairs:
             return None
         highs = [_high_masks(n - b, k) for k in range(d + 1)]
-        for i, (start, models) in enumerate(blocks):
+        for start, models in blocks:
             h = start >> b
             partners = [[index[h ^ t] for t in masks if h ^ t > h and h ^ t in index]
                         for masks in highs]
             hits = _block_hits(models, partners, b, d)
             if hits:
                 a = start + (hits & -hits).bit_length() - 1
-                return d, a, _least_partner(blocks[i:], b, a, d)
+                partner = _nearest(blocks, n, a, other=True)
+                if partner is None or partner[0] != d:
+                    raise InternalConsistencyError(f"model {a} has no other model at distance {d}")
+                return d, a, partner[1]
     return None
 
 
@@ -450,24 +464,6 @@ def _block_hits(models: int, partners: list[list[int]], b: int, d: int) -> int:
                 moved_j = ((moved & low) << shift) | ((moved >> shift) & low)
                 stack.append((t | shift, w + 1, moved_j))
     return hits | (near & models)
-
-
-def _least_partner(blocks: list[tuple[int, int]], b: int, a: int, d: int) -> int:
-    """The least model at distance d from a, given the blocks from a's
-    on: in a block at high distance k from a's, the models among the
-    codes at distance d - k from a's low bits.  With a the least model
-    that has a greater one at distance d, no smaller model lies at that
-    distance from it, so the first found is above a."""
-    h, low = a >> b, a & ((1 << b) - 1)
-    weights = _weight_sets(b)
-    for start, models in blocks:
-        k = (start >> b ^ h).bit_count()
-        if k > d or d - k > b:
-            continue
-        near = models & translate(weights[d - k], b, low)
-        if near:
-            return start + (near & -near).bit_length() - 1
-    raise InternalConsistencyError(f"model {a} has no greater model at distance {d}")
 
 
 def _pairwise_pair(codes: np.ndarray, n: int) -> tuple[int, int, int]:

@@ -5,18 +5,10 @@ A vector of length l is an int whose coordinate 0 is the leading bit
 order on vectors is lexicographic order on their bitstrings.
 
 Desk-scale exact solvers for minimum weight and nearest codeword live
-here, and both refuse dimensions above ENUM_CAP_BITS (24).  Each reduces
-the rows to RREF, where every row owns its pivot bit, so a combination of
-r rows weighs at least r (for the nearest codeword: lies at least r from
-the target, counted from the selection that agrees with the target at
-the pivots).  They search the combinations by layers r = 1, 2, ... and
-stop once r exceeds the best weight found: strictly, so every tie at the
-minimum is seen and the tie-break holds.  A search that would try more
-than max(2**8, 2**dim / 16) combinations, and a nearest-codeword search
-over dependent rows, hands over to the whole span, enumerated in numpy
-blocks: a table of all combinations of the low 16 rows, built by
-doubling, XORed with each combination of the rest.  Vectors are stored
-as 32-bit limbs, so any column count works.
+here, and both refuse dimensions above ENUM_CAP_BITS (24).  Both run one
+Brouwer-Zimmermann search (`_bz_search`): the row combinations of
+several information sets, tried by size, until the lower bound that the
+information sets give together passes the best answer found.
 """
 
 from __future__ import annotations
@@ -25,30 +17,22 @@ from functools import reduce
 from itertools import combinations
 from math import comb
 from operator import or_
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import TooLarge
 
 ENUM_CAP_BITS = 24
-_TABLE_BITS = 16
-# The layer search hands over to the blocked enumeration once it would try
-# more than max(2**_LAYER_DIM, 2**dim / _SPAN_SHARE) combinations.  A
-# combination costs Python 5 to 20 times what a span member costs numpy
-# (48 to 200 columns), so no input costs much more than twice the blocked
-# enumeration; up to dimension 8 numpy's fixed cost is the larger and the
-# layers run to the end.
-_LAYER_DIM = 8
-_SPAN_SHARE = 16
-_NEVER = np.iinfo(np.int64).max
 
 _POP16 = np.unpackbits(np.arange(1 << 16, dtype=">u2").view(np.uint8)).reshape(-1, 16).sum(1, np.uint8)
 
 
-def _eliminate(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
+def _eliminate(rows: list[int], cols: int, prefer: int = 0) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (reduced rows, pivot bits), in
-    coordinate order of the pivots."""
+    coordinate order of the pivots.  A row pivots on its leading bit
+    among the columns of `prefer`, or on its leading bit if it has none
+    there."""
     reduced: list[int] = []
     pivots: list[int] = []
     for row in rows:
@@ -57,7 +41,7 @@ def _eliminate(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
                 row ^= r
         if row == 0:
             continue
-        p = row.bit_length() - 1
+        p = ((row & prefer) or row).bit_length() - 1
         # back-substitute into earlier rows
         for i, r in enumerate(reduced):
             if (r >> p) & 1:
@@ -121,96 +105,136 @@ def popcount(arr: np.ndarray) -> np.ndarray:
     return _POP16[arr & 0xFFFF] + _POP16[arr >> 16]
 
 
-def _limbs(vectors: Sequence[int], width: int) -> np.ndarray:
-    """(limbs, len(vectors)) uint32 array, one vector per column, most
-    significant limb first."""
-    count = max(1, -(-width // 32))
-    return np.array(
-        [[(v >> (32 * j)) & 0xFFFFFFFF for v in vectors] for j in reversed(range(count))],
-        dtype=np.uint32,
-    ).reshape(count, len(vectors))
-
-
-def _combinations(limbs: np.ndarray) -> np.ndarray:
-    """All 2**k XOR combinations of k limb columns, one per column; bit i
-    of the column index selects column i.  Built by doubling."""
-    k = limbs.shape[1]
-    table = np.zeros((len(limbs), 1 << k), dtype=np.uint32)
-    for i in range(k):
-        table[:, 1 << i : 2 << i] = table[:, : 1 << i] ^ limbs[:, i : i + 1]
-    return table
-
-
-def _span_blocks(rows: Sequence[int], width: int, extra: int = 0) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first, block) over the span of `rows` shifted by `extra`:
-    column j of the block is the member whose combination index (bit i
-    selects rows[i]) is first + j.  One table covers the low _TABLE_BITS
-    rows; each combination of the high rows shifts it."""
-    width = max([width, extra.bit_length()] + [r.bit_length() for r in rows])
-    low = min(len(rows), _TABLE_BITS)
-    limbs = _limbs([*rows, extra], width)
-    table = _combinations(limbs[:, :low]) ^ limbs[:, -1:]
-    offsets = _combinations(limbs[:, low:-1])
-    for high in range(offsets.shape[1]):
-        yield high << low, table ^ offsets[:, high : high + 1]
-
-
-def _weights(block: np.ndarray) -> np.ndarray:
-    return popcount(block).sum(axis=0, dtype=np.int64)
-
-
-def _vector(limbs: np.ndarray) -> int:
-    out = 0
-    for limb in limbs:
-        out = (out << 32) | int(limb)
-    return out
-
-
-def _layer_search(rows: Sequence[int], tail: int, base: int, empty: bool) -> tuple[int, int] | None:
+def _bz_search(rows: list[int], tail: int, target: int, empty: bool) -> tuple[int, int]:
     """The least (popcount of x >> tail, low `tail` bits of x) over
-    x = base ^ (XOR of r rows), r >= 1, and r = 0 too if `empty`.
+    x = target ^ (XOR of r >= 1 rows), and r = 0 too if `empty`.
 
-    Each row must own a pivot bit above `tail` that no other row and not
-    `base` holds, so a combination of r rows scores at least r.  Layer r
-    tries the r-row combinations, and the search stops once r exceeds the
-    best score: strictly, so every tie at the best score is seen.  None
-    once the combinations tried would pass max(2**_LAYER_DIM,
-    2**len(rows) / _SPAN_SHARE).
+    Brouwer-Zimmermann enumeration (Grassl, "Searching for linear codes
+    with large minimum distance", 2006).  The rows come in reduced row
+    echelon form, each pivoting on its leading bit above `tail`: the
+    first form.  Each later form is the same rows eliminated again onto
+    pivots among the columns no earlier form pivots on, its new columns;
+    its deficit is the number of its pivots outside them.  A form's base
+    is the target plus the rows whose pivot the target holds, so
+    base ^ (r rows) holds exactly r of the form's pivots, and round r
+    tries those combinations in every form.  An x no form reached in the
+    rounds below r holds at least r - deficit of each form's new columns,
+    and these are disjoint, so the search stops once the sum of those
+    counts passes the best score: strictly, so every tie is seen.
+
+    Later forms join between rounds, and only while the first form's
+    bound alone does not stop the next round, and once that round costs
+    as many combinations as building one (about k**2 row operations), so
+    an answer the first rounds settle builds none.  Then the forms are
+    priced against the combinations they are projected to save at the
+    best score so far (`_pays`), and the first form goes on alone once
+    that is projected to cost less than going on with them all.
     """
     k = len(rows)
-    low = (1 << tail) - 1
-    budget = max(1 << _LAYER_DIM, (1 << k) // _SPAN_SHARE)
+    start = 0 if empty else 1
+    base = _base(rows, [row.bit_length() - 1 for row in rows], target) if target else 0
     if empty:
         score, best = (base >> tail).bit_count(), base
     else:  # start above every score: a combination holds no bit outside the union
-        score, best = (reduce(or_, rows, base) >> tail).bit_count() + 1, 0
+        score, best = (reduce(or_, rows, 0) >> tail).bit_count() + 1, 0
+    forms, deficits, free = [(rows, base)], [0], -1
     for r in range(1, k + 1):
-        if r > score:
+        if r > score or len(forms) > 1 and sum(r - d for d in deficits if d < r) > score:
             break
-        budget -= comb(k, r)
-        if budget < 0:
-            return None
-        # each prefix of r - 1 rows is extended by every later row
-        for prefix in combinations(range(k - 1), r - 1):
-            p = base
-            for i in prefix:
-                p ^= rows[i]
-            for row in rows[prefix[-1] + 1 if prefix else 0 :]:
-                x = p ^ row
+        for form, form_base in forms:
+            score, best = _round(form, form_base, r, tail, score, best)
+        if r >= score or comb(k, r + 1) < k * k or not free:
+            continue  # the next round stops, or is too cheap to need a form
+        if free < 0:  # the columns no form pivots on yet
+            free = reduce(or_, rows, 0) >> tail << tail
+            for row in rows:
+                free &= ~(1 << (row.bit_length() - 1))
+        tried = sum(comb(k, j) for j in range(start, r + 1))  # by each form
+        if len(forms) > 1 and _finish(k, r + 1, score, [0]) < _finish(k, r + 1, score, deficits):
+            forms, deficits, free = forms[:1], [0], 0
+        while free and _pays(k, r + 1, score, tried, deficits, free):
+            form, pivots = _eliminate(rows, 0, free)
+            new = sum(1 << p for p in pivots if free >> p & 1)
+            free &= ~new
+            form_base = _base(form, pivots, target)
+            for j in range(start, r + 1):
+                score, best = _round(form, form_base, j, tail, score, best)
+            forms.append((form, form_base))
+            deficits.append(k - new.bit_count())
+    return score, best & ((1 << tail) - 1)
+
+
+def _base(rows: list[int], pivots: list[int], target: int) -> int:
+    """The target plus the rows whose pivot it holds, so it holds no
+    pivot: its codeword agrees with the target on every pivot."""
+    for row, p in zip(rows, pivots):
+        if (target >> p) & 1:
+            target ^= row
+    return target
+
+
+def _pays(k: int, r: int, score: int, tried: int, deficits: list[int], free: int) -> bool:
+    """Whether later forms joining before round r are projected to cost
+    fewer combinations than they save, at `score`: each is priced at its
+    elimination (about k**2 row operations) plus catching up on the
+    `tried` combinations, and taken to pivot on as many `free` columns as
+    it can."""
+    now = _finish(k, r, score, deficits)
+    price, later, left = 0, list(deficits), free.bit_count()
+    while left:
+        price += k * k + tried
+        later.append(k - min(k, left))
+        left -= min(k, left)
+        if price >= now:
+            return False
+        if price + _finish(k, r, score, later) < now:
+            return True
+    return False
+
+
+def _finish(k: int, r: int, score: int, deficits: list[int]) -> int:
+    """The combinations that forms of these deficits, caught up to round
+    r, try before their bound passes `score`."""
+    total = 0
+    for j in range(r, k + 1):
+        if sum(j - d for d in deficits if d < j) > score:
+            break
+        total += len(deficits) * comb(k, j)
+    return total
+
+
+def _round(rows: list[int], base: int, r: int, tail: int, score: int, best: int) -> tuple[int, int]:
+    """`_bz_search`'s (score, best) after trying base ^ (XOR of r rows)."""
+    low = (1 << tail) - 1
+    if r < 2:
+        for row in rows if r else (0,):
+            x = base ^ row
+            w = (x >> tail).bit_count()
+            if w <= score and (w < score or x & low < best & low):
+                score, best = w, x
+        return score, best
+    # each prefix of r - 2 rows is extended by every later pair of rows
+    pairs = [(row, rows[j + 1 :]) for j, row in enumerate(rows)]
+    for prefix in combinations(range(len(rows) - 2), r - 2):
+        p = base
+        for i in prefix:
+            p ^= rows[i]
+        for row, later in pairs[prefix[-1] + 1 if prefix else 0 :]:
+            q = p ^ row
+            for row in later:
+                x = q ^ row
                 w = (x >> tail).bit_count()
                 if w <= score and (w < score or x & low < best & low):
                     score, best = w, x
-    return score, best & low
+    return score, best
 
 
 def min_weight_nonzero(basis: Sequence[int], cols: int) -> tuple[int, int] | None:
     """Minimum-weight nonzero span member; None for the zero-dimensional space.
 
     Ties break toward the smallest vector, i.e. the smallest bitstring.
-    Searches the combinations of the RREF rows by layers, each row tagged
-    below with itself so the tie-break reads the vector
-    (`_layer_search`); a search past its budget enumerates the span
-    instead (`_min_weight_blocks`).
+    Each RREF row is tagged below with itself, so the search's tie-break
+    reads the vector (`_bz_search`).
     """
     dim = len(basis)
     if dim > ENUM_CAP_BITS:
@@ -219,25 +243,7 @@ def min_weight_nonzero(basis: Sequence[int], cols: int) -> tuple[int, int] | Non
     if not reduced:
         return None
     tail = reduced[0].bit_length()  # the first row holds the highest pivot
-    found = _layer_search([(v << tail) | v for v in reduced], tail, 0, empty=False)
-    return found or _min_weight_blocks(reduced, cols)
-
-
-def _min_weight_blocks(basis: Sequence[int], cols: int) -> tuple[int, int] | None:
-    """`min_weight_nonzero` over all 2**dim combinations, a table block at a time."""
-    best: tuple[int, int] | None = None
-    for _, block in _span_blocks(basis, cols):
-        weights = _weights(block)
-        weights[weights == 0] = _NEVER  # the zero vector never counts
-        low = int(weights.min())
-        if low == _NEVER or (best is not None and low > best[0]):
-            continue
-        ties = block[:, weights == low]
-        # lexsort's last key is the primary one: the most significant limb
-        key = (low, _vector(ties[:, np.lexsort(ties[::-1])[0]]))
-        if best is None or key < best:
-            best = key
-    return best
+    return _bz_search([(v << tail) | v for v in reduced], tail, 0, empty=False)
 
 
 def nearest_codeword(generator_rows: Sequence[int], cols: int, target: int) -> tuple[int, int]:
@@ -245,12 +251,12 @@ def nearest_codeword(generator_rows: Sequence[int], cols: int, target: int) -> t
 
     Returns (distance, message), where bit i of the message selects row i;
     ties break toward the lexicographically smallest message (MSB-first
-    over message bits m[0..k-1]).  Independent rows are searched by
-    layers around the selection that agrees with the target at the
-    pivots, each RREF row tagged below with the message that builds it
-    (`_layer_search`).  Dependent rows, whose messages share codewords,
-    and a search past its budget enumerate the message space instead
-    (`_nearest_blocks`).
+    over message bits m[0..k-1]).  Each row is tagged below with the
+    message that builds it, and the search (`_bz_search`) runs on the RREF
+    rows whose pivot lies in the codeword.  The other rows are bare tags,
+    the messages of the zero codeword; the RREF clears their pivots from
+    every searched row, so each combination's tag is the smallest message
+    of its codeword.
     """
     k = len(generator_rows)
     if k > ENUM_CAP_BITS:
@@ -260,27 +266,8 @@ def nearest_codeword(generator_rows: Sequence[int], cols: int, target: int) -> t
     reduced, pivots = _eliminate(
         [(row << k) | (1 << (k - 1 - j)) for j, row in enumerate(generator_rows)], cols + k
     )
-    found = None
-    if not pivots or pivots[-1] >= k:  # no row reduced to a bare tag: independent rows
-        base = target << k
-        for row, p in zip(reduced, pivots):
-            if (target >> (p - k)) & 1:
-                base ^= row  # the codeword now agrees with the target at every pivot
-        found = _layer_search(reduced, k, base, empty=True)
-    distance, reversed_message = found or _nearest_blocks(generator_rows, cols, target)
+    while reduced and pivots[-1] < k:  # the bare tags come last
+        reduced.pop()
+        pivots.pop()
+    distance, reversed_message = _bz_search(reduced, k, target << k, empty=True)
     return distance, int(f"{reversed_message:0{k}b}"[::-1], 2)
-
-
-def _nearest_blocks(generator_rows: Sequence[int], cols: int, target: int) -> tuple[int, int]:
-    """(distance, reversed message) of `nearest_codeword` over all 2**k
-    messages, a table block at a time."""
-    # enumerate the reversed message, so numeric order on the combination
-    # index is the tie-break order
-    best: tuple[int, int] | None = None
-    for first, block in _span_blocks(generator_rows[::-1], cols, target):
-        distances = _weights(block)
-        at = int(distances.argmin())  # the first minimum: smallest index
-        key = (int(distances[at]), first + at)
-        if best is None or key < best:
-            best = key
-    return best

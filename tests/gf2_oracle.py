@@ -1,13 +1,25 @@
-"""Gray-code enumeration of a GF(2) span: the test oracle for `gf2`.
+"""Enumerations of a whole GF(2) span: the test oracles for `gf2`.
 
-One XOR per step over all 2**dim combinations, in pure Python.
 `gf2.min_weight_nonzero` and `gf2.nearest_codeword` must return exactly
-what these return, ties included.
+what these return, ties included.  The Gray code takes one XOR per step
+over all 2**dim combinations, in pure Python.  The span enumeration
+(`span_min_weight_nonzero`, `span_nearest_codeword`) does the same in
+numpy blocks, fast enough to be the reference up to dimension 24: a
+table of all combinations of the low 16 rows, built by doubling, XORed
+with each combination of the rest.  Vectors are stored as 32-bit limbs,
+so any column count works.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from minsol.gf2 import popcount
+
+_TABLE_BITS = 16
+_NEVER = np.iinfo(np.int64).max
 
 
 def gray_min_weight_nonzero(basis: Sequence[int]) -> tuple[int, int] | None:
@@ -38,6 +50,86 @@ def gray_nearest_codeword(generator_rows: Sequence[int], target: int) -> tuple[i
         codeword ^= generator_rows[k - (i & -i).bit_length()]
         key = ((codeword ^ target).bit_count(), i ^ (i >> 1))
         if key < best:
+            best = key
+    distance, reversed_message = best
+    return distance, int(f"{reversed_message:0{k}b}"[::-1], 2)
+
+
+def _limbs(vectors: Sequence[int], width: int) -> np.ndarray:
+    """(limbs, len(vectors)) uint32 array, one vector per column, most
+    significant limb first."""
+    count = max(1, -(-width // 32))
+    return np.array(
+        [[(v >> (32 * j)) & 0xFFFFFFFF for v in vectors] for j in reversed(range(count))],
+        dtype=np.uint32,
+    ).reshape(count, len(vectors))
+
+
+def _combinations(limbs: np.ndarray) -> np.ndarray:
+    """All 2**k XOR combinations of k limb columns, one per column; bit i
+    of the column index selects column i.  Built by doubling."""
+    k = limbs.shape[1]
+    table = np.zeros((len(limbs), 1 << k), dtype=np.uint32)
+    for i in range(k):
+        table[:, 1 << i : 2 << i] = table[:, : 1 << i] ^ limbs[:, i : i + 1]
+    return table
+
+
+def _span_blocks(rows: Sequence[int], width: int, extra: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first, block) over the span of `rows` shifted by `extra`:
+    column j of the block is the member whose combination index (bit i
+    selects rows[i]) is first + j.  One table covers the low _TABLE_BITS
+    rows; each combination of the high rows shifts it."""
+    width = max([width, extra.bit_length()] + [r.bit_length() for r in rows])
+    low = min(len(rows), _TABLE_BITS)
+    limbs = _limbs([*rows, extra], width)
+    table = _combinations(limbs[:, :low]) ^ limbs[:, -1:]
+    offsets = _combinations(limbs[:, low:-1])
+    for high in range(offsets.shape[1]):
+        yield high << low, table ^ offsets[:, high : high + 1]
+
+
+def _weights(block: np.ndarray) -> np.ndarray:
+    return popcount(block).sum(axis=0, dtype=np.int64)
+
+
+def _vector(limbs: np.ndarray) -> int:
+    out = 0
+    for limb in limbs:
+        out = (out << 32) | int(limb)
+    return out
+
+
+def span_min_weight_nonzero(basis: Sequence[int], cols: int) -> tuple[int, int] | None:
+    """Minimum (weight, vector) over the nonzero span members, a table
+    block at a time."""
+    best: tuple[int, int] | None = None
+    for _, block in _span_blocks(basis, cols):
+        weights = _weights(block)
+        weights[weights == 0] = _NEVER  # the zero vector never counts
+        low = int(weights.min())
+        if low == _NEVER or (best is not None and low > best[0]):
+            continue
+        ties = block[:, weights == low]
+        # lexsort's last key is the primary one: the most significant limb
+        key = (low, _vector(ties[:, np.lexsort(ties[::-1])[0]]))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def span_nearest_codeword(generator_rows: Sequence[int], cols: int, target: int) -> tuple[int, int]:
+    """(distance, message) of the nearest codeword, as
+    `gray_nearest_codeword`, a table block at a time."""
+    k = len(generator_rows)
+    # enumerate the reversed message, so numeric order on the combination
+    # index is the tie-break order
+    best: tuple[int, int] | None = None
+    for first, block in _span_blocks(generator_rows[::-1], cols, target):
+        distances = _weights(block)
+        at = int(distances.argmin())  # the first minimum: smallest index
+        key = (int(distances[at]), first + at)
+        if best is None or key < best:
             best = key
     distance, reversed_message = best
     return distance, int(f"{reversed_message:0{k}b}"[::-1], 2)

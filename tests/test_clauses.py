@@ -265,3 +265,22 @@ def test_the_clause_cache_keeps_only_recent_formulas():
     for n in range(3 + 64, 2 + 200):
         visit(n)
     assert cache.cache_info().currsize <= 64
+
+
+def test_reduced_without_unit_clauses_is_the_index_itself():
+    """An index with no unit clause is its own residual, and caches no
+    tuple that holds it: dropped, it is freed at once, without the cycle
+    collector.  With a unit clause the residual is a new index."""
+    index = ClauseIndex([frozenset({1, 2}), frozenset({-1, 3})], 3)
+    forced, residual = index.reduced
+    assert forced == {} and residual is index
+    assert index.probe(-1) == {-1, 2}
+    dropped = weakref.ref(index)
+    gc.disable()
+    try:
+        del index, residual
+        assert dropped() is None
+    finally:
+        gc.enable()
+    forced, residual = ClauseIndex([frozenset({1}), frozenset({-1, 3}), frozenset({2, 3})], 3).reduced
+    assert forced == {1: 1, 3: 1} and residual.clauses == ()

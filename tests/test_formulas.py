@@ -40,6 +40,7 @@ from minsol.formulas import (
 from minsol.relations import (
     BUILTIN_RELATIONS,
     DUP3,
+    EQ2,
     F_REL,
     OR2,
     T_REL,
@@ -156,6 +157,15 @@ class TestOracle:
             oracle_optimize("XSOL", f, A("1"))
         with pytest.raises(NoSecondModel):
             oracle_optimize("MSD", f)
+
+    def test_far_block_before_the_input_block(self):
+        # n = 18 spans four blocks: from 1^18 the only other model, 0^18,
+        # lies 18 away in the first block, and the input's own block then
+        # has no model left to find within that distance
+        n = 18
+        f = make_formula(lang(eq=EQ2), n, [("eq", [i, i + 1]) for i in range(1, n)])
+        out = oracle_optimize("XSOL", f, A("1" * n))
+        assert out.value == n and str(out.witness) == "0" * n
 
     def test_lexicographic_witness(self):
         f = make_formula(lang(or2=OR2), 2, [("or2", [1, 2])])

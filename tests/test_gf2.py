@@ -3,7 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from gf2_oracle import gray_min_weight_nonzero, gray_nearest_codeword
+from gf2_oracle import (
+    gray_min_weight_nonzero,
+    gray_nearest_codeword,
+    span_min_weight_nonzero,
+    span_nearest_codeword,
+)
 from helpers import FAMILY_LANGUAGES, random_satisfiable
 from minsol import gf2
 from minsol.clauses import affine_solve
@@ -179,10 +184,6 @@ class TestBlockedAgainstGrayCode:
             assert gf2.nearest_codeword(basis, cols, inside) == gray_nearest_codeword(basis, inside)
 
 
-def _no_span(*args, **kwargs):
-    raise AssertionError("the layer bound should have stopped the search")
-
-
 def _planted(rng, dim, cols, weight):
     """Random rows over `cols` columns whose span holds a planted member
     of the given weight, XORed into every row but the last."""
@@ -191,10 +192,51 @@ def _planted(rng, dim, cols, weight):
     return [r ^ planted for r in rows] + [rows[0]]
 
 
+def _repetition_like(rng, dim):
+    """Row i repeats a 1 over its own six columns, plus noise in 8 columns
+    below: minimum weight at least six, and from a random target no
+    column set prunes the nearest-codeword search."""
+    return [(0b111111 << (6 * i + 8)) | rng.randrange(1 << 8) for i in range(dim)], 6 * dim + 8
+
+
+class _Spy:
+    """Records what `gf2._bz_search` does: the forms it builds, with
+    their new pivots, and the forms that run each round."""
+
+    def __init__(self, monkeypatch):
+        self.built: list[tuple[int, int]] = []  # (rows, new pivots)
+        self.rounds: dict[int, set[int]] = {}
+        eliminate, round_ = gf2._eliminate, gf2._round
+
+        def spy_eliminate(rows, cols, prefer=0):
+            reduced, pivots = eliminate(rows, cols, prefer)
+            if prefer:
+                self.built.append((len(rows), sum(prefer >> p & 1 for p in pivots)))
+            return reduced, pivots
+
+        def spy_round(rows, base, r, tail, score, best):
+            self.rounds.setdefault(r, set()).add(id(rows))
+            return round_(rows, base, r, tail, score, best)
+
+        monkeypatch.setattr(gf2, "_eliminate", spy_eliminate)
+        monkeypatch.setattr(gf2, "_round", spy_round)
+
+    def reset(self):
+        self.built.clear()
+        self.rounds.clear()
+
+    def dropped(self) -> bool:
+        """Whether several forms ran a round and one form alone ran the last."""
+        last = self.rounds[max(self.rounds)] if self.rounds else ()
+        return len(last) == 1 and any(len(forms) > 1 for forms in self.rounds.values())
+
+
 class TestLayerSearch:
-    """The layer search against the Gray-code oracle on the inputs that
-    pick each path: stopped by the bound, handed to the blocked
-    enumeration, and the dependent rows that skip the layers."""
+    """The Brouwer-Zimmermann search, by layers of row combinations over
+    several information sets, against the whole-span references: the
+    Gray code up to dimension 20 and the numpy span enumeration above.
+    The inputs run each path: the first form's bound alone, later forms
+    joining, forms with a deficit and the drop back to the first form."""
 
     @pytest.mark.parametrize("dim", [18, 20])
     @pytest.mark.parametrize("weight", [1, 2])
@@ -209,7 +251,7 @@ class TestLayerSearch:
             gray_nearest_codeword(basis, inside ^ error),
             gray_nearest_codeword(basis, inside),
         ]
-        monkeypatch.setattr(gf2, "_span_blocks", _no_span)
+        spy = _Spy(monkeypatch)
         got = [
             gf2.min_weight_nonzero(basis, cols),
             gf2.nearest_codeword(basis, cols, inside ^ error),
@@ -217,27 +259,39 @@ class TestLayerSearch:
         ]
         assert got == want
         assert got[0][0] <= weight and got[1][0] <= weight and got[2][0] == 0
+        assert not spy.built  # the first form's bound settles small answers
 
     @pytest.mark.parametrize("dim", [22, 24])
     def test_bound_stops_at_the_cap(self, monkeypatch, dim):
-        # the Gray code takes seconds here; the blocked enumeration, checked
-        # against it above the table size, is the reference
+        # the Gray code takes seconds here; the numpy span enumeration,
+        # checked against it below, is the reference
         rng = random.Random(dim)
         cols = 64
+        spy = _Spy(monkeypatch)
         for weight in (1, 2):
             basis = _planted(rng, dim, cols, weight)
             target = basis[0] ^ basis[-1] ^ (1 << rng.randrange(cols))
-            want = gf2._min_weight_blocks(basis, cols), gf2._nearest_blocks(basis, cols, target)
-            with monkeypatch.context() as patch:
-                patch.setattr(gf2, "_span_blocks", _no_span)
-                weight_got = gf2.min_weight_nonzero(basis, cols)
-                distance, message = gf2.nearest_codeword(basis, cols, target)
-            assert weight_got == want[0] and weight_got[0] <= weight
-            assert (distance, int(f"{message:0{dim}b}"[::-1], 2)) == want[1]
-            assert distance <= 1
+            got = gf2.min_weight_nonzero(basis, cols), gf2.nearest_codeword(basis, cols, target)
+            assert got == (span_min_weight_nonzero(basis, cols), span_nearest_codeword(basis, cols, target))
+            assert got[0][0] <= weight and got[1][0] <= 1
+        assert not spy.built
+
+    @pytest.mark.parametrize("dim", [21, 23])
+    def test_high_weights_at_the_cap(self, monkeypatch, dim):
+        # a planted weight of dim / 2 over 4 * dim columns, and a random
+        # target over 2 * dim columns: later forms settle both
+        rng = random.Random(dim)
+        spy = _Spy(monkeypatch)
+        cases = [(_planted(rng, dim, 4 * dim, dim // 2), 4 * dim)]
+        cases.append(([rng.randrange(1, 1 << 2 * dim) for _ in range(dim)], 2 * dim))
+        for basis, cols in cases:
+            target = rng.randrange(1 << cols)
+            got = gf2.min_weight_nonzero(basis, cols), gf2.nearest_codeword(basis, cols, target)
+            assert got == (span_min_weight_nonzero(basis, cols), span_nearest_codeword(basis, cols, target))
+        assert spy.built
 
     @pytest.mark.parametrize("dim", [1, 4, 8])
-    def test_small_dimensions_never_enumerate_the_span(self, monkeypatch, dim):
+    def test_small_dimensions_match_the_gray_code(self, dim):
         rng = random.Random(dim)
         cols = 30
         bases = [[rng.randrange(1, 1 << cols) for _ in range(dim)] for _ in range(20)]
@@ -247,7 +301,6 @@ class TestLayerSearch:
         want = [
             (gray_min_weight_nonzero(b), gray_nearest_codeword(b, t)) for b, t in zip(bases, targets)
         ]
-        monkeypatch.setattr(gf2, "_span_blocks", _no_span)
         got = [
             (gf2.min_weight_nonzero(b, cols), gf2.nearest_codeword(b, cols, t))
             for b, t in zip(bases, targets)
@@ -256,21 +309,68 @@ class TestLayerSearch:
 
     @pytest.mark.parametrize("dim", [12, 14])
     def test_high_distance_codes_enumerate_the_span(self, monkeypatch, dim):
-        # repetition-like rows: row i repeats a 1 over its own six columns
-        # plus noise below, so the minimum weight is at least six, the
-        # layers would pass their budget, and every row ties at the bottom
+        # repetition-like rows: every row ties at the bottom, and the
+        # minimum weight of at least six is settled by the forms on the
+        # other columns of each block.  From a far target no bound prunes,
+        # so the nearest codeword runs every round: the whole span
         rng = random.Random(dim)
-        cols = 6 * dim + 8
-        basis = [(0b111111 << (6 * i + 8)) | rng.randrange(1 << 8) for i in range(dim)]
+        basis, cols = _repetition_like(rng, dim)
         target = rng.randrange(1 << cols)
-        spans = []
-        real = gf2._span_blocks
-        monkeypatch.setattr(gf2, "_span_blocks", lambda *a: spans.append(a) or real(*a))
+        spy = _Spy(monkeypatch)
         found = gf2.min_weight_nonzero(basis, cols)
         assert found == gray_min_weight_nonzero(basis)
         assert found[0] >= dim // 2
+        assert spy.built and all(new == dim for _, new in spy.built)
+        spy.reset()
         assert gf2.nearest_codeword(basis, cols, target) == gray_nearest_codeword(basis, target)
-        assert len(spans) == 2
+        assert max(spy.rounds) == dim
+
+    def test_every_path_against_the_gray_code(self, monkeypatch):
+        # dimensions 9-16 over dim + 1 to 6 * dim columns: planted near
+        # targets, random far targets, sparse rows, and dependent rows
+        # with zero rows among them
+        rng = random.Random(25)
+        spy = _Spy(monkeypatch)
+        partial = joined = dropped = 0
+        for _ in range(120):
+            dim = rng.randint(9, 16)
+            cols = rng.randint(dim + 1, 6 * dim)
+            kind = rng.choice(["planted", "random", "sparse", "dependent"])
+            if kind == "planted":
+                rows = _planted(rng, dim, cols, rng.randint(1, min(cols, dim)))
+            elif kind == "random":
+                rows = [rng.randrange(1 << cols) for _ in range(dim)]
+            elif kind == "sparse":
+                rows = [sum(1 << rng.randrange(cols) for _ in range(rng.randint(2, 8))) for _ in range(dim)]
+            else:
+                half = [rng.randrange(1 << cols) for _ in range(dim // 2)] + [0]
+                rows = [rng.choice(half) ^ rng.choice(half) for _ in range(dim)]
+            near = 0
+            for row in rows:
+                near ^= row if rng.random() < 0.5 else 0
+            near ^= sum(1 << rng.randrange(cols) for _ in range(rng.randint(0, dim // 2)))
+            searches = [(gf2.min_weight_nonzero, (rows, cols), gray_min_weight_nonzero(rows))]
+            for target in (near, rng.randrange(1 << cols)):
+                searches.append((gf2.nearest_codeword, (rows, cols, target), gray_nearest_codeword(rows, target)))
+            for search, args, want in searches:
+                spy.reset()
+                assert search(*args) == want
+                partial += any(new < k for k, new in spy.built)
+                joined += any(len(forms) > 1 for forms in spy.rounds.values())
+                dropped += spy.dropped()
+        assert partial and joined and dropped
+
+    def test_ties_at_the_joint_bound(self):
+        # two forms on 20 columns.  First with no deficit: after round 2
+        # the bound 3 + 3 equals the best distance found.  Then with the
+        # second form on 8 new columns and one old one (deficit 1): the
+        # bound 3 + (3 - 1) equals it.  Either way only round 3 reaches the
+        # smallest message at that distance, so only a strict stop on the
+        # exact bound finds it
+        rows = [4256, 2177, 1282, 65608, 262276, 524832, 8195, 16394, 131328, 32784]
+        assert gf2.nearest_codeword(rows, 20, 154974) == gray_nearest_codeword(rows, 154974) == (6, 384)
+        rows = [693602, 43689, 810129, 74722, 456795, 660984, 722955, 953029, 499082]
+        assert gf2.nearest_codeword(rows, 20, 859060) == gray_nearest_codeword(rows, 859060) == (5, 480)
 
     def test_dependent_rows(self):
         # repeated and dependent rows share codewords between messages, so
@@ -286,12 +386,24 @@ class TestLayerSearch:
                     assert got == gray_nearest_codeword(rows, target)
                 assert gf2.min_weight_nonzero(rows, cols) == gray_min_weight_nonzero(rows)
 
-    def test_dimension_zero(self, monkeypatch):
-        monkeypatch.setattr(gf2, "_span_blocks", _no_span)
+    def test_dimension_zero(self):
         assert gf2.min_weight_nonzero([], 5) is None
         assert gf2.min_weight_nonzero([0, 0], 5) is None
         assert gf2.nearest_codeword([], 5, 0b10110) == (3, 0)
         assert gf2.nearest_codeword([], 5, 0) == (0, 0)
+        assert gf2.nearest_codeword([0, 0], 5, 0b10110) == (3, 0)
+
+
+@pytest.mark.parametrize("cols", [31, 33, 65])
+@pytest.mark.parametrize("dim", [1, 16, 17])
+def test_span_reference_matches_the_gray_code(dim, cols):
+    # 16 rows fill one table; the 17th shifts it, across the block
+    # boundary.  32-bit limbs: 31/33 and 65 columns straddle limb boundaries
+    rng = random.Random(dim * 100 + cols)
+    for basis in ([rng.randrange(1, 1 << cols) for _ in range(dim)], _tie_heavy(rng, dim, cols)):
+        target = rng.randrange(1 << cols)
+        assert span_min_weight_nonzero(basis, cols) == gray_min_weight_nonzero(basis)
+        assert span_nearest_codeword(basis, cols, target) == gray_nearest_codeword(basis, target)
 
 
 class TestAffineFormulas:
