@@ -16,8 +16,9 @@ a formula whose few models lie in all 256 blocks at n = 24 pays each
 distance 256 times.  Once the total would pass `_WORDS_PER_PAIR` words
 per model pair, the codes are read out and every pair is compared
 (`_pairwise_pair`), so no input costs much more than twice that scan.
-Only `model_codes`, which that hand-over calls, and `enumerate_models`
-have numpy read the codes out.
+That hand-over alone uses numpy, imported on its first call:
+`model_codes` reads the codes out and `_pairwise_pair` compares them.
+`enumerate_models` reads codes off the block ints (`set_bits`).
 Assignment codes are MSB-first (variable 1 is the most significant bit),
 so ascending code order is lexicographic order on bitstrings.
 """
@@ -31,9 +32,7 @@ from dataclasses import dataclass, field
 from math import comb
 from operator import ne
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     InternalConsistencyError,
@@ -53,6 +52,7 @@ from .relations import (
     load_language,
     membership_table,
     parse_relation_line,
+    set_bits,
     sorted_atom,
     swap_bits,
     swap_mask,
@@ -60,6 +60,9 @@ from .relations import (
     _low,
     _weight_sets,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORACLE_VAR_CAP = 24
 _BLOCK_BITS = 16  # 2**16 codes per block: each whole-set int is 8 KiB
@@ -256,13 +259,6 @@ def _model_blocks(formula: Formula) -> Iterator[tuple[int, int]]:
             yield start, models
 
 
-def _block_codes(n: int, start: int, models: int) -> np.ndarray:
-    """The ascending int64 codes of one block's models."""
-    codes = np.flatnonzero(membership_table(min(_BLOCK_BITS, n), models))
-    codes += start
-    return codes
-
-
 @dataclass(frozen=True)
 class ModelEnumeration:
     assignments: tuple[Assignment, ...]
@@ -270,30 +266,35 @@ class ModelEnumeration:
 
 
 def enumerate_models(formula: Formula, cap: int | None = None) -> ModelEnumeration:
-    """All models in lexicographic order, truncated after `cap` models if given."""
+    """All models in lexicographic order, truncated after `cap` models if
+    given.  The codes are read off each block's int (`set_bits`) and the
+    scan stops at the cap, so a capped call reads no further than the
+    model past it."""
     n = formula.var_count
     out: list[Assignment] = []
     for start, models in _model_blocks(formula):
-        codes = _block_codes(n, start, models)
-        if cap is not None and len(out) + len(codes) > cap:
-            out.extend(Assignment.from_code(int(c), n) for c in codes[: cap - len(out)])
-            return ModelEnumeration(tuple(out), True)
-        out.extend(Assignment.from_code(int(c), n) for c in codes)
+        for c in set_bits(models):
+            if len(out) == cap:
+                return ModelEnumeration(tuple(out), True)
+            out.append(Assignment.from_code(start + c, n))
     return ModelEnumeration(tuple(out), False)
 
 
 def model_codes(formula: Formula, blocks: list[tuple[int, int]] | None = None) -> np.ndarray:
     """Ascending int64 array of all model codes, filled block by block
     into one array sized by the blocks' model counts; `blocks` are the
-    formula's `_model_blocks` if they are already at hand."""
+    formula's `_model_blocks` if they are already at hand.  numpy loads
+    on the first call."""
+    import numpy as np
+
     n = formula.var_count
     if blocks is None:
         blocks = list(_model_blocks(formula))
     out = np.empty(sum(models.bit_count() for _, models in blocks), dtype=np.int64)
     pos = 0
     for start, models in blocks:
-        codes = _block_codes(n, start, models)
-        out[pos : pos + len(codes)] = codes
+        codes = np.flatnonzero(membership_table(min(_BLOCK_BITS, n), models))
+        out[pos : pos + len(codes)] = codes + start
         pos += len(codes)
     return out
 
@@ -468,7 +469,13 @@ def _block_hits(models: int, partners: list[list[int]], b: int, d: int) -> int:
 
 def _pairwise_pair(codes: np.ndarray, n: int) -> tuple[int, int, int]:
     """(distance, a, b) for the lexicographically smallest closest pair
-    a < b of the ascending model codes, by comparing every pair."""
+    a < b of the ascending model codes, by comparing every pair.  Codes
+    are XORed as uint32, wide enough for `ORACLE_VAR_CAP` variables, so
+    each chunk x chunk temporary takes half the bytes of int64.  numpy
+    loads on the first call."""
+    import numpy as np
+
+    codes = codes.astype(np.uint32)
     best_val = n + 1
     best_pair: tuple[int, int] | None = None
     chunk = 1 << 12

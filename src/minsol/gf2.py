@@ -13,19 +13,18 @@ information sets give together passes the best answer found.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from math import comb
 from operator import or_
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import TooLarge
 
-ENUM_CAP_BITS = 24
+if TYPE_CHECKING:
+    import numpy as np
 
-_POP16 = np.unpackbits(np.arange(1 << 16, dtype=">u2").view(np.uint8)).reshape(-1, 16).sum(1, np.uint8)
+ENUM_CAP_BITS = 24
 
 
 def _eliminate(rows: list[int], cols: int, prefer: int = 0) -> tuple[list[int], list[int]]:
@@ -100,9 +99,19 @@ def solve_affine(equations: Sequence[tuple[int, int]], cols: int) -> tuple[int, 
     return particular, _free_basis([r >> 1 for r in reduced], [p - 1 for p in pivots], cols)
 
 
+@cache
+def _pop16() -> np.ndarray:
+    """The bit counts of the 16-bit values, built on the first `popcount`
+    call: numpy loads then, so no caller without arrays pays its import."""
+    import numpy as np
+
+    return np.unpackbits(np.arange(1 << 16, dtype=">u2").view(np.uint8)).reshape(-1, 16).sum(1, np.uint8)
+
+
 def popcount(arr: np.ndarray) -> np.ndarray:
     """Per-element bit count of an integer array whose values fit in 32 bits."""
-    return _POP16[arr & 0xFFFF] + _POP16[arr >> 16]
+    pop16 = _pop16()
+    return pop16[arr & 0xFFFF] + pop16[arr >> 16]
 
 
 def _bz_search(rows: list[int], tail: int, target: int, empty: bool) -> tuple[int, int]:

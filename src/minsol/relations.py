@@ -43,12 +43,13 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import gf2
 from .errors import InternalConsistencyError, ParseError, ShapeUnavailable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_RELATION_ARITY = 16
 # Bound on truth-table arity; the classifier itself needs arity 3 at most.
@@ -65,6 +66,25 @@ def tuple_code(bits: Sequence[int]) -> int:
 
 def code_bits(code: int, arity: int) -> tuple[int, ...]:
     return tuple((code >> (arity - 1 - i)) & 1 for i in range(arity))
+
+
+# _BYTE_BITS[x]: the set bits of the byte x, ascending
+_BYTE_BITS = tuple(tuple(j for j in range(8) if x >> j & 1) for x in range(256))
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """The set bits of a nonnegative int, in ascending order.
+
+    The mask is read as 64-bit words, so each zero word costs one test,
+    and a nonzero word byte by byte through `_BYTE_BITS`: linear in the
+    mask's length for sparse and dense masks alike, where clearing the
+    lowest bit of the whole int would cost its length per bit."""
+    data = mask.to_bytes(-(-mask.bit_length() // 64) * 8, "little")
+    for i, word in enumerate(memoryview(data).cast("Q")):
+        if word:
+            for k in range(i << 3, (i + 1) << 3):
+                for j in _BYTE_BITS[data[k]]:
+                    yield (k << 3) + j
 
 
 @dataclass(frozen=True)
@@ -103,7 +123,7 @@ class Relation:
 
     def tuples(self) -> tuple[int, ...]:
         """Member tuple codes in ascending (lexicographic) order."""
-        return tuple(np.flatnonzero(membership_table(self.arity, self.mask)).tolist())
+        return tuple(set_bits(self.mask))
 
     def bit_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(code_bits(c, self.arity) for c in self.tuples())
@@ -160,9 +180,6 @@ class BoolFunction:
 
     def value(self, code: int) -> int:
         return (self.table >> code) & 1
-
-    def apply_bits(self, bits: Sequence[int]) -> int:
-        return self.value(tuple_code(bits))
 
     def __str__(self) -> str:
         return self.name or f"fn{self.arity}:{self.table:x}"
@@ -257,7 +274,10 @@ BUILTIN_RELATIONS: dict[str, Relation] = {
 
 
 def membership_table(arity: int, mask: int) -> np.ndarray:
-    """A mask as a bool array over the 2**arity codes."""
+    """A mask as a bool array over the 2**arity codes.  numpy loads on
+    the first call, so that no caller without arrays pays its import."""
+    import numpy as np
+
     packed = np.frombuffer(mask.to_bytes(max(1, (1 << arity) // 8), "little"), dtype=np.uint8)
     return np.unpackbits(packed, bitorder="little")[: 1 << arity].view(bool)
 
@@ -552,7 +572,7 @@ def _prime_implicates(arity: int, mask: int) -> tuple[Clause, ...]:
         for j, low in enumerate(_low(n)):
             found.append(((n - 1 - j,), ~low & covered & _uncovered_maxima(_above(m & ~low, n), n)))
         for neg, codes in found:
-            for c in np.flatnonzero(membership_table(n, codes)).tolist():
+            for c in set_bits(codes):
                 pos = tuple(i for i in range(n) if not c >> (n - 1 - i) & 1)
                 clauses.add(Clause(neg, pos) if flip else Clause(pos, neg))
     return tuple(sorted(clauses, key=lambda cl: (len(cl.literals()), sorted(cl.literals()))))

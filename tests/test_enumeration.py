@@ -5,8 +5,9 @@ full and near empty), atoms on distinct or repeated variables, zero
 atoms, and blocks from 2**1 codes up.  `model_codes` must return the
 reference's codes and dtype; `enumerate_models` its first `cap` models
 and `truncated` iff a model lies past the cap (all of them, uncapped,
-when they are few).  The NSOL and XSOL oracle, which reads distances off
-the blocks, must return the model `nearest_code` picks from the reference.
+when they are few), with caps on and next to the block boundaries.  The
+NSOL and XSOL oracle, which reads distances off the blocks, must return
+the model `nearest_code` picks from the reference.
 """
 
 from __future__ import annotations
@@ -66,7 +67,12 @@ def _check(f) -> None:
     assert got.dtype == want.dtype
     assert got.tolist() == want.tolist()
     edges = (max(len(want) - 1, 0), len(want), None)  # the cap at and next to the count
-    for cap in (0, 1, 2) + (edges if len(want) <= 4096 else ()):
+    # caps at the models below each of the first block boundaries, and one
+    # either side: the cap lands on a block's last model or inside a block
+    step = 1 << min(formulas._BLOCK_BITS, f.var_count)
+    below = np.searchsorted(want, [step, 2 * step, 3 * step]).tolist()
+    blocks = tuple(c + e for c in below for e in (-1, 0, 1) if 0 < c + e <= 4096)
+    for cap in (0, 1, 2) + (edges if len(want) <= 4096 else ()) + blocks:
         listed = enumerate_models(f, cap)
         kept = want[:cap] if cap is not None else want
         assert [m.code() for m in listed.assignments] == kept.tolist()

@@ -1,6 +1,8 @@
+import itertools
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 import enumeration_oracle
@@ -242,6 +244,13 @@ class TestMsdRadiusSearch:
             f = planted_code(words, n, interleaved)
             assert oracle_optimize("MSD", f).value == msd
             assert _bitset_pair(f)[0] == msd
+
+    def test_pairwise_scan_on_24_bit_codes(self):
+        # codes far above 2**16, and two that agree on their low 16 bits
+        rng = random.Random(24)
+        codes = sorted({rng.getrandbits(24) for _ in range(300)} | {5 << 16 | 7, 9 << 16 | 7})
+        want = min(((a ^ b).bit_count(), a, b) for a, b in itertools.combinations(codes, 2))
+        assert formulas._pairwise_pair(np.array(codes, dtype=np.int64), 24) == want
 
     def test_lone_nae3_at_n18(self):
         # 3/4 of all 2**18 assignments are models; the smallest one,

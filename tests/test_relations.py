@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,11 +40,13 @@ from minsol.relations import (
     even_rel,
     is_polymorphism,
     load_language,
+    membership_table,
     nand_rel,
     odd_rel,
     or_rel,
     parse_language,
     projection_width,
+    set_bits,
     tuple_code,
 )
 
@@ -54,11 +57,16 @@ relations = st.integers(min_value=1, max_value=5).flatmap(
 )
 
 
+def apply_bits(f: BoolFunction, bits) -> int:
+    """f on one argument tuple of bits."""
+    return f.value(tuple_code(bits))
+
+
 def brute_force_polymorphism(f: BoolFunction, r: Relation) -> bool:
     """Independent oracle: literal triple/pair enumeration over bit rows."""
     rows = r.bit_rows()
     for choice in itertools.product(rows, repeat=f.arity):
-        image = tuple(f.apply_bits(col) for col in zip(*choice))
+        image = tuple(apply_bits(f, col) for col in zip(*choice))
         if tuple_code(image) not in r.tuples():
             return False
     return True
@@ -111,7 +119,7 @@ def closed_under(f: BoolFunction, arity: int, codes: set[int]) -> Relation:
     while True:
         rows = [code_bits(c, arity) for c in sorted(codes)]
         images = {
-            tuple_code([f.apply_bits(col) for col in zip(*choice)])
+            tuple_code([apply_bits(f, col) for col in zip(*choice)])
             for choice in itertools.product(rows, repeat=f.arity)
         }
         if images <= codes:
@@ -499,6 +507,19 @@ class TestRelationBasics:
 
     def test_restrict(self):
         assert DUP3.restrict(2, 1) == Relation.from_tuples(2, ["00", "01", "11"])
+
+    def test_set_bits_match_the_membership_table(self):
+        rng = random.Random(26)
+        for arity in range(1, 17):
+            size = 1 << arity
+            full = (1 << size) - 1
+            sparse = 1 << rng.randrange(size) | 1 << rng.randrange(size) | 1 << rng.randrange(size)
+            masks = [0, full, 1 << (size - 1), sparse, rng.getrandbits(size), full ^ sparse]
+            for mask in masks:
+                want = np.flatnonzero(membership_table(arity, mask)).tolist()
+                assert list(set_bits(mask)) == want, (arity, mask)
+                if mask:
+                    assert Relation(arity, mask).tuples() == tuple(want)
 
 
 class TestBuiltins:
