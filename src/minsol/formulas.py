@@ -470,15 +470,15 @@ def _block_hits(models: int, partners: list[list[int]], b: int, d: int) -> int:
 def _pairwise_pair(codes: np.ndarray, n: int) -> tuple[int, int, int]:
     """(distance, a, b) for the lexicographically smallest closest pair
     a < b of the ascending model codes, by comparing every pair.  Codes
-    are XORed as uint32, wide enough for `ORACLE_VAR_CAP` variables, so
-    each chunk x chunk temporary takes half the bytes of int64.  numpy
-    loads on the first call."""
+    are XORed as uint32, wide enough for `ORACLE_VAR_CAP` variables, in
+    chunk x chunk blocks of 1 MB, so the block and the temporaries of
+    `popcount` stay in cache.  numpy loads on the first call."""
     import numpy as np
 
     codes = codes.astype(np.uint32)
     best_val = n + 1
     best_pair: tuple[int, int] | None = None
-    chunk = 1 << 12
+    chunk = 1 << 9
     for i in range(0, len(codes), chunk):
         left = codes[i : i + chunk]
         for j in range(i, len(codes), chunk):

@@ -1,4 +1,5 @@
-"""Linear algebra over GF(2) with bit-packed rows.
+"""Linear algebra over GF(2) with bit-packed rows, every elimination one
+sparse echelon (`_rref`) on a dict from pivot bit to row.
 
 A vector of length l is an int whose coordinate 0 is the leading bit
 (bit l-1), the MSB-first order of assignment and tuple codes, so numeric
@@ -27,34 +28,42 @@ if TYPE_CHECKING:
 ENUM_CAP_BITS = 24
 
 
-def _eliminate(rows: list[int], cols: int, prefer: int = 0) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot bits), in
-    coordinate order of the pivots.  A row pivots on its leading bit
-    among the columns of `prefer`, or on its leading bit if it has none
-    there."""
-    reduced: list[int] = []
-    pivots: list[int] = []
+def _rref(rows: Sequence[int], prefer: int = 0) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form: (reduced rows, pivot bits) in descending
+    pivot order.  A row pivots on its leading bit among the columns of
+    `prefer`, or on its leading bit if it has none there.
+
+    A new row is reduced at its leading bit while that is a pivot, and
+    joins if any of it is left; then each row, lowest pivot first, is
+    cleared of the lower pivots it holds, whose rows are reduced already.
+    """
+    if prefer:  # move the columns of `prefer` above the others, and back
+        width = reduce(or_, rows, 0).bit_length()
+        keys, pivots = _rref([(row & prefer) << width | row & ~prefer for row in rows])
+        pairs = [(p % width, key >> width | key % (1 << width)) for key, p in zip(keys, pivots)]
+        pairs.sort(reverse=True)
+        return [row for _, row in pairs], [p for p, _ in pairs]
+    by_pivot: dict[int, int] = {}
     for row in rows:
-        for r, p in zip(reduced, pivots):
-            if (row >> p) & 1:
-                row ^= r
-        if row == 0:
-            continue
-        p = ((row & prefer) or row).bit_length() - 1
-        # back-substitute into earlier rows
-        for i, r in enumerate(reduced):
-            if (r >> p) & 1:
-                reduced[i] = r ^ row
-        reduced.append(row)
-        pivots.append(p)
-    order = sorted(range(len(pivots)), key=lambda i: -pivots[i])
-    return [reduced[i] for i in order], [pivots[i] for i in order]
+        while row and (p := row.bit_length() - 1) in by_pivot:
+            row ^= by_pivot[p]
+        if row:
+            by_pivot[p] = row
+    pivots = sorted(by_pivot)
+    below = 0  # the pivots of the rows reduced so far
+    for p in pivots:
+        hits = by_pivot[p] & below
+        while hits:
+            q = hits.bit_length() - 1
+            by_pivot[p] ^= by_pivot[q]
+            hits ^= 1 << q
+        below |= 1 << p
+    return [by_pivot[p] for p in reversed(pivots)], pivots[::-1]
 
 
 def rref_basis(vectors: Sequence[int], cols: int) -> list[int]:
     """Canonical RREF basis of the span of the given vectors."""
-    reduced, _ = _eliminate(list(vectors), cols)
-    return reduced
+    return _rref(vectors)[0]
 
 
 def rank(vectors: Sequence[int], cols: int) -> int:
@@ -64,39 +73,35 @@ def rank(vectors: Sequence[int], cols: int) -> int:
 def nullspace(rows: Sequence[int], cols: int) -> list[int]:
     """Basis of {x : row·x = 0 for all rows}, one vector per free column,
     in coordinate order."""
-    return _free_basis(*_eliminate(list(rows), cols), cols)
+    return _free_basis(*_rref(rows), cols)
 
 
 def _free_basis(reduced: list[int], pivots: list[int], cols: int) -> list[int]:
-    """`nullspace` of rows already in reduced row echelon form."""
+    """`nullspace` of rows already in reduced row echelon form: each free
+    column plus the pivots of the rows that hold it."""
+    links: dict[int, int] = {}
+    for r, p in zip(reduced, pivots):
+        rest = r ^ (1 << p)
+        while rest:
+            free = rest.bit_length() - 1
+            links[free] = links.get(free, 0) | 1 << p
+            rest ^= 1 << free
     pivot_set = set(pivots)
-    basis = []
-    for free in reversed(range(cols)):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for r, p in zip(reduced, pivots):
-            if (r >> free) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return basis
+    return [links.get(free, 0) | 1 << free for free in reversed(range(cols)) if free not in pivot_set]
 
 
 def solve_affine(equations: Sequence[tuple[int, int]], cols: int) -> tuple[int, list[int]] | None:
     """Particular solution (free columns zero) and nullspace basis of the
-    (row, bit) equations row·x = bit.
+    (row, bit) equations row·x = bit; None iff they are inconsistent.
 
-    Returns None iff the system is inconsistent.
+    The rhs is a new lowest column, free in a consistent system: its
+    nullspace vector is the particular solution, the others the basis.
     """
-    # augment with the rhs in a new lowest column
-    reduced, pivots = _eliminate([(row << 1) | (b & 1) for row, b in equations], cols + 1)
-    particular = 0
-    for r, p in zip(reduced, pivots):
-        if p == 0:
-            return None  # row 0 = 1
-        if r & 1:
-            particular |= 1 << (p - 1)
-    return particular, _free_basis([r >> 1 for r in reduced], [p - 1 for p in pivots], cols)
+    reduced, pivots = _rref([(row << 1) | (b & 1) for row, b in equations])
+    if pivots and pivots[-1] == 0:
+        return None  # a row 0 = 1
+    *basis, particular = _free_basis(reduced, pivots, cols + 1)
+    return particular >> 1, [v >> 1 for v in basis]
 
 
 @cache
@@ -131,13 +136,12 @@ def _bz_search(rows: list[int], tail: int, target: int, empty: bool) -> tuple[in
     and these are disjoint, so the search stops once the sum of those
     counts passes the best score: strictly, so every tie is seen.
 
-    Later forms join between rounds, and only while the first form's
-    bound alone does not stop the next round, and once that round costs
-    as many combinations as building one (about k**2 row operations), so
-    an answer the first rounds settle builds none.  Then the forms are
-    priced against the combinations they are projected to save at the
-    best score so far (`_pays`), and the first form goes on alone once
-    that is projected to cost less than going on with them all.
+    Later forms join between rounds the first form's bound alone does
+    not stop, once the next round costs as many combinations as building
+    a form (about k**2 row operations), so answers the first rounds settle
+    build none; and only while they are projected to save more than they
+    cost at the best score so far (`_pays`).  The first form goes on alone
+    once that is projected to be cheaper than going on with them all.
     """
     k = len(rows)
     start = 0 if empty else 1
@@ -156,13 +160,12 @@ def _bz_search(rows: list[int], tail: int, target: int, empty: bool) -> tuple[in
             continue  # the next round stops, or is too cheap to need a form
         if free < 0:  # the columns no form pivots on yet
             free = reduce(or_, rows, 0) >> tail << tail
-            for row in rows:
-                free &= ~(1 << (row.bit_length() - 1))
+            free &= ~sum(1 << (row.bit_length() - 1) for row in rows)
         tried = sum(comb(k, j) for j in range(start, r + 1))  # by each form
         if len(forms) > 1 and _finish(k, r + 1, score, [0]) < _finish(k, r + 1, score, deficits):
             forms, deficits, free = forms[:1], [0], 0
         while free and _pays(k, r + 1, score, tried, deficits, free):
-            form, pivots = _eliminate(rows, 0, free)
+            form, pivots = _rref(rows, free)
             new = sum(1 << p for p in pivots if free >> p & 1)
             free &= ~new
             form_base = _base(form, pivots, target)
@@ -248,7 +251,7 @@ def min_weight_nonzero(basis: Sequence[int], cols: int) -> tuple[int, int] | Non
     dim = len(basis)
     if dim > ENUM_CAP_BITS:
         raise TooLarge(f"nullspace dimension {dim} exceeds 2**{ENUM_CAP_BITS} enumeration cap")
-    reduced, _ = _eliminate(list(basis), cols)
+    reduced, _ = _rref(basis)
     if not reduced:
         return None
     tail = reduced[0].bit_length()  # the first row holds the highest pivot
@@ -272,11 +275,7 @@ def nearest_codeword(generator_rows: Sequence[int], cols: int, target: int) -> t
         raise TooLarge(f"message space 2**{k} exceeds 2**{ENUM_CAP_BITS} enumeration cap")
     # the tag is the reversed message, whose bit k-1-j selects row j, so
     # numeric order on it is the tie-break order
-    reduced, pivots = _eliminate(
-        [(row << k) | (1 << (k - 1 - j)) for j, row in enumerate(generator_rows)], cols + k
-    )
-    while reduced and pivots[-1] < k:  # the bare tags come last
-        reduced.pop()
-        pivots.pop()
-    distance, reversed_message = _bz_search(reduced, k, target << k, empty=True)
+    reduced, pivots = _rref([(row << k) | (1 << (k - 1 - j)) for j, row in enumerate(generator_rows)])
+    searched = [r for r, p in zip(reduced, pivots) if p >= k]  # not the bare tags
+    distance, reversed_message = _bz_search(searched, k, target << k, empty=True)
     return distance, int(f"{reversed_message:0{k}b}"[::-1], 2)

@@ -1,4 +1,10 @@
-"""Enumerations of a whole GF(2) span: the test oracles for `gf2`.
+"""Gauss-Jordan elimination and enumerations of a whole GF(2) span: the
+test oracles for `gf2`.
+
+`gf2._rref`, `gf2.nullspace` and `gf2.solve_affine` must return exactly
+what `gauss_jordan` and `gauss_jordan_solve` return: dense elimination,
+which reduces each new row by every earlier one and back-substitutes it
+into each of them, and reads the nullspace one free column at a time.
 
 `gf2.min_weight_nonzero` and `gf2.nearest_codeword` must return exactly
 what these return, ties included.  The Gray code takes one XOR per step
@@ -20,6 +26,43 @@ from minsol.gf2 import popcount
 
 _TABLE_BITS = 16
 _NEVER = np.iinfo(np.int64).max
+
+
+def gauss_jordan(rows: Sequence[int], prefer: int = 0) -> tuple[list[int], list[int]]:
+    """(reduced rows, pivot bits) in descending pivot order.  A row pivots
+    on its leading bit among the columns of `prefer`, or on its leading
+    bit if it has none there."""
+    reduced: list[int] = []
+    pivots: list[int] = []
+    for row in rows:
+        for r, p in zip(reduced, pivots):
+            if (row >> p) & 1:
+                row ^= r
+        if row == 0:
+            continue
+        p = ((row & prefer) or row).bit_length() - 1
+        for i, r in enumerate(reduced):
+            if (r >> p) & 1:
+                reduced[i] = r ^ row
+        reduced.append(row)
+        pivots.append(p)
+    order = sorted(range(len(pivots)), key=lambda i: -pivots[i])
+    return [reduced[i] for i in order], [pivots[i] for i in order]
+
+
+def gauss_jordan_solve(equations: Sequence[tuple[int, int]], cols: int) -> tuple[int, list[int]] | None:
+    """(particular solution with the free columns zero, nullspace basis
+    with one vector per free column in coordinate order) of the (row, bit)
+    equations row·x = bit, or None if they are inconsistent."""
+    reduced, pivots = gauss_jordan([(row << 1) | (b & 1) for row, b in equations])
+    if 0 in pivots:
+        return None  # a row 0 = 1
+    particular = sum(1 << (p - 1) for r, p in zip(reduced, pivots) if r & 1)
+    basis = []
+    for free in reversed(range(1, cols + 1)):
+        if free not in pivots:
+            basis.append((1 << free | sum(1 << p for r, p in zip(reduced, pivots) if r >> free & 1)) >> 1)
+    return particular, basis
 
 
 def gray_min_weight_nonzero(basis: Sequence[int]) -> tuple[int, int] | None:

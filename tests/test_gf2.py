@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from gf2_oracle import (
+    gauss_jordan,
+    gauss_jordan_solve,
     gray_min_weight_nonzero,
     gray_nearest_codeword,
     span_min_weight_nonzero,
@@ -22,6 +24,38 @@ def test_popcount_matches_int_bit_count():
     values = list(range(1 << 16)) + random.Random(16).sample(range(1 << 32), 1000)
     counts = gf2.popcount(np.array(values, dtype=np.int64))
     assert counts.tolist() == [v.bit_count() for v in values]
+
+
+class TestEchelon:
+    """The sparse echelon against dense Gauss-Jordan elimination."""
+
+    @staticmethod
+    def _rows(rng):
+        cols = rng.randint(1, 40)
+        rows = [rng.randrange(1 << cols) for _ in range(rng.randint(0, 30))]
+        if rows:  # zero and duplicate rows
+            rows += [0] * rng.randint(0, 2) + rng.choices(rows, k=rng.randint(0, 3))
+            rng.shuffle(rows)
+        return rows[:30], cols
+
+    def test_rref_matches_gauss_jordan(self):
+        rng = random.Random(27)
+        for _ in range(2000):
+            rows, cols = self._rows(rng)
+            for prefer in (0, rng.randrange(1 << cols)):
+                assert gf2._rref(rows, prefer) == gauss_jordan(rows, prefer)
+
+    def test_solutions_match_gauss_jordan(self):
+        rng = random.Random(28)
+        inconsistent = 0
+        for _ in range(1000):
+            rows, cols = self._rows(rng)
+            equations = [(row, rng.random() < 0.5) for row in rows]
+            want = gauss_jordan_solve(equations, cols)
+            inconsistent += want is None
+            assert gf2.solve_affine(equations, cols) == want
+            assert gf2.nullspace(rows, cols) == gauss_jordan_solve([(row, 0) for row in rows], cols)[1]
+        assert inconsistent
 
 
 class TestSolveAffine:
@@ -206,10 +240,10 @@ class _Spy:
     def __init__(self, monkeypatch):
         self.built: list[tuple[int, int]] = []  # (rows, new pivots)
         self.rounds: dict[int, set[int]] = {}
-        eliminate, round_ = gf2._eliminate, gf2._round
+        rref, round_ = gf2._rref, gf2._round
 
-        def spy_eliminate(rows, cols, prefer=0):
-            reduced, pivots = eliminate(rows, cols, prefer)
+        def spy_rref(rows, prefer=0):
+            reduced, pivots = rref(rows, prefer)
             if prefer:
                 self.built.append((len(rows), sum(prefer >> p & 1 for p in pivots)))
             return reduced, pivots
@@ -218,7 +252,7 @@ class _Spy:
             self.rounds.setdefault(r, set()).add(id(rows))
             return round_(rows, base, r, tail, score, best)
 
-        monkeypatch.setattr(gf2, "_eliminate", spy_eliminate)
+        monkeypatch.setattr(gf2, "_rref", spy_rref)
         monkeypatch.setattr(gf2, "_round", spy_round)
 
     def reset(self):
